@@ -13,10 +13,12 @@ import sys
 from . import convergence, derivfile, filters, harness, moggi, reduction
 from .assignment import check_derivation, infer_bounded
 from .reduction import Rule
-from .terms import is_comp, parse_term, print_term
+from .terms import SortError, TermSyntaxError, is_comp, parse_term, print_term
 from .typesys import (
     AtomTable,
     EMPTY_TABLE,
+    TypeSyntaxError,
+    UnknownAtomError,
     enumerate_types,
     is_vtype,
     leq_c,
@@ -29,6 +31,17 @@ from .typesys import (
 )
 
 OK, FALSE, USAGE, INCONCLUSIVE = 0, 1, 2, 3
+
+# Errors in what the user typed: exit 2, never 1, which is a verdict.
+USAGE_ERRORS = (
+    TermSyntaxError,
+    TypeSyntaxError,
+    moggi.MSyntaxError,
+    derivfile.DerivationSyntaxError,
+    SortError,
+    UnknownAtomError,
+    filters.OpenVariableError,
+)
 
 
 def _read_term_arg(arg: str):
@@ -315,6 +328,11 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE if e.code not in (0, None) else OK
     try:
         return args.fn(args)
+    except USAGE_ERRORS as e:
+        # KeyError subclasses quote their message when printed
+        detail = e.args[0] if isinstance(e, KeyError) and e.args else e
+        print(f"error: {type(e).__name__}: {detail}", file=sys.stderr)
+        return USAGE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return FALSE

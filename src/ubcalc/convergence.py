@@ -10,7 +10,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .reduction import DEFAULT_RULES, enumerate_steps
+from .reduction import DEFAULT_RULES, first_step
 from .terms import Bind, Comp, Lambda, Unit, Value, alpha_key, free_vars, subst
 
 
@@ -68,7 +68,8 @@ def small_step_converge(
     detect_cycles: bool = False,
     rules=DEFAULT_RULES,
 ) -> EvalOutcome:
-    """Reduce leftmost-outermost until a term of shape unit V appears.
+    """Reduce leftmost-outermost, one ``first_step`` at a time, until a
+    term of shape unit V appears.
 
     With detect_cycles, returns DIVERGES when the reduction revisits an
     alpha-equivalent prior state.
@@ -87,9 +88,9 @@ def small_step_converge(
             seen.add(k)
         if used == fuel:
             break
-        steps = enumerate_steps(cur, rules)
-        if not steps:
+        step = first_step(cur, rules)
+        if step is None:
             # closed binds always have a root redex
             raise AssertionError(f"stuck closed computation: {cur!r}")
-        cur = steps[0].result
+        cur = step.result
     return EvalOutcome(Status.FUEL_EXHAUSTED, steps=fuel)

@@ -29,7 +29,6 @@ from .terms import (
     alpha_key,
     free_vars,
     fresh_var,
-    is_comp,
     subst,
 )
 
@@ -94,17 +93,20 @@ def root_step(t: Term, rule: Rule) -> Optional[Term]:
     return None
 
 
-def _positions(t: Term, path: Position = ()) -> Iterator[tuple[Position, Term]]:
+def _positions(t: Term) -> Iterator[tuple[Position, Term]]:
     """Preorder traversal of all subterm positions (leftmost-outermost)."""
-    yield path, t
-    match t:
-        case Lambda(_, body):
-            yield from _positions(body, path + (LAMBDA_BODY,))
-        case Unit(v):
-            yield from _positions(v, path + (UNIT_ARG,))
-        case Bind(left, right):
-            yield from _positions(left, path + (BIND_LEFT,))
-            yield from _positions(right, path + (BIND_RIGHT,))
+    stack: list[tuple[Position, Term]] = [((), t)]
+    while stack:
+        path, s = stack.pop()
+        yield path, s
+        match s:
+            case Lambda(_, body):
+                stack.append((path + (LAMBDA_BODY,), body))
+            case Unit(v):
+                stack.append((path + (UNIT_ARG,), v))
+            case Bind(left, right):
+                stack.append((path + (BIND_RIGHT,), right))
+                stack.append((path + (BIND_LEFT,), left))
 
 
 def replace_at(t: Term, path: Position, new: Term) -> Term:
@@ -139,27 +141,41 @@ def subterm_at(t: Term, path: Position) -> Term:
     return t
 
 
-def enumerate_steps(m: Comp, rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES) -> list[Step]:
-    """All one-step reducts of m, leftmost-outermost first.
+_RULE_ORDER = (Rule.BETA_C, Rule.ID, Rule.ASS, Rule.ETA_C)
+
+
+def _redexes(m: Comp, rules: frozenset[Rule] | set[Rule]) -> Iterator[tuple[Rule, Position, Term]]:
+    """(rule, position, contractum) for every redex of m: positions in
+    preorder, and at each position the rules in _RULE_ORDER.
 
     Without ETA_C only computation subterms are redex candidates; with it
-    value subterms are candidates too.
+    value subterms are candidates too.  Only binds match betac, id and ass.
     """
-    rule_order = [Rule.BETA_C, Rule.ID, Rule.ASS, Rule.ETA_C]
-    steps: list[Step] = []
+    order = [rule for rule in _RULE_ORDER if rule in rules]
     for path, sub in _positions(m):
-        for rule in rule_order:
-            if rule not in rules:
-                continue
-            if rule is Rule.ETA_C:
-                if not isinstance(sub, Lambda):
-                    continue
-            elif not is_comp(sub):
+        for rule in order:
+            if not isinstance(sub, Lambda if rule is Rule.ETA_C else Bind):
                 continue
             contractum = root_step(sub, rule)
             if contractum is not None:
-                steps.append(Step(rule, path, replace_at(m, path, contractum)))
-    return steps
+                yield rule, path, contractum
+
+
+def enumerate_steps(m: Comp, rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES) -> list[Step]:
+    """All one-step reducts of m, leftmost-outermost first."""
+    return [Step(rule, path, replace_at(m, path, c)) for rule, path, c in _redexes(m, rules)]
+
+
+def first_step(m: Comp, rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES) -> Optional[Step]:
+    """The leftmost-outermost step of m, ``enumerate_steps(m, rules)[0]``,
+    or None when m is in normal form.
+
+    The walk stops at the first redex and rebuilds only the spine above
+    it: one contraction per step, not one reduct of m per redex.
+    """
+    for rule, path, c in _redexes(m, rules):
+        return Step(rule, path, replace_at(m, path, c))
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,22 +191,22 @@ def normalize(
     fuel: int = 1000,
     keep_trace: bool = False,
 ) -> NormalizeOutcome:
-    """Leftmost-outermost normalization with a step budget."""
+    """Leftmost-outermost normalization with a step budget.
+
+    Each step is ``first_step``; fuel counts steps taken.
+    """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
     trace: list[Step] = []
     cur = m
     for _ in range(fuel):
-        steps = enumerate_steps(cur, rules)
-        if not steps:
+        step = first_step(cur, rules)
+        if step is None:
             return NormalizeOutcome(True, cur, tuple(trace))
-        step = steps[0]
         if keep_trace:
             trace.append(step)
         cur = step.result
-    if not enumerate_steps(cur, rules):
-        return NormalizeOutcome(True, cur, tuple(trace))
-    return NormalizeOutcome(False, cur, tuple(trace))
+    return NormalizeOutcome(first_step(cur, rules) is None, cur, tuple(trace))
 
 
 # ------------------------------------------------------ parallel reduction

@@ -148,14 +148,6 @@ def unshadow(t: Term, avoid: frozenset[str] | set[str] = frozenset()) -> Term:
     return walk(t)
 
 
-def subst_comp(m: Comp, x: str, v: Value) -> Comp:
-    return subst(m, x, v)
-
-
-def subst_value(w: Value, x: str, v: Value) -> Value:
-    return subst(w, x, v)
-
-
 # ------------------------------------------------------------ alpha-equality
 
 # de Bruijn skeletons are the structural internal form: bound variables
@@ -363,20 +355,6 @@ def parse_term(text: str) -> Term:
     t = parser.parse_term()
     if parser.peek().kind != "eof":
         raise parser.error(f"trailing input {parser.peek().text!r}")
-    return t
-
-
-def parse_comp(text: str) -> Comp:
-    t = parse_term(text)
-    if not is_comp(t):
-        raise SortError("expected a computation")
-    return t
-
-
-def parse_value(text: str) -> Value:
-    t = parse_term(text)
-    if not is_value(t):
-        raise SortError("expected a value")
     return t
 
 

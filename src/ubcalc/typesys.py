@@ -90,16 +90,6 @@ def vinter_all(parts: Iterable[ValType]) -> ValType:
     return acc
 
 
-def cinter_all(parts: Iterable[ComType]) -> ComType:
-    parts = list(parts)
-    if not parts:
-        return C_OMEGA
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = CInter(acc, p)
-    return acc
-
-
 # -------------------------------------------------------------- atom tables
 
 

@@ -136,3 +136,28 @@ def test_eta_flag(tmp_path, capsys):
 
 def test_usage_error(capsys):
     assert main(["reduce"]) == 2
+
+
+def _usage_error(capsys, *argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_fmt_incomplete_term_is_usage_error(capsys):
+    _usage_error(capsys, "fmt", "unit")
+
+
+def test_fmt_unclosed_paren_is_usage_error(capsys):
+    _usage_error(capsys, "fmt", "unit (\\x. x")
+
+
+def test_subtype_unknown_atom_is_usage_error(capsys):
+    err = _usage_error(capsys, "subtype", "Wv", "<=", "@a")
+    assert "UnknownAtomError" in err
+
+
+def test_interp_open_term_is_usage_error(capsys):
+    err = _usage_error(capsys, "interp", "--rank", "1", "unit x")
+    assert "OpenVariableError" in err

@@ -1,14 +1,20 @@
 import itertools
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import CLOSED_COMPS
+from conftest import CLOSED_COMPS, OPEN_COMPS
 
+from ubcalc.convergence import EvalOutcome, Status, small_step_converge
+from ubcalc.harness import GenConfig, gen_term
 from ubcalc.reduction import (
     ALL_RULES,
+    DEFAULT_RULES,
+    NormalizeOutcome,
     Rule,
     ass_measure,
     enumerate_steps,
+    first_step,
     joinable,
     normalize,
     parallel_reduces,
@@ -105,6 +111,103 @@ class TestNormalize:
         out = normalize(t, {Rule.ASS}, fuel=10)
         want = Bind(l, Lambda("x", Bind(m, Lambda("y", Bind(n, Lambda("z", p))))))
         assert out.normal_form and alpha_eq(out.term, want)
+
+
+def bind_chain(n):
+    """unit (\\z. unit z) * (\\a0. unit a0 * (\\b0. unit b0)) * ..., n
+    stages nested to the left; it normalizes to unit (\\z. unit z)."""
+    m = Unit(Lambda("z", Unit(Variable("z"))))
+    for i in range(n):
+        x, y = f"a{i}", f"b{i}"
+        m = Bind(m, Lambda(x, Bind(Unit(Variable(x)), Lambda(y, Unit(Variable(y))))))
+    return m
+
+
+# Reference strategies: build every one-step reduct, keep the first.
+
+
+def normalize_by_enumeration(m, rules, fuel):
+    trace = []
+    cur = m
+    for _ in range(fuel):
+        steps = enumerate_steps(cur, rules)
+        if not steps:
+            return NormalizeOutcome(True, cur, tuple(trace))
+        trace.append(steps[0])
+        cur = steps[0].result
+    return NormalizeOutcome(not enumerate_steps(cur, rules), cur, tuple(trace))
+
+
+def small_step_by_enumeration(m, fuel, detect_cycles, rules):
+    if free_vars(m):
+        return EvalOutcome(Status.OPEN_TERM)
+    seen = set()
+    cur = m
+    for used in range(fuel + 1):
+        if isinstance(cur, Unit):
+            return EvalOutcome(Status.CONVERGES, cur.value, steps=used)
+        if detect_cycles:
+            k = alpha_key(cur)
+            if k in seen:
+                return EvalOutcome(Status.DIVERGES, steps=used)
+            seen.add(k)
+        if used == fuel:
+            break
+        cur = enumerate_steps(cur, rules)[0].result
+    return EvalOutcome(Status.FUEL_EXHAUSTED, steps=fuel)
+
+
+def _same_outcome(got, want):
+    if got.status is not want.status or got.steps != want.steps:
+        return False
+    if want.value is None:
+        return got.value is None
+    return got.value is not None and alpha_eq(got.value, want.value)
+
+
+def _corpus(closed):
+    """Harness terms of two sizes, a bind chain, and omega for a
+    reduction that runs out of fuel and revisits its start."""
+    terms = [gen_term(GenConfig(seed=s, max_size=25, closed=closed), s) for s in range(150)]
+    terms += [gen_term(GenConfig(seed=s, max_size=40, closed=closed), s) for s in range(40)]
+    return terms + [bind_chain(12), omega_c()]
+
+
+RULE_SETS = pytest.mark.parametrize("rules", [DEFAULT_RULES, ALL_RULES], ids=["default", "all"])
+
+
+class TestFirstStepAgainstEnumeration:
+    @given(st.one_of(CLOSED_COMPS, OPEN_COMPS), st.sampled_from([DEFAULT_RULES, ALL_RULES]))
+    def test_first_step_is_head_of_enumeration(self, m, rules):
+        steps = enumerate_steps(m, rules)
+        assert first_step(m, rules) == (steps[0] if steps else None)
+
+    @RULE_SETS
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+    def test_normalize_matches_reference(self, rules, closed):
+        for m in _corpus(closed):
+            got = normalize(m, rules, fuel=60, keep_trace=True)
+            want = normalize_by_enumeration(m, rules, fuel=60)
+            assert got.normal_form == want.normal_form, print_term(m)
+            assert alpha_eq(got.term, want.term), print_term(m)
+            assert len(got.trace) == len(want.trace), print_term(m)
+            for a, b in zip(got.trace, want.trace):
+                assert (a.rule, a.position) == (b.rule, b.position), print_term(m)
+                assert alpha_eq(a.result, b.result), print_term(m)
+
+    @RULE_SETS
+    @pytest.mark.parametrize("detect_cycles", [False, True], ids=["plain", "cycles"])
+    def test_small_step_matches_reference(self, rules, detect_cycles):
+        for m in _corpus(True):
+            got = small_step_converge(m, 60, detect_cycles, rules)
+            want = small_step_by_enumeration(m, 60, detect_cycles, rules)
+            assert _same_outcome(got, want), print_term(m)
+
+    def test_long_chain_normalizes(self):
+        # 798 steps over a term of 1604 nodes
+        out = normalize(bind_chain(200), fuel=4020, keep_trace=True)
+        assert out.normal_form and len(out.trace) == 798
+        assert alpha_eq(out.term, Unit(Lambda("z", Unit(Variable("z")))))
 
 
 class TestParallel:
