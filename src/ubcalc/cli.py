@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import convergence, derivfile, filters, harness, moggi, reduction
@@ -32,8 +33,16 @@ from .typesys import (
 
 OK, FALSE, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 
-# Errors in what the user typed: exit 2, never 1, which is a verdict.
+
+class AtomSpecError(ValueError):
+    """The --atoms file is not a JSON object of atom names and order pairs."""
+
+
+# Errors in what the user gave (typed text, files): exit 2, never 1, which
+# is a verdict.
 USAGE_ERRORS = (
+    OSError,
+    AtomSpecError,
     TermSyntaxError,
     TypeSyntaxError,
     moggi.MSyntaxError,
@@ -47,11 +56,11 @@ USAGE_ERRORS = (
 def _read_term_arg(arg: str):
     if arg == "-":
         return parse_term(sys.stdin.read())
-    try:
+    # the text is read as a term only when no file of that name exists, so
+    # a file that does not parse reports its own error
+    if os.path.isfile(arg):
         with open(arg) as fh:
             return parse_term(fh.read())
-    except (OSError, ValueError):
-        pass
     return parse_term(arg)
 
 
@@ -71,16 +80,35 @@ def _rules_from(spec: str) -> frozenset[Rule]:
 def _table_from(args) -> AtomTable:
     table = EMPTY_TABLE
     if getattr(args, "atoms", None):
-        with open(args.atoms) as fh:
-            spec = json.load(fh)
-        table = AtomTable(
-            tuple(spec.get("atoms", ())),
-            frozenset(tuple(p) for p in spec.get("order", ())),
-        )
+        atoms, order = _atom_spec(args.atoms)
+        table = AtomTable(atoms, order)
     eta = getattr(args, "eta", "none")
     if eta != "none":
         table = AtomTable(table.atoms, table.order, eta, getattr(args, "rank", 2) or 2)
     return table
+
+
+def _atom_spec(path: str) -> tuple[tuple[str, ...], frozenset[tuple[str, str]]]:
+    with open(path) as fh:
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise AtomSpecError(f"{path}: not JSON: {e}") from None
+    shape = f"{path}: expected {{\"atoms\": [names], \"order\": [[name, name], ...]}}"
+    if not isinstance(spec, dict):
+        raise AtomSpecError(shape)
+    atoms, order = spec.get("atoms", []), spec.get("order", [])
+    if not (
+        isinstance(atoms, list)
+        and all(isinstance(a, str) for a in atoms)
+        and isinstance(order, list)
+        and all(
+            isinstance(p, list) and len(p) == 2 and all(isinstance(a, str) for a in p)
+            for p in order
+        )
+    ):
+        raise AtomSpecError(shape)
+    return tuple(atoms), frozenset(tuple(p) for p in order)
 
 
 def cmd_fmt(args) -> int:
@@ -333,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         detail = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"error: {type(e).__name__}: {detail}", file=sys.stderr)
         return USAGE
-    except (ValueError, OSError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return FALSE
 

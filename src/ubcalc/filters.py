@@ -27,10 +27,7 @@ from .typesys import (
     CanonC,
     CanonV,
     EMPTY_TABLE,
-    _key_c,
-    _key_v,
-    canon_rank_c,
-    canon_rank_v,
+    _make_canon_v,
     leq_canon_c,
     leq_canon_v,
     meet_all_canon_c,
@@ -70,25 +67,26 @@ def dom_leq_c(a: ComFilt, b: ComFilt, table: AtomTable = EMPTY_TABLE) -> bool:
 
 
 def _meet_closure(gens: list[CanonV], table: AtomTable, cap: int) -> list[CanonV]:
-    seen: dict[tuple, CanonV] = {_key_v(TOP_V): TOP_V}
-    for g in gens:
-        seen.setdefault(_key_v(g), g)
-    frontier = list(seen.values())
+    # Every point of the closure is a finite meet of generators, so meeting
+    # each new point with the generators alone (not with every point seen)
+    # reaches the same set, in at most cap * len(gens) meets before the cap.
+    gens = list(dict.fromkeys([TOP_V, *gens]))
+    seen = dict.fromkeys(gens)
+    frontier = gens
     while frontier:
         new: list[CanonV] = []
         for x in frontier:
-            for y in list(seen.values()):
-                m = meet_canon_v(x, y, table)
-                k = _key_v(m)
-                if k not in seen:
-                    seen[k] = m
+            for g in gens:
+                m = meet_canon_v(x, g, table)
+                if m not in seen:
+                    seen[m] = None
                     new.append(m)
                     if len(seen) > cap:
                         raise DomainSizeError(
                             f"value lattice exceeds {cap} points; use a smaller rank or table"
                         )
         frontier = new
-    return sorted(seen.values(), key=_key_v)
+    return sorted(seen, key=lambda c: c.key)
 
 
 @lru_cache(maxsize=None)
@@ -183,8 +181,6 @@ def psi_f(fn_table: dict[CanonV, ComFilt], table: AtomTable = EMPTY_TABLE) -> Va
                 if not leq_canon_c(fn_table[b].gen, fn_table[a].gen, table):
                     raise NonMonotoneTableError(f"table not monotone at {a} vs {b}")
     arrows = [(p, fn_table[p].gen) for p in points]
-    from .typesys import _make_canon_v
-
     return ValFilt(_make_canon_v((), arrows, table))
 
 
@@ -242,8 +238,6 @@ def interp_value(v: Value, env: EnvN, n: int, table: AtomTable = EMPTY_TABLE) ->
             for point in value_lattice(n - 1, table):
                 out = interp_comp(body, {**env, x: ValFilt(point)}, n, table)
                 arrows.append((point, out.gen))
-            from .typesys import _make_canon_v
-
             return ValFilt(_make_canon_v((), arrows, table))
     raise TypeError(f"not a value: {v!r}")
 
@@ -278,11 +272,11 @@ class RankOverflowError(ValueError):
 def type_elems(sigma: CanonV | CanonC, dom: RankDomain) -> list:
     """All domain elements whose generator entails sigma."""
     if isinstance(sigma, CanonV):
-        if canon_rank_v(sigma) > dom.n:
-            raise RankOverflowError(f"rank {canon_rank_v(sigma)} exceeds domain rank {dom.n}")
+        if sigma.rank > dom.n:
+            raise RankOverflowError(f"rank {sigma.rank} exceeds domain rank {dom.n}")
         return [ValFilt(v) for v in dom.values if leq_canon_v(v, sigma, dom.table)]
-    if canon_rank_c(sigma) > dom.n:
-        raise RankOverflowError(f"rank {canon_rank_c(sigma)} exceeds domain rank {dom.n}")
+    if sigma.rank > dom.n:
+        raise RankOverflowError(f"rank {sigma.rank} exceeds domain rank {dom.n}")
     return [ComFilt(c) for c in dom.comps if leq_canon_c(c, sigma, dom.table)]
 
 
@@ -300,14 +294,14 @@ def monotone_tables(
     Yields at most `cap` tables when given; iteration order is
     deterministic.
     """
-    points = sorted(dom_points, key=_key_v)
+    points = sorted(dom_points, key=lambda p: p.key)
     # linear extension of the domain order: up(p) is low when p is weak,
     # i.e. entails few other generators
-    order = sorted(points, key=lambda p: (sum(1 for q in points if leq_canon_v(p, q, table)), _key_v(p)))
+    order = sorted(points, key=lambda p: (sum(1 for q in points if leq_canon_v(p, q, table)), p.key))
     preds: list[list[int]] = []
     for i, p in enumerate(order):
         preds.append([j for j in range(i) if leq_canon_v(p, order[j], table)])
-    cods = sorted(cod_points, key=_key_c)
+    cods = sorted(cod_points, key=lambda c: c.key)
     count = 0
     assignment: list[CanonC] = []
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Union
@@ -172,23 +173,84 @@ def rank(t: AnyType) -> int:
 # ----------------------------------------------------------- canonical forms
 
 
-@dataclass(frozen=True, slots=True)
+# Canonical types are hash-consed (Filliatre & Conchon, "Type-safe modular
+# hash-consing", 2006): every node is built through one weak intern table
+# keyed by its fields, so structurally equal live nodes are one object and
+# equality and hashing are by identity.  The children of a node are interned
+# first, so a lookup hashes only one level.  Each node carries ``key``, a
+# structural sort key fixing the order of canonical forms, and ``rank``,
+# both computed once from its children.  Structural identity is not
+# equality in the theory: that stays leq both ways (``eq_canon_*``).
+
+_INTERNED_V: "weakref.WeakValueDictionary[tuple, CanonV]" = weakref.WeakValueDictionary()
+_INTERNED_C: "weakref.WeakValueDictionary[Optional[CanonV], CanonC]" = weakref.WeakValueDictionary()
+
+
 class CanonV:
     """Meet of atoms and arrows; empty meet is the top (omega) class."""
 
+    __slots__ = ("atoms", "arrows", "key", "rank", "__weakref__")
     atoms: tuple[str, ...]
     arrows: tuple[tuple["CanonV", "CanonC"], ...]
+    key: tuple
+    rank: int
+
+    def __new__(cls, atoms: Iterable[str], arrows: Iterable[tuple["CanonV", "CanonC"]]) -> "CanonV":
+        atoms = tuple(atoms)
+        arrows = tuple(arrows)
+        fields = (atoms, arrows)
+        node = _INTERNED_V.get(fields)
+        if node is None:
+            node = object.__new__(cls)
+            init = object.__setattr__
+            init(node, "atoms", atoms)
+            init(node, "arrows", arrows)
+            init(node, "key", ("m", atoms, tuple((d.key, t.key) for d, t in arrows)))
+            init(node, "rank", max((max(d.rank + 1, t.rank) for d, t in arrows), default=0))
+            _INTERNED_V[fields] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return CanonV, (self.atoms, self.arrows)
+
+    def __repr__(self) -> str:
+        return f"CanonV(atoms={self.atoms!r}, arrows={self.arrows!r})"
 
     @property
     def is_top(self) -> bool:
         return not self.atoms and not self.arrows
 
 
-@dataclass(frozen=True, slots=True)
 class CanonC:
     """Either the top (omega) class or the class of T applied to a value."""
 
+    __slots__ = ("arg", "key", "rank", "__weakref__")
     arg: Optional[CanonV]
+    key: tuple
+    rank: int
+
+    def __new__(cls, arg: Optional[CanonV]) -> "CanonC":
+        node = _INTERNED_C.get(arg)
+        if node is None:
+            node = object.__new__(cls)
+            init = object.__setattr__
+            init(node, "arg", arg)
+            init(node, "key", ("tc",) if arg is None else ("t", arg.key))
+            init(node, "rank", 0 if arg is None else arg.rank + 1)
+            _INTERNED_C[arg] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return CanonC, (self.arg,)
+
+    def __repr__(self) -> str:
+        return f"CanonC(arg={self.arg!r})"
 
     @property
     def is_top(self) -> bool:
@@ -203,23 +265,8 @@ def tcan(v: CanonV) -> CanonC:
     return CanonC(v)
 
 
-def _key_v(c: CanonV) -> tuple:
-    return ("m", c.atoms, tuple((_key_v(d), _key_c(t)) for d, t in c.arrows))
-
-
-def _key_c(c: CanonC) -> tuple:
-    return ("tc",) if c.arg is None else ("t", _key_v(c.arg))
-
-
-def canon_rank_v(c: CanonV) -> int:
-    r = 0
-    for d, t in c.arrows:
-        r = max(r, canon_rank_v(d) + 1, canon_rank_c(t))
-    return r
-
-
-def canon_rank_c(c: CanonC) -> int:
-    return 0 if c.arg is None else canon_rank_v(c.arg) + 1
+def _arrow_key(a: tuple[CanonV, CanonC]) -> tuple:
+    return (a[0].key, a[1].key)
 
 
 def _arrow_leq(a1: tuple[CanonV, CanonC], a2: tuple[CanonV, CanonC], table: AtomTable) -> bool:
@@ -245,27 +292,28 @@ def _make_canon_v(
         if not dominated:
             kept_atoms.append(a)
     # arrows: drop trivial codomains, merge equal domains, prune to an antichain
-    by_dom: dict[tuple, tuple[CanonV, CanonC]] = {}
+    by_dom: dict[CanonV, CanonC] = {}
     for d, t in arrows:
         if t.is_top:
             continue
-        k = _key_v(d)
-        if k in by_dom:
-            prev = by_dom[k]
-            by_dom[k] = (d, meet_canon_c(prev[1], t, table))
-        else:
-            by_dom[k] = (d, t)
+        prev = by_dom.get(d)
+        by_dom[d] = t if prev is None else meet_canon_c(prev, t, table)
     kept: list[tuple[CanonV, CanonC]] = []
-    for arr in sorted(by_dom.values(), key=lambda a: (_key_v(a[0]), _key_c(a[1]))):
+    for arr in sorted(by_dom.items(), key=_arrow_key):
         if any(_arrow_leq(k, arr, table) for k in kept):
             continue
         kept = [k for k in kept if not _arrow_leq(arr, k, table)]
         kept.append(arr)
-    kept.sort(key=lambda a: (_key_v(a[0]), _key_c(a[1])))
+    kept.sort(key=_arrow_key)
     return CanonV(tuple(sorted(kept_atoms)), tuple(kept))
 
 
-@lru_cache(maxsize=None)
+# The memos hold strong references to the nodes they key on, so they are
+# bounded; a node no memo or caller holds leaves the intern table.
+_MEMO_SIZE = 2**16
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _meet_canon_v_cached(a: CanonV, b: CanonV, table: AtomTable) -> CanonV:
     return _make_canon_v(a.atoms + b.atoms, a.arrows + b.arrows, table)
 
@@ -277,7 +325,7 @@ def meet_canon_v(a: CanonV, b: CanonV, table: AtomTable) -> CanonV:
         return a
     if a == b:
         return a
-    if _key_v(b) < _key_v(a):
+    if b.key < a.key:
         a, b = b, a
     return _meet_canon_v_cached(a, b, table)
 
@@ -297,7 +345,7 @@ def meet_all_canon_c(parts: Iterable[CanonC], table: AtomTable) -> CanonC:
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def _leq_canon_v_cached(a: CanonV, b: CanonV, table: AtomTable) -> bool:
     for atom in b.atoms:
         if not any(table.leq_atom(x, atom) for x in a.atoms):
@@ -364,7 +412,8 @@ def normalize_vtype(t: ValType, table: AtomTable = EMPTY_TABLE, eta_depth: int |
             cc = normalize_ctype(c, table, depth)
             if cc.is_top:
                 return TOP_V
-            return _make_canon_v((), ((normalize_vtype(d, table, depth), cc),), table)
+            # a single arrow with a non-top codomain is already canonical
+            return CanonV((), ((normalize_vtype(d, table, depth), cc),))
         case VInter(l, r):
             return meet_canon_v(
                 normalize_vtype(l, table, depth), normalize_vtype(r, table, depth), table
@@ -584,18 +633,15 @@ def parse_type(text: str) -> AnyType:
 
 
 def _dedup_semantic_v(cands: Iterable[CanonV], table: AtomTable) -> list[CanonV]:
-    by_key: dict[tuple, CanonV] = {}
-    for c in cands:
-        by_key.setdefault(_key_v(c), c)
     buckets: dict[tuple, list[CanonV]] = {}
     out: list[CanonV] = []
-    for c in by_key.values():
-        sig = (canon_rank_v(c), len(c.atoms), len(c.arrows), c.atoms)
+    for c in dict.fromkeys(cands):
+        sig = (c.rank, len(c.atoms), len(c.arrows), c.atoms)
         reps = buckets.setdefault(sig, [])
         if not any(eq_canon_v(c, r, table) for r in reps):
             reps.append(c)
             out.append(c)
-    out.sort(key=_key_v)
+    out.sort(key=lambda c: c.key)
     return out
 
 

@@ -307,7 +307,7 @@ def test_08_filter_monad_laws():
     def law_checks(comps, values, prev, table):
         nonlocal checked, failures
         unit_fn = filters.unit_as_function(prev, table)
-        rank_n = max(typesys.canon_rank_v(g) for g in values)
+        rank_n = max(g.rank for g in values)
         for dgen, fgen in itertools.product(values, values):
             checked += 1
             d, f = filters.ValFilt(dgen), filters.ValFilt(fgen)

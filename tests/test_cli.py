@@ -161,3 +161,31 @@ def test_subtype_unknown_atom_is_usage_error(capsys):
 def test_interp_open_term_is_usage_error(capsys):
     err = _usage_error(capsys, "interp", "--rank", "1", "unit x")
     assert "OpenVariableError" in err
+
+
+def test_fmt_reports_the_files_own_parse_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad_term.txt").write_text("unit (\\x. unit x")
+    err = _usage_error(capsys, "fmt", "bad_term.txt")
+    assert "TermSyntaxError" in err and "trailing input '.'" not in err
+    # text that names no file is still read as a term
+    code, out, _ = run(capsys, "fmt", "unit (\\x. unit x)")
+    assert code == 0 and out.strip() == "unit (\\x. unit x)"
+
+
+def test_typecheck_missing_file_is_usage_error(capsys, tmp_path):
+    err = _usage_error(capsys, "typecheck", str(tmp_path / "missing.txt"))
+    assert "FileNotFoundError" in err
+
+
+def test_subtype_missing_atoms_file_is_usage_error(capsys, tmp_path):
+    err = _usage_error(capsys, "subtype", "--atoms", str(tmp_path / "missing.json"), "Wv", "<=", "Wv")
+    assert "FileNotFoundError" in err
+
+
+def test_subtype_malformed_atoms_file_is_usage_error(capsys, tmp_path):
+    spec = tmp_path / "atoms.json"
+    for text in ("{\"atoms\": [", "[\"a\"]", "{\"atoms\": [\"a\"], \"order\": [[\"a\"]]}"):
+        spec.write_text(text)
+        err = _usage_error(capsys, "subtype", "--atoms", str(spec), "Wv", "<=", "Wv")
+        assert "AtomSpecError" in err and err.count("\n") == 1

@@ -1,10 +1,12 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import CLOSED_COMPS
 
+from ubcalc import filters
 from ubcalc.filters import (
     BOTTOM_C,
     BOTTOM_V,
@@ -37,6 +39,7 @@ from ubcalc.reduction import enumerate_steps
 from ubcalc.terms import Lambda, Unit, Variable, omega_c, parse_term
 from ubcalc.typesys import (
     AtomTable,
+    CanonV,
     EMPTY_TABLE,
     TOP_C,
     TOP_V,
@@ -92,6 +95,46 @@ class TestDomains:
     def test_size_guard(self):
         with pytest.raises(DomainSizeError):
             value_lattice(2, AtomTable(("a", "b")), cap=300)
+
+    def test_rank3_builds(self):
+        start = time.perf_counter()
+        points = filters.value_lattice.__wrapped__(3)
+        assert time.perf_counter() - start < 10
+        assert len(points) == 1650
+
+
+def all_pairs_meet_closure(gens, table, cap):
+    """Reference closure: every new point is met with every point seen."""
+    seen = {TOP_V: None}
+    for g in gens:
+        seen.setdefault(g)
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in list(seen):
+                m = meet_canon_v(x, y, table)
+                if m not in seen:
+                    seen[m] = None
+                    new.append(m)
+                    if len(seen) > cap:
+                        raise DomainSizeError(cap)
+        frontier = new
+    return sorted(seen, key=lambda c: c.key)
+
+
+def reference_value_lattice(n, table):
+    atoms = [CanonV((a,), ()) for a in table.atoms]
+    points = all_pairs_meet_closure(atoms, table, 5000)
+    for _ in range(n):
+        arrows = [CanonV((), ((d, tcan(c)),)) for d in points for c in points]
+        points = all_pairs_meet_closure(atoms + arrows, table, 5000)
+    return tuple(points)
+
+
+@pytest.mark.parametrize("n,table", [(0, EMPTY_TABLE), (1, EMPTY_TABLE), (2, EMPTY_TABLE), (0, T1), (1, T1)])
+def test_generator_closure_matches_all_pairs(n, table):
+    assert filters.value_lattice.__wrapped__(n, table) == reference_value_lattice(n, table)
 
 
 class TestMonadOps:
@@ -187,13 +230,11 @@ class TestEmbedProject:
     def test_embedding_is_not_inclusion_of_sets(self):
         # the generator survives but the closure gains rank-2 members the
         # rank-1 carrier never held
-        from ubcalc.typesys import canon_rank_v
-
         gen = canon_v("Wv -> T Wv")
         new_member = canon_v("(Wv -> T Wv) -> T Wv")
         assert leq_canon_v(gen, new_member, EMPTY_TABLE)
-        assert canon_rank_v(new_member) == 2
-        assert all(canon_rank_v(v) <= 1 for v in value_lattice(1))
+        assert new_member.rank == 2
+        assert all(v.rank <= 1 for v in value_lattice(1))
 
     def test_project_comp(self):
         t = ComFilt(canon_c("T (Wv -> T Wv)"))

@@ -1,11 +1,15 @@
+import gc
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ubcalc import typesys
 from ubcalc.typesys import (
     AtomTable,
     C_OMEGA,
+    CanonC,
+    CanonV,
     CInter,
     CTf,
     EMPTY_TABLE,
@@ -22,11 +26,13 @@ from ubcalc.typesys import (
     eq_v,
     leq_c,
     leq_v,
+    meet_canon_v,
     normalize_ctype,
     normalize_vtype,
     parse_type,
     print_type,
     rank,
+    tcan,
     to_ctype,
     to_vtype,
 )
@@ -106,6 +112,98 @@ class TestNormalize:
         c = normalize_ctype(t)
         assert c.is_top or c.arg is not None
         assert eq_c(t, to_ctype(c))
+
+
+# Reference keys and ranks computed by recursion over the whole tree, as
+# canonical types were keyed before they were hash-consed.
+
+
+def ref_key_v(c):
+    return ("m", c.atoms, tuple((ref_key_v(d), ref_key_c(t)) for d, t in c.arrows))
+
+
+def ref_key_c(c):
+    return ("tc",) if c.arg is None else ("t", ref_key_v(c.arg))
+
+
+def ref_rank_v(c):
+    r = 0
+    for d, t in c.arrows:
+        r = max(r, ref_rank_v(d) + 1, ref_rank_c(t))
+    return r
+
+
+def ref_rank_c(c):
+    return 0 if c.arg is None else ref_rank_v(c.arg) + 1
+
+
+def canon_nodes(c):
+    """c and every canonical node below it."""
+    out, todo = [], [c]
+    while todo:
+        n = todo.pop()
+        out.append(n)
+        if isinstance(n, CanonC):
+            todo.extend([] if n.arg is None else [n.arg])
+        else:
+            todo.extend(x for arrow in n.arrows for x in arrow)
+    return out
+
+
+class TestInterning:
+    @given(vtypes(3, T2))
+    def test_normalize_twice_is_identical(self, t):
+        assert normalize_vtype(t, T2) is normalize_vtype(t, T2)
+        assert normalize_vtype(to_vtype(normalize_vtype(t, T2)), T2) is normalize_vtype(t, T2)
+
+    @given(ctypes(3, T2))
+    def test_key_and_rank_match_the_recursive_ones(self, t):
+        for n in canon_nodes(normalize_ctype(t, T2)):
+            if isinstance(n, CanonV):
+                assert n.key == ref_key_v(n) and n.rank == ref_rank_v(n)
+            else:
+                assert n.key == ref_key_c(n) and n.rank == ref_rank_c(n)
+
+    @given(vtypes(3, T1), vtypes(3, T1))
+    def test_equal_exactly_when_structurally_equal(self, a, b):
+        ca, cb = normalize_vtype(a, T1), normalize_vtype(b, T1)
+        assert (ca == cb) == (ref_key_v(ca) == ref_key_v(cb)) == (ca is cb)
+
+    @given(vtypes(3, T2), vtypes(3, T2))
+    def test_meet_commutes_up_to_identity(self, a, b):
+        ca, cb = normalize_vtype(a, T2), normalize_vtype(b, T2)
+        assert meet_canon_v(ca, cb, T2) is meet_canon_v(cb, ca, T2)
+
+    def test_fields_are_read_only(self):
+        with pytest.raises(AttributeError):
+            TOP_V.atoms = ("a",)
+
+    def test_rebuilt_by_copy_and_pickle_as_the_same_node(self):
+        import copy
+        import pickle
+
+        c = normalize_ctype(parse_type("T ((Wv -> T @a) & @b)"), T2)
+        assert copy.deepcopy(c) is c
+        assert pickle.loads(pickle.dumps(c)) is c
+
+    def test_dropped_nodes_leave_the_table(self):
+        gc.collect()
+        before = len(typesys._INTERNED_V), len(typesys._INTERNED_C)
+        c = TOP_V
+        for _ in range(50):
+            c = meet_canon_v(CanonV((), ((c, tcan(c)),)), CanonV(("a",), ()), T1)
+        assert len(typesys._INTERNED_V) > before[0] + 50
+        del c
+        # the memos hold strong references; dropping them frees the nodes
+        typesys._meet_canon_v_cached.cache_clear()
+        typesys._leq_canon_v_cached.cache_clear()
+        gc.collect()
+        assert len(typesys._INTERNED_V) <= before[0]
+        assert len(typesys._INTERNED_C) <= before[1]
+
+    def test_memos_are_bounded(self):
+        for memo in (typesys._meet_canon_v_cached, typesys._leq_canon_v_cached):
+            assert memo.cache_info().maxsize is not None
 
 
 class TestTheoryAxioms:
