@@ -276,16 +276,25 @@ def cmd_prop(args) -> int:
     return OK if rep.ok else FALSE
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type for budgets, bounds and counts: a bad value is a usage
+    error (exit 2), not a verdict."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ubcalc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, fuel=True, rank=False, atoms=True):
         if fuel:
-            sp.add_argument("--fuel", type=int, default=200)
+            sp.add_argument("--fuel", type=non_negative_int, default=200)
         if rank:
-            sp.add_argument("--rank", type=int, default=2)
-            sp.add_argument("--width", type=int, default=2)
+            sp.add_argument("--rank", type=non_negative_int, default=2)
+            sp.add_argument("--width", type=non_negative_int, default=2)
         if atoms:
             sp.add_argument("--atoms", help="JSON file with atoms and order pairs")
             sp.add_argument("--eta", choices=("none", "scott", "park"), default="none")
@@ -340,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("prop", help="run a property suite")
     sp.add_argument("suite", choices=sorted(harness.SUITES))
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cases", type=int, default=100)
-    sp.add_argument("--max-size", type=int, default=25)
+    sp.add_argument("--cases", type=non_negative_int, default=100)
+    sp.add_argument("--max-size", type=non_negative_int, default=25)
     common(sp, rank=True)
     sp.set_defaults(fn=cmd_prop)
 

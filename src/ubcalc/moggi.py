@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from . import reduction as ub_reduction
@@ -153,6 +153,7 @@ class MRule(enum.Enum):
 class MStep:
     rule: MRule
     result: MTerm
+    key: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 def m_root_steps(e: MTerm) -> list[MStep]:
@@ -160,8 +161,6 @@ def m_root_steps(e: MTerm) -> list[MStep]:
     match e:
         case MApp(MLam(x, body), arg) if is_mvalue(arg):
             out.append(MStep(MRule.BETA_V, m_subst(body, x, arg)))
-        case _:
-            pass
     match e:
         case MLam(x, MApp(v, MVar(y))) if x == y and is_mvalue(v) and x not in m_free_vars(v):
             out.append(MStep(MRule.ETA_V, v))
@@ -189,27 +188,31 @@ def m_root_steps(e: MTerm) -> list[MStep]:
     return out
 
 
-def m_enumerate_steps(e: MTerm) -> list[MStep]:
-    """One-step reducts under the full compatible closure (under lambda,
-    both application operands, both let positions)."""
-    steps = list(m_root_steps(e))
+def _m_steps(e: MTerm) -> list[MStep]:
+    steps = m_root_steps(e)
     match e:
         case MLam(x, body):
-            steps.extend(MStep(s.rule, MLam(x, s.result)) for s in m_enumerate_steps(body))
+            steps.extend(MStep(s.rule, MLam(x, s.result)) for s in _m_steps(body))
         case MApp(fn, arg):
-            steps.extend(MStep(s.rule, MApp(s.result, arg)) for s in m_enumerate_steps(fn))
-            steps.extend(MStep(s.rule, MApp(fn, s.result)) for s in m_enumerate_steps(arg))
+            steps.extend(MStep(s.rule, MApp(s.result, arg)) for s in _m_steps(fn))
+            steps.extend(MStep(s.rule, MApp(fn, s.result)) for s in _m_steps(arg))
         case MLet(x, bound, body):
-            steps.extend(MStep(s.rule, MLet(x, s.result, body)) for s in m_enumerate_steps(bound))
-            steps.extend(MStep(s.rule, MLet(x, bound, s.result)) for s in m_enumerate_steps(body))
-    seen: set[tuple] = set()
-    out = []
-    for s in steps:
-        k = (s.rule, m_debruijn(s.result))
-        if k not in seen:
-            seen.add(k)
-            out.append(s)
-    return out
+            steps.extend(MStep(s.rule, MLet(x, s.result, body)) for s in _m_steps(bound))
+            steps.extend(MStep(s.rule, MLet(x, bound, s.result)) for s in _m_steps(body))
+    return steps
+
+
+def m_enumerate_steps(e: MTerm) -> list[MStep]:
+    """One-step reducts under the full compatible closure (under lambda,
+    both application operands, both let positions), one per rule and alpha
+    class, each with its key.  Contexts keep distinct keys distinct, so one
+    deduplication at the root removes what one at every position would."""
+    out: dict[tuple, MStep] = {}
+    for s in _m_steps(e):
+        k = m_debruijn(s.result)
+        if (s.rule, k) not in out:
+            out[s.rule, k] = MStep(s.rule, s.result, k)
+    return list(out.values())
 
 
 # ---------------------------------------------------------------- printing
@@ -390,29 +393,36 @@ def from_moggi(e: MTerm) -> Comp:
 # ------------------------------------------------------------- conversion
 
 
-def _m_reachable(e: MTerm, budget: int) -> tuple[dict[tuple, MTerm], bool]:
-    seen = {m_debruijn(e): e}
-    frontier = [e]
-    exhausted = True
-    while frontier and budget > 0:
+def explore(start, successors, key, budget: int, seen: set):
+    """Bounded breadth-first search up to key.  Yields (key, state, depth)
+    for start, then for each state first reached, after adding its key to
+    seen.  successors(t) gives (key, state) pairs, each costing one unit of
+    budget; the one that spends the last unit is still looked at.  Returns
+    True when the reachable set was exhausted within the budget."""
+    k = key(start)
+    seen.add(k)
+    yield k, start, 0
+    frontier, depth = [start], 0
+    while frontier:
+        if budget <= 0:
+            return False
+        depth += 1
         nxt = []
         for t in frontier:
-            for s in m_enumerate_steps(t):
+            for k, r in successors(t):
                 budget -= 1
-                k = m_debruijn(s.result)
                 if k not in seen:
-                    seen[k] = s.result
-                    nxt.append(s.result)
+                    seen.add(k)
+                    nxt.append(r)
+                    yield k, r, depth
                 if budget <= 0:
-                    exhausted = False
-                    break
-            if budget <= 0:
-                exhausted = False
-                break
+                    return False
         frontier = nxt
-    if frontier:
-        exhausted = False
-    return seen, exhausted
+    return True
+
+
+def _m_successors(e: MTerm):
+    return ((s.key, s.result) for s in m_enumerate_steps(e))
 
 
 def convertible(a, b, fuel: int = 300) -> Optional[bool]:
@@ -421,18 +431,28 @@ def convertible(a, b, fuel: int = 300) -> Optional[bool]:
     True when a common reduct is found; False when both reachable sets
     were exhausted without meeting; None when budgets ran out
     (inconclusive, since conversion is only semi-decided by joining).
+    On let-terms the sides search in turn, a level at a time and each with
+    fuel, and stop at the first state one reaches that the other has seen:
+    a meet of the two full searches shows when the later side reaches it.
     """
     if isinstance(a, (MVar, MLam, MApp, MLet)):
-        if m_alpha_eq(a, b):
-            return True
-        ra, ea = _m_reachable(a, fuel)
-        rb, eb = _m_reachable(b, fuel)
-        if set(ra) & set(rb):
-            return True
-        return False if ea and eb else None
+        seen: tuple[set, set] = (set(), set())
+        searches = {i: explore(t, _m_successors, m_debruijn, fuel, seen[i]) for i, t in enumerate((a, b))}
+        level, exhausted = [-1, -1], True
+        while searches:
+            for i, search in list(searches.items()):
+                try:
+                    depth = level[i]
+                    while level[i] == depth:
+                        k, _, level[i] = next(search)
+                        if k in seen[1 - i]:
+                            return True
+                except StopIteration as stop:
+                    exhausted = exhausted and stop.value
+                    del searches[i]
+        return False if exhausted else None
     if is_comp(a):
-        common = ub_reduction.joinable(a, b, fuel)
-        return True if common is not None else None
+        return True if ub_reduction.joinable(a, b, fuel) is not None else None
     raise TypeError("convertible expects two terms of one calculus")
 
 
@@ -455,32 +475,15 @@ class PreservationResult:
 
 def image_reaches(src: Comp, dst: Comp, fuel: int, allow_eta: bool) -> tuple[bool, int]:
     """Breadth-first check that src reduces to dst (up to alpha)."""
-    rules = set(ub_reduction.DEFAULT_RULES)
-    if allow_eta:
-        rules.add(ub_reduction.Rule.ETA_C)
+    rules = ub_reduction.DEFAULT_RULES | ({ub_reduction.Rule.ETA_C} if allow_eta else set())
     target = ub_alpha_key(dst)
-    seen = {ub_alpha_key(src)}
-    frontier = [(src, 0)]
-    if ub_alpha_key(src) == target:
-        return True, 0
-    budget = fuel
-    while frontier and budget > 0:
-        nxt = []
-        for term, depth in frontier:
-            for s in ub_reduction.enumerate_steps(term, rules):
-                budget -= 1
-                k = ub_alpha_key(s.result)
-                if k == target:
-                    return True, depth + 1
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append((s.result, depth + 1))
-                if budget <= 0:
-                    break
-            if budget <= 0:
-                break
-        frontier = nxt
-    return False, -1
+
+    def successors(t: Comp):
+        return ((ub_alpha_key(s.result), s.result) for s in ub_reduction.enumerate_steps(t, rules))
+
+    found = explore(src, successors, ub_alpha_key, fuel, set())
+    depth = next((d for k, _, d in found if k == target), -1)
+    return depth >= 0, depth
 
 
 def check_preservation(e: MTerm, fuel: int = 400) -> list[PreservationResult]:
@@ -504,9 +507,6 @@ def check_preservation(e: MTerm, fuel: int = 400) -> list[PreservationResult]:
             if back:
                 eta_join, n = True, nb
             else:
-                joined = ub_reduction.joinable(
-                    src, dst, fuel, ub_reduction.ALL_RULES
-                )
-                eta_join = joined is not None
+                eta_join = ub_reduction.joinable(src, dst, fuel, ub_reduction.ALL_RULES) is not None
         out.append(PreservationResult(s.rule, src, dst, ok, n, eta_join))
     return out

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ubcalc.cli import main
 
 OMEGA = "unit (\\x. unit x * x) * (\\x. unit x * x)"
@@ -189,3 +191,26 @@ def test_subtype_malformed_atoms_file_is_usage_error(capsys, tmp_path):
         spec.write_text(text)
         err = _usage_error(capsys, "subtype", "--atoms", str(spec), "Wv", "<=", "Wv")
         assert "AtomSpecError" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("infer", "--rank", "-1", "\\x. unit x"),
+        ("infer", "--width", "-1", "\\x. unit x"),
+        ("interp", "--rank", "-1", "unit (\\x. unit x)"),
+        ("reduce", "--fuel", "-5", OMEGA),
+        ("eval", "--fuel", "-1", OMEGA),
+        ("prop", "confluence", "--cases", "-1"),
+        ("prop", "confluence", "--max-size", "-1"),
+    ],
+)
+def test_negative_bound_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "usage:" in err and "must be non-negative" in err and "Traceback" not in err
+
+
+def test_zero_bounds_are_allowed(capsys):
+    assert run(capsys, "reduce", "--fuel", "0", "unit (\\x. unit x)")[0] == 0
+    assert run(capsys, "prop", "confluence", "--cases", "0", "--max-size", "0")[0] == 0

@@ -3,17 +3,23 @@ from hypothesis import given, settings
 
 from conftest import CLOSED_COMPS
 
+from ubcalc import moggi
+from ubcalc import reduction as ub_reduction
+from ubcalc.harness import GenConfig, gen_mterm, gen_terms
 from ubcalc.moggi import (
     MApp,
     MLam,
     MLet,
     MRule,
+    MStep,
     MVar,
     check_preservation,
     convertible,
     from_moggi,
     from_moggi_value,
+    image_reaches,
     m_alpha_eq,
+    m_debruijn,
     m_enumerate_steps,
     m_free_vars,
     m_parse,
@@ -23,7 +29,17 @@ from ubcalc.moggi import (
     to_moggi,
 )
 from ubcalc.reduction import enumerate_steps
-from ubcalc.terms import Lambda, Unit, Variable, alpha_eq, is_comp, omega_c, parse_term, subst
+from ubcalc.terms import (
+    Lambda,
+    Unit,
+    Variable,
+    alpha_eq,
+    alpha_key,
+    is_comp,
+    omega_c,
+    parse_term,
+    subst,
+)
 
 
 def mterms(size, env):
@@ -228,6 +244,170 @@ class TestConvertibility:
         m = parse_term("unit (\\x. unit x) * (\\y. unit y)")
         n = parse_term("unit (\\x. unit x)")
         assert convertible(m, n) is True
+
+
+# The searches as they were before the two sides stopped at their first
+# meet, kept as differential oracles: the step list deduplicated at every
+# position, each side's reachable set built to the end of its budget, and
+# the forward image search with its own loop.
+
+
+def _ref_m_enumerate_steps(e):
+    steps = list(m_root_steps(e))
+    match e:
+        case MLam(x, body):
+            steps.extend(MStep(s.rule, MLam(x, s.result)) for s in _ref_m_enumerate_steps(body))
+        case MApp(fn, arg):
+            steps.extend(MStep(s.rule, MApp(s.result, arg)) for s in _ref_m_enumerate_steps(fn))
+            steps.extend(MStep(s.rule, MApp(fn, s.result)) for s in _ref_m_enumerate_steps(arg))
+        case MLet(x, bound, body):
+            steps.extend(MStep(s.rule, MLet(x, s.result, body)) for s in _ref_m_enumerate_steps(bound))
+            steps.extend(MStep(s.rule, MLet(x, bound, s.result)) for s in _ref_m_enumerate_steps(body))
+    seen = set()
+    out = []
+    for s in steps:
+        k = (s.rule, m_debruijn(s.result))
+        if k not in seen:
+            seen.add(k)
+            out.append(s)
+    return out
+
+
+def _ref_m_reachable(e, budget):
+    seen = {m_debruijn(e): e}
+    frontier = [e]
+    exhausted = True
+    while frontier and budget > 0:
+        nxt = []
+        for t in frontier:
+            for s in _ref_m_enumerate_steps(t):
+                budget -= 1
+                k = m_debruijn(s.result)
+                if k not in seen:
+                    seen[k] = s.result
+                    nxt.append(s.result)
+                if budget <= 0:
+                    exhausted = False
+                    break
+            if budget <= 0:
+                exhausted = False
+                break
+        frontier = nxt
+    if frontier:
+        exhausted = False
+    return seen, exhausted
+
+
+def _ref_convertible(a, b, fuel):
+    if m_alpha_eq(a, b):
+        return True
+    ra, ea = _ref_m_reachable(a, fuel)
+    rb, eb = _ref_m_reachable(b, fuel)
+    if set(ra) & set(rb):
+        return True
+    return False if ea and eb else None
+
+
+def _ref_image_reaches(src, dst, fuel, allow_eta):
+    rules = set(ub_reduction.DEFAULT_RULES)
+    if allow_eta:
+        rules.add(ub_reduction.Rule.ETA_C)
+    target = alpha_key(dst)
+    seen = {alpha_key(src)}
+    frontier = [(src, 0)]
+    if alpha_key(src) == target:
+        return True, 0
+    budget = fuel
+    while frontier and budget > 0:
+        nxt = []
+        for term, depth in frontier:
+            for s in enumerate_steps(term, rules):
+                budget -= 1
+                k = alpha_key(s.result)
+                if k == target:
+                    return True, depth + 1
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append((s.result, depth + 1))
+                if budget <= 0:
+                    break
+            if budget <= 0:
+                break
+        frontier = nxt
+    return False, -1
+
+
+ORACLE_CFG = GenConfig(seed=0, max_size=12, cases=10)
+ORACLE_FUELS = (0, 1, 5, 40, 300)
+
+
+def _oracle_pairs():
+    """Let-terms with one of their reducts and with an unrelated term, and
+    images of unit/bind terms with the images of their reducts."""
+    for i in range(ORACLE_CFG.cases):
+        e = gen_mterm(ORACLE_CFG, i)
+        yield e, gen_mterm(ORACLE_CFG, i + 1)
+        for s in _ref_m_enumerate_steps(e)[:2]:
+            yield e, s.result
+    for m in gen_terms(ORACLE_CFG):
+        for s in enumerate_steps(m)[:2]:
+            yield to_moggi(m), to_moggi(s.result)
+
+
+class TestSearchOracles:
+    def test_step_lists_match_per_position_dedup(self):
+        for a, b in _oracle_pairs():
+            for e in (a, b):
+                got = m_enumerate_steps(e)
+                want = _ref_m_enumerate_steps(e)
+                assert [(s.rule, m_debruijn(s.result)) for s in got] == [
+                    (s.rule, m_debruijn(s.result)) for s in want
+                ]
+                assert all(s.key == m_debruijn(s.result) for s in got)
+
+    def test_convertible_matches_full_searches(self):
+        verdicts = set()
+        pairs = list(_oracle_pairs())
+        for fuel in ORACLE_FUELS:
+            for a, b in pairs:
+                want = _ref_convertible(a, b, fuel)
+                assert convertible(a, b, fuel) is want, (m_print(a), m_print(b), fuel)
+                verdicts.add(want)
+        assert verdicts == {True, False, None}
+
+    def test_image_reaches_matches_own_loop(self):
+        results = set()
+        for i in range(ORACLE_CFG.cases):
+            e = gen_mterm(ORACLE_CFG, i)
+            src = from_moggi(e)
+            for s in m_enumerate_steps(e):
+                dst = from_moggi(s.result)
+                for fuel in ORACLE_FUELS:
+                    for allow_eta in (False, True):
+                        for x, y in ((src, dst), (dst, src)):
+                            want = _ref_image_reaches(x, y, fuel, allow_eta)
+                            assert image_reaches(x, y, fuel, allow_eta) == want
+                            results.add(want[0])
+        assert results == {True, False}
+
+    def test_convertible_stops_at_the_first_meet(self, monkeypatch):
+        m = parse_term("(unit (\\z. unit z) * (\\x. unit x * q)) * (\\y. unit y)")
+        (step,) = [s for s in enumerate_steps(m) if s.rule is ub_reduction.Rule.ASS]
+        a, b = to_moggi(m), to_moggi(step.result)
+        fuel = 40
+        # the full searches spend both budgets before they meet
+        assert not _ref_m_reachable(a, fuel)[1] and not _ref_m_reachable(b, fuel)[1]
+        built = []
+        real = moggi.m_enumerate_steps
+
+        def counted(e):
+            steps = real(e)
+            built.append(len(steps))
+            return steps
+
+        monkeypatch.setattr(moggi, "m_enumerate_steps", counted)
+        assert convertible(a, b, fuel) is True
+        assert sum(built) < fuel
 
 
 class TestGrammar:
