@@ -17,6 +17,7 @@ from .terms import (
     Bind,
     Comp,
     Lambda,
+    ScopedMemo,
     Term,
     Unit,
     Value,
@@ -42,6 +43,7 @@ from .typesys import (
     VArrow,
     VInter,
     VOmega,
+    _make_canon_v,
     is_vtype,
     leq_c,
     leq_canon_c,
@@ -307,6 +309,48 @@ def _canon_basis(basis: Basis, table: AtomTable) -> tuple[tuple[str, CanonV], ..
     return tuple((x, normalize_vtype(t, table)) for x, t in basis)
 
 
+class _Minimal:
+    """Bounded inference over one term tree and one universe.
+
+    Abstractions and binds are memoised on (node, basis types of their
+    free variables), so a closed abstraction runs its body once per
+    evaluator rather than once per enclosing universe point."""
+
+    __slots__ = ("universe", "table", "memo")
+
+    def __init__(self, universe: Sequence[CanonV], table: AtomTable) -> None:
+        self.universe = universe
+        self.table = table
+        self.memo = ScopedMemo()
+
+    def value(self, v: Value, basis: dict[str, CanonV]) -> CanonV:
+        match v:
+            case Variable(name):
+                return basis.get(name, TOP_V)
+            case Lambda(x, body):
+                return self.memo.cached(v, basis, lambda: self._lambda(x, body, basis))
+        raise TypeError(f"not a value: {v!r}")
+
+    def comp(self, m: Comp, basis: dict[str, CanonV]) -> CanonC:
+        match m:
+            case Unit(v):
+                return tcan(self.value(v, basis))
+            case Bind(left, right):
+                return self.memo.cached(m, basis, lambda: self._bind(left, right, basis))
+        raise TypeError(f"not a computation: {m!r}")
+
+    def _lambda(self, x: str, body: Comp, basis: dict[str, CanonV]) -> CanonV:
+        arrows = [(p, self.comp(body, {**basis, x: p})) for p in self.universe]
+        return _make_canon_v((), arrows, self.table)
+
+    def _bind(self, left: Comp, right: Value, basis: dict[str, CanonV]) -> CanonC:
+        t = self.comp(left, basis)
+        if t.arg is None:
+            return TOP_C
+        e = self.value(right, basis)
+        return meet_all_canon_c((c for d, c in e.arrows if leq_canon_v(t.arg, d, self.table)), self.table)
+
+
 def minimal_value(
     v: Value,
     basis: dict[str, CanonV],
@@ -315,18 +359,7 @@ def minimal_value(
 ) -> CanonV:
     """Strongest derivable value type with abstraction arguments drawn
     from the universe (complete relative to the universe only)."""
-    match v:
-        case Variable(name):
-            return basis.get(name, TOP_V)
-        case Lambda(x, body):
-            arrows = []
-            for point in universe:
-                out = minimal_comp(body, {**basis, x: point}, universe, table)
-                arrows.append((point, out))
-            from .typesys import _make_canon_v
-
-            return _make_canon_v((), arrows, table)
-    raise TypeError(f"not a value: {v!r}")
+    return _Minimal(universe, table).value(v, basis)
 
 
 def minimal_comp(
@@ -335,18 +368,7 @@ def minimal_comp(
     universe: Sequence[CanonV],
     table: AtomTable = EMPTY_TABLE,
 ) -> CanonC:
-    match m:
-        case Unit(v):
-            return tcan(minimal_value(v, basis, universe, table))
-        case Bind(left, right):
-            t = minimal_comp(left, basis, universe, table)
-            if t.arg is None:
-                return TOP_C
-            e = minimal_value(right, basis, universe, table)
-            return meet_all_canon_c(
-                (c for d, c in e.arrows if leq_canon_v(t.arg, d, table)), table
-            )
-    raise TypeError(f"not a computation: {m!r}")
+    return _Minimal(universe, table).comp(m, basis)
 
 
 def infer_bounded(
@@ -473,7 +495,9 @@ def synth_derivation(
     target."""
     cb = dict(_canon_basis(basis, table))
     subject = unshadow(subject, basis_dom(basis))
-    return _synth(basis, cb, subject, target, universe, table)
+    # one evaluator for the whole recursion: every level asks for minimal
+    # types of subterms of the same tree
+    return _synth(basis, cb, subject, target, _Minimal(universe, table))
 
 
 def _trivial(t: AnyType, table: AtomTable) -> bool:
@@ -485,9 +509,9 @@ def _synth(
     cb: dict[str, CanonV],
     subject: Term,
     target: AnyType,
-    universe: Sequence[CanonV],
-    table: AtomTable,
+    ev: _Minimal,
 ) -> Derivation:
+    table = ev.table
     if _trivial(target, table):
         return leq_node(omega_node(basis, subject), target)
     match subject:
@@ -498,46 +522,36 @@ def _synth(
                 raise Unsynthesizable(f"{name} not typable at {print_type(target)}")
             return leq_node(ax(basis, name), target)
         case Lambda(x, body):
-            if not leq_canon_v(minimal_value(subject, cb, universe, table),
-                               normalize_vtype(target, table), table):
+            if not leq_canon_v(ev.value(subject, cb), normalize_vtype(target, table), table):
                 raise Unsynthesizable(f"abstraction not typable at {print_type(target)}")
             canon = normalize_vtype(target, table)
             if canon.atoms:
                 raise Unsynthesizable("abstractions have no atomic types")
             nodes = []
             for d, _ in canon.arrows:
-                for point in universe:
+                for point in ev.universe:
                     if not leq_canon_v(d, point, table):
                         continue
-                    out = minimal_comp(body, {**cb, x: point}, universe, table)
-                    sub = _synth(
-                        basis_extend(basis, x, to_vtype(point)),
-                        {**cb, x: point},
-                        body,
-                        to_ctype(out),
-                        universe,
-                        table,
-                    )
+                    inner = {**cb, x: point}
+                    out = ev.comp(body, inner)
+                    sub = _synth(basis_extend(basis, x, to_vtype(point)), inner, body, to_ctype(out), ev)
                     nodes.append(arrow_i_node(sub, x))
             return leq_node(inter_fold(nodes), target)
         case Unit(v):
-            low = minimal_value(v, cb, universe, table)
+            low = ev.value(v, cb)
             if not leq_c(CTf(to_vtype(low)), target, table):
                 raise Unsynthesizable(f"unit not typable at {print_type(target)}")
-            sub = _synth(basis, cb, v, to_vtype(low), universe, table)
+            sub = _synth(basis, cb, v, to_vtype(low), ev)
             return leq_node(unit_node(sub), target)
         case Bind(left, right):
-            t = minimal_comp(left, cb, universe, table)
+            t = ev.comp(left, cb)
             if t.arg is None:
                 raise Unsynthesizable("left operand has no non-trivial type")
-            e = minimal_value(right, cb, universe, table)
-            out = meet_all_canon_c(
-                (c for d, c in e.arrows if leq_canon_v(t.arg, d, table)), table
-            )
+            out = ev.comp(subject, cb)
             if not leq_c(to_ctype(out), target, table):
                 raise Unsynthesizable(f"bind not typable at {print_type(target)}")
             arg_ast = to_vtype(t.arg)
-            dm = _synth(basis, cb, left, CTf(arg_ast), universe, table)
-            dv = _synth(basis, cb, right, VArrow(arg_ast, to_ctype(out)), universe, table)
+            dm = _synth(basis, cb, left, CTf(arg_ast), ev)
+            dv = _synth(basis, cb, right, VArrow(arg_ast, to_ctype(out)), ev)
             return leq_node(arrow_e_node(dm, dv), target)
     raise TypeError(f"not a term: {subject!r}")

@@ -370,6 +370,10 @@ def main(argv: list[str] | None = None) -> int:
         detail = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"error: {type(e).__name__}: {detail}", file=sys.stderr)
         return USAGE
+    except filters.DomainSizeError as e:
+        # the lattice size budget ran out: no verdict either way
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return INCONCLUSIVE
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return FALSE

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .terms import Bind, Comp, Lambda, Unit, Value, Variable, free_vars
+from .terms import Bind, Comp, Lambda, ScopedMemo, Unit, Value, Variable, free_vars
 from .typesys import (
     TOP_C,
     TOP_V,
@@ -27,6 +27,7 @@ from .typesys import (
     CanonC,
     CanonV,
     EMPTY_TABLE,
+    _MEMO_SIZE,
     _make_canon_v,
     leq_canon_c,
     leq_canon_v,
@@ -65,6 +66,14 @@ def dom_leq_c(a: ComFilt, b: ComFilt, table: AtomTable = EMPTY_TABLE) -> bool:
 
 # --------------------------------------------------------- rank lattices
 
+# Lattices are cached per (n, table, cap); the bound keeps a long-lived
+# process that visits many atom tables from holding every lattice it built.
+LATTICE_CACHE_SIZE = 32
+
+
+def _too_large(cap: int) -> DomainSizeError:
+    return DomainSizeError(f"value lattice exceeds {cap} points; use a smaller rank or table")
+
 
 def _meet_closure(gens: list[CanonV], table: AtomTable, cap: int) -> list[CanonV]:
     # Every point of the closure is a finite meet of generators, so meeting
@@ -82,14 +91,12 @@ def _meet_closure(gens: list[CanonV], table: AtomTable, cap: int) -> list[CanonV
                     seen[m] = None
                     new.append(m)
                     if len(seen) > cap:
-                        raise DomainSizeError(
-                            f"value lattice exceeds {cap} points; use a smaller rank or table"
-                        )
+                        raise _too_large(cap)
         frontier = new
     return sorted(seen, key=lambda c: c.key)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def value_lattice(n: int, table: AtomTable = EMPTY_TABLE, cap: int = 5000) -> tuple[CanonV, ...]:
     """All value classes of rank <= n, meet-closed (the rank-n value lattice)."""
     if n < 0:
@@ -97,13 +104,17 @@ def value_lattice(n: int, table: AtomTable = EMPTY_TABLE, cap: int = 5000) -> tu
     atoms = [CanonV((a,), ()) for a in table.atoms]
     points = _meet_closure(atoms, table, cap)
     for _ in range(n):
+        # the closure holds every generator, and the arrows d -> T c are
+        # pairwise distinct, so it would exceed the cap before it starts
+        if len(points) ** 2 > cap:
+            raise _too_large(cap)
         comps = [tcan(v) for v in points]
         arrows = [CanonV((), ((d, c),)) for d in points for c in comps]
         points = _meet_closure(atoms + arrows, table, cap)
     return tuple(points)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def comp_lattice(n: int, table: AtomTable = EMPTY_TABLE, cap: int = 5000) -> tuple[CanonC, ...]:
     """All computation classes of rank <= n: top plus T of rank n-1 values."""
     if n == 0:
@@ -192,18 +203,18 @@ def phi_f(u: ValFilt, points: Iterable[CanonV], table: AtomTable = EMPTY_TABLE) 
 # --------------------------------------------- embedding-projection pairs
 
 
-def embed(d: ValFilt) -> ValFilt:
-    # the generator survives unchanged; only the ambient closure grows
-    return d
-
-
 def project_val(e: ValFilt, n: int, table: AtomTable = EMPTY_TABLE) -> ValFilt:
     """Strongest rank-n consequence of e's generator."""
+    return ValFilt(_projected(e.gen, n, table))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _projected(gen: CanonV, n: int, table: AtomTable) -> CanonV:
     acc = TOP_V
     for v in value_lattice(n, table):
-        if leq_canon_v(e.gen, v, table):
+        if leq_canon_v(gen, v, table):
             acc = meet_canon_v(acc, v, table)
-    return ValFilt(acc)
+    return acc
 
 
 def project_comp(t: ComFilt, n: int, table: AtomTable = EMPTY_TABLE) -> ComFilt:
@@ -224,42 +235,72 @@ class OpenVariableError(KeyError):
 EnvN = dict[str, ValFilt]
 
 
+class _Interp:
+    """One rank-n interpretation over one term tree.
+
+    Abstractions and binds are memoised on (node, generators of their free
+    variables), so a closed abstraction runs its body once per call rather
+    than once per enclosing lattice point.  Environments map names to
+    generators."""
+
+    __slots__ = ("n", "table", "memo")
+
+    def __init__(self, n: int, table: AtomTable) -> None:
+        self.n = n
+        self.table = table
+        self.memo = ScopedMemo()
+
+    def value(self, v: Value, env: dict[str, CanonV]) -> CanonV:
+        match v:
+            case Variable(name):
+                try:
+                    return env[name]
+                except KeyError:
+                    raise OpenVariableError(name) from None
+            case Lambda(x, body):
+                if self.n == 0:
+                    return TOP_V
+                return self.memo.cached(v, env, lambda: self._lambda(x, body, env))
+        raise TypeError(f"not a value: {v!r}")
+
+    def comp(self, m: Comp, env: dict[str, CanonV]) -> CanonC:
+        match m:
+            case Unit(v):
+                d = self.value(v, env)
+                if self.n == 0:
+                    return TOP_C
+                return tcan(_projected(d, self.n - 1, self.table))
+            case Bind(left, right):
+                return self.memo.cached(m, env, lambda: self._bind(left, right, env))
+        raise TypeError(f"not a computation: {m!r}")
+
+    def _lambda(self, x: str, body: Comp, env: dict[str, CanonV]) -> CanonV:
+        points = value_lattice(self.n - 1, self.table)
+        arrows = [(p, self.comp(body, {**env, x: p})) for p in points]
+        return _make_canon_v((), arrows, self.table)
+
+    def _bind(self, left: Comp, right: Value, env: dict[str, CanonV]) -> CanonC:
+        t = self.comp(left, env)
+        e = self.value(right, env)
+        return bind_f(ComFilt(t), ValFilt(e), self.table).gen
+
+
+def _gens(env: EnvN) -> dict[str, CanonV]:
+    return {x: d.gen for x, d in env.items()}
+
+
 def interp_value(v: Value, env: EnvN, n: int, table: AtomTable = EMPTY_TABLE) -> ValFilt:
-    match v:
-        case Variable(name):
-            try:
-                return env[name]
-            except KeyError:
-                raise OpenVariableError(name) from None
-        case Lambda(x, body):
-            if n == 0:
-                return BOTTOM_V
-            arrows = []
-            for point in value_lattice(n - 1, table):
-                out = interp_comp(body, {**env, x: ValFilt(point)}, n, table)
-                arrows.append((point, out.gen))
-            return ValFilt(_make_canon_v((), arrows, table))
-    raise TypeError(f"not a value: {v!r}")
+    return ValFilt(_Interp(n, table).value(v, _gens(env)))
 
 
 def interp_comp(m: Comp, env: EnvN, n: int, table: AtomTable = EMPTY_TABLE) -> ComFilt:
-    match m:
-        case Unit(v):
-            d = interp_value(v, env, n, table)
-            if n == 0:
-                return BOTTOM_C
-            return ComFilt(tcan(project_val(d, n - 1, table).gen))
-        case Bind(left, right):
-            t = interp_comp(left, env, n, table)
-            e = interp_value(right, env, n, table)
-            return bind_f(t, e, table)
-    raise TypeError(f"not a computation: {m!r}")
+    return ComFilt(_Interp(n, table).comp(m, _gens(env)))
 
 
 def interp_closed(m: Comp, n: int, table: AtomTable = EMPTY_TABLE) -> ComFilt:
     if free_vars(m):
         raise OpenVariableError(sorted(free_vars(m))[0])
-    return interp_comp(m, {}, n, table)
+    return ComFilt(_Interp(n, table).comp(m, {}))
 
 
 # ----------------------------------------------------------- type meaning

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Any, Callable, Iterator, Union
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,6 +84,35 @@ def free_vars(t: Term) -> frozenset[str]:
         case Bind(left, right):
             return free_vars(left) | free_vars(right)
     raise TypeError(f"not a term: {t!r}")
+
+
+class ScopedMemo(dict):
+    """Per-call memo for an evaluator whose result at a node depends only
+    on the node and on what the environment binds the node's free
+    variables to.
+
+    A key is the node's identity plus the environment's values for its
+    free variables, in sorted name order (a missing name reads as None).
+    Each keyed node is held until the memo is dropped, so its identity is
+    not reused while the memo lives; build one per top-level evaluation
+    and let it go with the call."""
+
+    __slots__ = ("_scopes",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._scopes: dict[int, tuple[Term, tuple[str, ...]]] = {}
+
+    def cached(self, node: Term, env: dict, compute: Callable[[], Any]) -> Any:
+        """The memoised result at (node, env), running compute() on a miss."""
+        scope = self._scopes.get(id(node))
+        if scope is None:
+            scope = self._scopes[id(node)] = (node, tuple(sorted(free_vars(node))))
+        key = (id(node), *[env.get(x) for x in scope[1]])
+        hit = self.get(key)
+        if hit is None:
+            hit = self[key] = compute()
+        return hit
 
 
 def all_vars(t: Term) -> frozenset[str]:

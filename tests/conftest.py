@@ -2,7 +2,8 @@ import pytest
 
 from hypothesis import HealthCheck, settings, strategies as st
 
-from ubcalc.terms import Bind, Lambda, Unit, Variable
+from ubcalc.harness import GenConfig, gen_term
+from ubcalc.terms import Bind, Lambda, Unit, Variable, free_vars
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=60
@@ -83,3 +84,16 @@ def closed_strategy():
 
 CLOSED_COMPS = closed_comps(4)
 OPEN_COMPS = comps(4, frozenset({"u", "w"}))
+
+
+# harness terms on which the memoised evaluators are compared with their
+# un-memoised references
+CLOSED_TERMS = [gen_term(GenConfig(seed=s, max_size=14), i) for s in (0, 1) for i in range(12)]
+OPEN_TERMS = [gen_term(GenConfig(seed=s, max_size=10, closed=False), i) for s in (0, 1) for i in range(8)]
+
+
+def rotations(t, points, count=3):
+    """Maps giving t's free variables the given points, in rotations."""
+    names = sorted(free_vars(t))
+    for shift in range(count if names else 1):
+        yield {x: points[(i + shift) % len(points)] for i, x in enumerate(names)}

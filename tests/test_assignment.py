@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import CLOSED_COMPS
+from conftest import CLOSED_COMPS, CLOSED_TERMS, OPEN_TERMS, rotations
 
 from ubcalc.assignment import (
     C_OMEGA,
@@ -16,10 +16,14 @@ from ubcalc.assignment import (
     infer_bounded,
     invert,
     make_basis,
+    minimal_comp,
+    minimal_value,
     synth_derivation,
     typable_nontrivial,
 )
+from ubcalc import assignment
 from ubcalc.derivfile import parse_derivation, print_derivation
+from ubcalc.filters import value_lattice
 from ubcalc.reduction import DEFAULT_RULES, Rule, enumerate_steps
 from ubcalc.terms import (
     Bind,
@@ -27,7 +31,10 @@ from ubcalc.terms import (
     Unit,
     Variable,
     alpha_eq,
+    is_value,
     omega_c,
+    parse_term,
+    subterms,
 )
 from ubcalc.transform import (
     TransformError,
@@ -37,12 +44,23 @@ from ubcalc.transform import (
 )
 from ubcalc.typesys import (
     CTf,
+    EMPTY_TABLE,
+    TOP_C,
+    TOP_V,
     V_OMEGA,
+    AtomTable,
     VArrow,
+    _make_canon_v,
     enumerate_types,
     eq_c,
+    leq_canon_c,
+    leq_canon_v,
+    meet_all_canon_c,
+    normalize_vtype,
     parse_type,
+    tcan,
     to_ctype,
+    to_vtype,
 )
 
 UNIVERSE = enumerate_types(2, 2)
@@ -137,6 +155,98 @@ class TestInfer:
     def test_open_term_rejected(self):
         with pytest.raises(ValueError):
             typable_nontrivial(Unit(Variable("x")), UNIVERSE)
+
+
+# Bounded inference without its memo: every abstraction re-runs its body
+# once per universe point, under every basis it is reached with.  Kept as
+# the differential oracle for the memoised evaluator.
+
+
+def reference_minimal_value(v, basis, universe, table=EMPTY_TABLE):
+    match v:
+        case Variable(name):
+            return basis.get(name, TOP_V)
+        case Lambda(x, body):
+            arrows = []
+            for point in universe:
+                out = reference_minimal_comp(body, {**basis, x: point}, universe, table)
+                arrows.append((point, out))
+            return _make_canon_v((), arrows, table)
+    raise TypeError(f"not a value: {v!r}")
+
+
+def reference_minimal_comp(m, basis, universe, table=EMPTY_TABLE):
+    match m:
+        case Unit(v):
+            return tcan(reference_minimal_value(v, basis, universe, table))
+        case Bind(left, right):
+            t = reference_minimal_comp(left, basis, universe, table)
+            if t.arg is None:
+                return TOP_C
+            e = reference_minimal_value(right, basis, universe, table)
+            return meet_all_canon_c(
+                (c for d, c in e.arrows if leq_canon_v(t.arg, d, table)), table
+            )
+    raise TypeError(f"not a computation: {m!r}")
+
+
+T1 = AtomTable(("a",))
+# the universes of the rank-1 to rank-3 interpretation (no atom) and of
+# rank 1 and 2 with one atom, plus the type enumeration the suites use
+UNIVERSES = [(value_lattice(r, EMPTY_TABLE), EMPTY_TABLE) for r in range(3)] + [
+    (value_lattice(r, T1), T1) for r in range(2)
+] + [(UVALS, EMPTY_TABLE), (enumerate_types(1, 2, T1)[0], T1)]
+UNIVERSE_IDS = ["lattice0", "lattice1", "lattice2", "lattice0-a", "lattice1-a", "types2", "types1-a"]
+
+
+class TestMinimalMatchesReference:
+    @pytest.mark.parametrize("universe,table", UNIVERSES, ids=UNIVERSE_IDS)
+    def test_closed_terms(self, universe, table):
+        for m in CLOSED_TERMS:
+            assert minimal_comp(m, {}, universe, table) is reference_minimal_comp(m, {}, universe, table)
+
+    @pytest.mark.parametrize("universe,table", UNIVERSES, ids=UNIVERSE_IDS)
+    def test_every_subterm_under_bases(self, universe, table):
+        for m in CLOSED_TERMS + OPEN_TERMS:
+            for t in dict.fromkeys(subterms(m)):
+                for basis in rotations(t, universe):
+                    if is_value(t):
+                        got = minimal_value(t, basis, universe, table)
+                        want = reference_minimal_value(t, basis, universe, table)
+                    else:
+                        got = minimal_comp(t, basis, universe, table)
+                        want = reference_minimal_comp(t, basis, universe, table)
+                    assert got is want
+
+    def test_infer_bounded_with_a_basis(self):
+        uvals, ucomps = UNIVERSE
+        for m in OPEN_TERMS:
+            for cb in rotations(m, uvals):
+                basis = make_basis((x, to_vtype(t)) for x, t in cb.items())
+                canon = {x: normalize_vtype(t) for x, t in basis}
+                low = reference_minimal_comp(m, canon, uvals)
+                assert infer_bounded(basis, m, UNIVERSE) == [u for u in ucomps if leq_canon_c(low, u, EMPTY_TABLE)]
+                v = Lambda("s0", m)
+                low = reference_minimal_value(v, canon, uvals)
+                assert infer_bounded(basis, v, UNIVERSE) == [u for u in uvals if leq_canon_v(low, u, EMPTY_TABLE)]
+
+    def test_synthesis_shares_one_evaluator(self, monkeypatch):
+        # every level of the synthesis asks again for the minimal types
+        # of the two abstractions; with one memo for the whole recursion
+        # each is built once (the inner one is closed)
+        built = []
+
+        def counting(atoms, arrows, table):
+            built.append(len(arrows))
+            return _make_canon_v(atoms, arrows, table)
+
+        m = parse_term("unit (\\x. unit (\\y. unit y) * x)")
+        target = typable_nontrivial(m, UNIVERSE)
+        monkeypatch.setattr(assignment, "_make_canon_v", counting)
+        d = synth_derivation((), m, target, UVALS)
+        monkeypatch.undo()
+        assert built == [len(UVALS)] * 2
+        assert check_derivation(d).valid
 
 
 class TestInvert:

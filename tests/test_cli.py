@@ -214,3 +214,16 @@ def test_negative_bound_is_usage_error(capsys, argv):
 def test_zero_bounds_are_allowed(capsys):
     assert run(capsys, "reduce", "--fuel", "0", "unit (\\x. unit x)")[0] == 0
     assert run(capsys, "prop", "confluence", "--cases", "0", "--max-size", "0")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("interp", "--rank", "5", "unit (\\x. unit x)"),
+        ("interp", "--rank", "5", "--table"),
+    ],
+)
+def test_lattice_over_size_budget_is_inconclusive(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: DomainSizeError:") and err.count("\n") == 1 and "Traceback" not in err

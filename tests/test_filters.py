@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from conftest import CLOSED_COMPS
+from conftest import CLOSED_COMPS, CLOSED_TERMS, OPEN_TERMS, rotations
 
 from ubcalc import filters
 from ubcalc.filters import (
@@ -22,9 +22,9 @@ from ubcalc.filters import (
     comp_lattice,
     dom_leq_c,
     dom_leq_v,
-    embed,
     interp_closed,
     interp_comp,
+    interp_value,
     monotone_tables,
     phi_f,
     project_comp,
@@ -36,13 +36,25 @@ from ubcalc.filters import (
     value_lattice,
 )
 from ubcalc.reduction import enumerate_steps
-from ubcalc.terms import Lambda, Unit, Variable, omega_c, parse_term
+from ubcalc.terms import (
+    Bind,
+    Lambda,
+    Unit,
+    Variable,
+    free_vars,
+    is_value,
+    omega_c,
+    parse_term,
+    subst,
+    subterms,
+)
 from ubcalc.typesys import (
     AtomTable,
     CanonV,
     EMPTY_TABLE,
     TOP_C,
     TOP_V,
+    _make_canon_v,
     eq_canon_c,
     eq_canon_v,
     leq_canon_c,
@@ -101,6 +113,13 @@ class TestDomains:
         points = filters.value_lattice.__wrapped__(3)
         assert time.perf_counter() - start < 10
         assert len(points) == 1650
+
+    def test_rank4_fails_fast(self):
+        # 1,650 squared arrow generators exceed the cap before any meet
+        start = time.perf_counter()
+        with pytest.raises(DomainSizeError):
+            filters.value_lattice.__wrapped__(4)
+        assert time.perf_counter() - start < 10
 
 
 def all_pairs_meet_closure(gens, table, cap):
@@ -216,16 +235,18 @@ class TestPsiPhi:
 
 
 class TestEmbedProject:
+    # the embedding keeps the generator, so both laws read directly on
+    # project_val
+
     def test_project_embed_identity(self):
         for gen in value_lattice(1):
             d = ValFilt(gen)
-            assert project_val(embed(d), 1).gen == gen
+            assert project_val(d, 1).gen == gen
 
     def test_embed_project_below_identity(self):
         for gen in value_lattice(2):
             e = ValFilt(gen)
-            back = embed(project_val(e, 1))
-            assert dom_leq_v(back, e)
+            assert dom_leq_v(project_val(e, 1), e)
 
     def test_embedding_is_not_inclusion_of_sets(self):
         # the generator survives but the closure gains rank-2 members the
@@ -316,6 +337,119 @@ class TestSelfApplicationProjection:
         before = project_comp(interp_closed(self.M, n + 1), n)
         after = project_comp(interp_closed(step.result, n + 1), n)
         assert eq_canon_c(before.gen, after.gen, EMPTY_TABLE)
+
+
+# The interpreter without its memo: every abstraction re-runs its body
+# once per lattice point, under every environment it is reached with.
+# Kept as the differential oracle for the memoised one.
+
+
+def reference_interp_value(v, env, n, table=EMPTY_TABLE):
+    match v:
+        case Variable(name):
+            try:
+                return env[name]
+            except KeyError:
+                raise OpenVariableError(name) from None
+        case Lambda(x, body):
+            if n == 0:
+                return BOTTOM_V
+            arrows = []
+            for point in value_lattice(n - 1, table):
+                out = reference_interp_comp(body, {**env, x: ValFilt(point)}, n, table)
+                arrows.append((point, out.gen))
+            return ValFilt(_make_canon_v((), arrows, table))
+    raise TypeError(f"not a value: {v!r}")
+
+
+def reference_interp_comp(m, env, n, table=EMPTY_TABLE):
+    match m:
+        case Unit(v):
+            d = reference_interp_value(v, env, n, table)
+            if n == 0:
+                return BOTTOM_C
+            acc = TOP_V
+            for p in value_lattice(n - 1, table):
+                if leq_canon_v(d.gen, p, table):
+                    acc = meet_canon_v(acc, p, table)
+            return ComFilt(tcan(acc))
+        case Bind(left, right):
+            t = reference_interp_comp(left, env, n, table)
+            e = reference_interp_value(right, env, n, table)
+            return bind_f(t, e, table)
+    raise TypeError(f"not a computation: {m!r}")
+
+
+RANKS = [(n, EMPTY_TABLE) for n in range(4)] + [(n, T1) for n in range(3)]
+RANK_IDS = [f"rank{n}" for n in range(4)] + [f"rank{n}-a" for n in range(3)]
+
+
+def env_points(n, table):
+    # lattice points of rank up to n (at most 2, or 1 with an atom, where
+    # the lattices stay small)
+    return value_lattice(min(n, 2 if table is EMPTY_TABLE else 1), table)
+
+
+def filter_envs(t, points):
+    """Environments binding t's free variables to filters of points, in rotations."""
+    for gens in rotations(t, points):
+        yield {x: ValFilt(d) for x, d in gens.items()}
+
+
+class TestInterpMatchesReference:
+    @pytest.mark.parametrize("n,table", RANKS, ids=RANK_IDS)
+    def test_closed_terms(self, n, table):
+        for m in CLOSED_TERMS:
+            assert interp_closed(m, n, table) == reference_interp_comp(m, {}, n, table)
+
+    @pytest.mark.parametrize("n,table", RANKS, ids=RANK_IDS)
+    def test_every_subterm_under_environments(self, n, table):
+        # subterms of closed terms are open: their binders become free
+        points = env_points(n, table)
+        for m in CLOSED_TERMS + OPEN_TERMS:
+            for t in dict.fromkeys(subterms(m)):
+                for env in filter_envs(t, points):
+                    if is_value(t):
+                        assert interp_value(t, env, n, table) == reference_interp_value(t, env, n, table)
+                    else:
+                        assert interp_comp(t, env, n, table) == reference_interp_comp(t, env, n, table)
+
+    @pytest.mark.parametrize("n,table", RANKS[1:4] + RANKS[5:6], ids=RANK_IDS[1:4] + RANK_IDS[5:6])
+    def test_substitution_path(self, n, table):
+        # the two sides the interp-substitution suite compares
+        vv = Lambda("s0", Bind(Unit(Variable("s0")), ID_LAM))
+        dv = interp_value(vv, {}, n, table)
+        assert dv == reference_interp_value(vv, {}, n, table)
+        for m in OPEN_TERMS:
+            if "u" not in free_vars(m):
+                continue
+            env = {x: BOTTOM_V for x in free_vars(m) if x != "u"}
+            lhs = interp_comp(subst(m, "u", vv), env, n, table)
+            assert lhs == reference_interp_comp(subst(m, "u", vv), env, n, table)
+            rhs = interp_comp(m, {**env, "u": dv}, n, table)
+            assert rhs == reference_interp_comp(m, {**env, "u": dv}, n, table)
+
+    def test_closed_abstraction_runs_once_per_call(self, monkeypatch):
+        # the inner abstraction is closed, so the outer one's six body
+        # runs at rank 3 share one evaluation of it: two abstraction
+        # generators are built, not 1 + 6
+        built = []
+
+        def counting(atoms, arrows, table):
+            built.append(len(arrows))
+            return _make_canon_v(atoms, arrows, table)
+
+        m = parse_term("unit (\\x. unit (\\y. unit y) * x)")
+        monkeypatch.setattr(filters, "_make_canon_v", counting)
+        got = interp_closed(m, 3)
+        monkeypatch.undo()
+        assert built == [6, 6]
+        assert got == reference_interp_comp(m, {}, 3)
+
+
+def test_lattice_and_projection_caches_are_bounded():
+    for cache in (value_lattice, comp_lattice, filters._projected):
+        assert cache.cache_info().maxsize is not None
 
 
 class TestTypeElems:
