@@ -14,7 +14,7 @@ def main() -> int:
     ap.add_argument("--max-size", type=int, default=20)
     ap.add_argument("--fuel", type=int, default=200)
     ap.add_argument("--json", action="store_true")
-    ap.add_argument("--only", nargs="*", default=None)
+    ap.add_argument("--only", nargs="*", choices=sorted(SUITES), default=None)
     args = ap.parse_args()
 
     cfg = GenConfig(seed=args.seed, cases=args.cases, max_size=args.max_size, fuel=args.fuel)

@@ -14,11 +14,10 @@ import sys
 from . import convergence, derivfile, filters, harness, moggi, reduction
 from .assignment import check_derivation, infer_bounded
 from .reduction import Rule
-from .terms import SortError, TermSyntaxError, is_comp, parse_term, print_term
+from .terms import ParseError, SortError, is_comp, parse_term, print_term
 from .typesys import (
     AtomTable,
     EMPTY_TABLE,
-    TypeSyntaxError,
     UnknownAtomError,
     enumerate_types,
     is_vtype,
@@ -39,14 +38,12 @@ class AtomSpecError(ValueError):
 
 
 # Errors in what the user gave (typed text, files): exit 2, never 1, which
-# is a verdict.
+# is a verdict.  ParseError covers the syntax errors of all four grammars:
+# terms, types, let-terms and derivation files.
 USAGE_ERRORS = (
     OSError,
     AtomSpecError,
-    TermSyntaxError,
-    TypeSyntaxError,
-    moggi.MSyntaxError,
-    derivfile.DerivationSyntaxError,
+    ParseError,
     SortError,
     UnknownAtomError,
     filters.OpenVariableError,
@@ -64,7 +61,9 @@ def _read_term_arg(arg: str):
     return parse_term(arg)
 
 
-def _rules_from(spec: str) -> frozenset[Rule]:
+def rule_set(spec: str) -> frozenset[Rule]:
+    """argparse type for --rules: comma-separated rule names; an unknown
+    name is a usage error (exit 2)."""
     names = {
         "betac": Rule.BETA_C,
         "id": Rule.ID,
@@ -74,7 +73,7 @@ def _rules_from(spec: str) -> frozenset[Rule]:
     try:
         return frozenset(names[p.strip()] for p in spec.split(",") if p.strip())
     except KeyError as e:
-        raise SystemExit(f"unknown rule {e.args[0]!r}")
+        raise argparse.ArgumentTypeError(f"unknown rule {e.args[0]!r}; choose from {', '.join(names)}")
 
 
 def _table_from(args) -> AtomTable:
@@ -124,8 +123,7 @@ def cmd_reduce(args) -> int:
     if not is_comp(t):
         print("reduce expects a computation", file=sys.stderr)
         return USAGE
-    rules = _rules_from(args.rules)
-    out = reduction.normalize(t, rules, args.fuel, keep_trace=True)
+    out = reduction.normalize(t, args.rules, args.fuel, keep_trace=True)
     records = [
         {"rule": s.rule.value, "path": s.position_str(), "term": print_term(s.result)}
         for s in out.trace
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("reduce", help="normalize with a step trace")
     sp.add_argument("term")
-    sp.add_argument("--rules", default="betac,id,ass")
+    sp.add_argument("--rules", type=rule_set, default="betac,id,ass")
     common(sp, atoms=False)
     sp.set_defaults(fn=cmd_reduce)
 
@@ -369,6 +367,10 @@ def main(argv: list[str] | None = None) -> int:
         # KeyError subclasses quote their message when printed
         detail = e.args[0] if isinstance(e, KeyError) and e.args else e
         print(f"error: {type(e).__name__}: {detail}", file=sys.stderr)
+        return USAGE
+    except RecursionError:
+        # a stopgap until the term walkers are iterative
+        print("error: term nests too deeply for this interpreter's recursion limit", file=sys.stderr)
         return USAGE
     except filters.DomainSizeError as e:
         # the lattice size budget ran out: no verdict either way

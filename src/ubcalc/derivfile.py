@@ -15,139 +15,94 @@ from __future__ import annotations
 import re
 
 from .assignment import Basis, Derivation, Judgment, make_basis
-from .terms import parse_term, print_term
+from .terms import ParseError, TokenCursor, parse_term, print_term
 from .typesys import parse_type, print_type
 
 _RULES = {"Ax", "ArrowI", "UnitI", "ArrowE", "Omega", "InterI", "Leq"}
 
-_TOK = re.compile(r"\(|\)|\|-|<=|:|,|[^()\s:,|<=]+|\S")
+_TOKEN_RE = re.compile(
+    r"""(?P<lpar>\() | (?P<rpar>\))
+      | (?P<turnstile>\|-) | (?P<leq><=) | (?P<colon>:) | (?P<comma>,)
+      | (?P<word>[^()\s:,|<=]+)
+    """,
+    re.VERBOSE,
+)
 
 
-class DerivationSyntaxError(ValueError):
+class DerivationSyntaxError(ParseError):
     pass
 
 
-def _tokens(text: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOK.match(text, pos)
-        if not m:
-            raise DerivationSyntaxError(f"bad character {text[pos]!r}")
-        out.append(m.group())
-        pos = m.end()
-    return out
+class _Reader(TokenCursor):
+    TOKENS = _TOKEN_RE
+    ERROR = DerivationSyntaxError
 
-
-class _Reader:
-    def __init__(self, toks: list[str]):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self) -> str:
-        return self.toks[self.i] if self.i < len(self.toks) else ""
-
-    def pop(self) -> str:
-        t = self.peek()
-        self.i += 1
-        return t
-
-    def expect(self, want: str) -> None:
-        got = self.pop()
-        if got != want:
-            raise DerivationSyntaxError(f"expected {want!r}, got {got!r}")
-
-    def until_balanced(self, stops: tuple[str, ...]) -> str:
-        """Collect raw tokens up to a stop token at depth zero."""
+    def until_balanced(self, *stops: str) -> str:
+        """The text of the tokens up to a stop kind or an unmatched ')' at
+        depth zero, for the term and type grammars to parse."""
         depth = 0
         parts: list[str] = []
         while True:
-            t = self.peek()
-            if not t:
-                raise DerivationSyntaxError("unexpected end of input")
-            if depth == 0 and t in stops:
+            kind, text, _ = self.peek()
+            if kind == "eof":
+                raise self.error("unexpected end of input")
+            if depth == 0 and kind in stops:
                 return " ".join(parts)
-            if t == "(":
+            if kind == "lpar":
                 depth += 1
-            elif t == ")":
+            elif kind == "rpar":
                 if depth == 0:
                     return " ".join(parts)
                 depth -= 1
-            parts.append(self.pop())
+            parts.append(text)
+            self.i += 1
 
-    def derivation(self) -> Derivation:
-        self.expect("(")
-        self.expect("rule")
-        rule = self.pop()
+    def parse(self) -> Derivation:
+        self.expect("lpar", "(")
+        self.expect("word", "rule")
+        at = self.peek()
+        rule = self.expect("word")
         if rule not in _RULES:
-            raise DerivationSyntaxError(f"unknown rule {rule!r}")
-        self.expect("(")
-        self.expect("concl")
-        basis_src = self.until_balanced(("|-",))
-        self.expect("|-")
-        term_src = self.until_balanced((":",))
-        self.expect(":")
-        type_src = self.until_balanced((")",))
-        self.expect(")")
+            raise self.error(f"unknown rule {rule!r}", at)
+        self.expect("lpar", "(")
+        self.expect("word", "concl")
+        basis = []
+        while self.peek()[0] != "turnstile":
+            name = self.expect("word")
+            self.expect("colon", ":")
+            basis.append((name, parse_type(self.until_balanced("comma", "turnstile"))))
+            if self.peek()[0] == "comma":
+                self.pop()
+        self.pop()
+        term_src = self.until_balanced("colon")
+        self.expect("colon", ":")
+        type_src = self.until_balanced()
+        self.expect("rpar", ")")
         premises: list[Derivation] = []
         side = None
-        while self.peek() == "(":
+        while self.peek()[0] == "lpar":
             self.pop()
-            kind = self.pop()
-            if kind == "premises":
-                while self.peek() == "(":
-                    premises.append(self.derivation())
-                self.expect(")")
-            elif kind == "side":
-                lo = self.until_balanced(("<=",))
-                self.expect("<=")
-                hi = self.until_balanced((")",))
-                self.expect(")")
+            at = self.peek()
+            section = self.expect("word")
+            if section == "premises":
+                while self.peek()[0] == "lpar":
+                    premises.append(self.parse())
+                self.expect("rpar", ")")
+            elif section == "side":
+                lo = self.until_balanced("leq")
+                self.expect("leq", "<=")
+                hi = self.until_balanced()
+                self.expect("rpar", ")")
                 side = (parse_type(lo), parse_type(hi))
             else:
-                raise DerivationSyntaxError(f"unknown section {kind!r}")
-        self.expect(")")
-        judgment = Judgment(_parse_basis(basis_src), parse_term(term_src), parse_type(type_src))
+                raise self.error(f"unknown section {section!r}", at)
+        self.expect("rpar", ")")
+        judgment = Judgment(make_basis(basis), parse_term(term_src), parse_type(type_src))
         return Derivation(rule, judgment, tuple(premises), side)
 
 
-def _parse_basis(src: str) -> Basis:
-    src = src.strip()
-    if not src:
-        return ()
-    bindings = []
-    depth = 0
-    current: list[str] = []
-    pieces: list[str] = []
-    for tok in _tokens(src):
-        if tok == "(":
-            depth += 1
-        elif tok == ")":
-            depth -= 1
-        if tok == "," and depth == 0:
-            pieces.append(" ".join(current))
-            current = []
-        else:
-            current.append(tok)
-    if current:
-        pieces.append(" ".join(current))
-    for piece in pieces:
-        name, _, ty = piece.partition(":")
-        if not ty:
-            raise DerivationSyntaxError(f"bad binding {piece!r}")
-        bindings.append((name.strip(), parse_type(ty)))
-    return make_basis(bindings)
-
-
 def parse_derivation(text: str) -> Derivation:
-    r = _Reader(_tokens(text))
-    d = r.derivation()
-    if r.peek():
-        raise DerivationSyntaxError(f"trailing input {r.peek()!r}")
-    return d
+    return _Reader(text).parse_all()
 
 
 def print_basis(basis: Basis) -> str:

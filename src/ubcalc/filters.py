@@ -66,9 +66,11 @@ def dom_leq_c(a: ComFilt, b: ComFilt, table: AtomTable = EMPTY_TABLE) -> bool:
 
 # --------------------------------------------------------- rank lattices
 
-# Lattices are cached per (n, table, cap); the bound keeps a long-lived
-# process that visits many atom tables from holding every lattice it built.
+# Lattices are cached per (n, table, cap), however the caller spelled them;
+# the bound keeps a long-lived process that visits many atom tables from
+# holding every lattice it built.
 LATTICE_CACHE_SIZE = 32
+LATTICE_CAP = 5000  # points
 
 
 def _too_large(cap: int) -> DomainSizeError:
@@ -96,9 +98,13 @@ def _meet_closure(gens: list[CanonV], table: AtomTable, cap: int) -> list[CanonV
     return sorted(seen, key=lambda c: c.key)
 
 
-@lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def value_lattice(n: int, table: AtomTable = EMPTY_TABLE, cap: int = 5000) -> tuple[CanonV, ...]:
+def value_lattice(n: int, table: AtomTable = EMPTY_TABLE, cap: int = LATTICE_CAP) -> tuple[CanonV, ...]:
     """All value classes of rank <= n, meet-closed (the rank-n value lattice)."""
+    return _value_lattice(n, table, cap)
+
+
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _value_lattice(n: int, table: AtomTable, cap: int) -> tuple[CanonV, ...]:
     if n < 0:
         raise ValueError("rank must be non-negative")
     atoms = [CanonV((a,), ()) for a in table.atoms]
@@ -115,11 +121,11 @@ def value_lattice(n: int, table: AtomTable = EMPTY_TABLE, cap: int = 5000) -> tu
 
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
-def comp_lattice(n: int, table: AtomTable = EMPTY_TABLE, cap: int = 5000) -> tuple[CanonC, ...]:
+def comp_lattice(n: int, table: AtomTable = EMPTY_TABLE) -> tuple[CanonC, ...]:
     """All computation classes of rank <= n: top plus T of rank n-1 values."""
     if n == 0:
         return (TOP_C,)
-    return (TOP_C,) + tuple(tcan(v) for v in value_lattice(n - 1, table, cap))
+    return (TOP_C,) + tuple(tcan(v) for v in value_lattice(n - 1, table))
 
 
 @dataclass(frozen=True)
@@ -136,10 +142,8 @@ class RankDomain:
         return [ComFilt(c) for c in self.comps]
 
 
-def build_domain(n: int, table: AtomTable = EMPTY_TABLE, cap: int = 5000) -> RankDomain:
-    values = value_lattice(n, table, cap)
-    comps = comp_lattice(n, table, cap)
-    return RankDomain(n, table, values, comps)
+def build_domain(n: int, table: AtomTable = EMPTY_TABLE) -> RankDomain:
+    return RankDomain(n, table, value_lattice(n, table), comp_lattice(n, table))
 
 
 # ------------------------------------------------------- monad operations

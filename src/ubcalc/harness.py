@@ -1,14 +1,25 @@
 """Seeded generators and the property suites behind the prop command.
 
-Generators are deterministic functions of their configuration; suites
-report passes, failures (with a shrunk counterexample) and fuel-bound
-inconclusives, which never fail a suite.
+Generators are deterministic functions of their configuration.  A suite
+is a check registered with ``@suite``: the check maps one case to PASS,
+INCONCLUSIVE (a fuel or search bound ran out; never a failure) or a
+failure record, a dict of fields, possibly empty.  The suite's case
+source yields (key, case) pairs, key being the fields that name the case
+(``{"index": i}`` for the default source of generated unit/bind terms),
+and may fill the report's ``info``.  The scaffold owns the rest: it runs
+the check on every case, keeps the counts, and builds each failure
+record as key plus the check's fields.  When the failing case is a
+unit/bind term it also shrinks it, with "the check fails" as the
+predicate, and reports the shrunk term as ``term``; every other field is
+the one computed on the original case.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import filters, moggi, transform, typesys
 from .assignment import (
@@ -90,14 +101,7 @@ class PropertyReport:
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases": self.cases,
-            "passes": self.passes,
-            "failures": self.failures,
-            "inconclusive": self.inconclusive,
-            "info": self.info,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------- generators
@@ -251,74 +255,99 @@ def shrink_term(m: Comp, still_fails: Callable[[Comp], bool], rounds: int = 40) 
     return cur
 
 
+# ------------------------------------------------------------------ scaffold
+
+PASS, INCONCLUSIVE = "pass", "inconclusive"
+
+Check = Callable[[GenConfig, Any], Any]
+CaseSource = Callable[[GenConfig, dict], Iterable[tuple[dict, Any]]]
+
+SUITES: dict[str, Callable[[GenConfig], PropertyReport]] = {}
+
+
+def _indexed(gen: Callable[[GenConfig, int], Any]) -> CaseSource:
+    """The case source gen(cfg, 0), gen(cfg, 1), ... of cfg.cases cases."""
+    return lambda cfg, info: (({"index": i}, gen(cfg, i)) for i in range(cfg.cases))
+
+
+_term_cases = _indexed(gen_term)
+
+
+def suite(name: str, cases: CaseSource = _term_cases) -> Callable[[Check], Check]:
+    """Register a check as the suite `name`, run over `cases`."""
+
+    def register(check: Check) -> Check:
+        SUITES[name] = functools.partial(_run_cases, name, cases, check)
+        return check
+
+    return register
+
+
+def _run_cases(name: str, cases: CaseSource, check: Check, cfg: GenConfig) -> PropertyReport:
+    rep = PropertyReport(name)
+    for key, case in cases(cfg, rep.info):
+        rep.cases += 1
+        out = check(cfg, case)
+        if out == PASS:
+            rep.passes += 1
+        elif out == INCONCLUSIVE:
+            rep.inconclusive += 1
+        else:
+            if is_comp(case):
+                small = shrink_term(case, lambda t: isinstance(check(cfg, t), dict))
+                out = {"term": print_term(small), **out}
+            rep.failures.append({**key, **out})
+    return rep
+
+
+def run_suite(name: str, cfg: GenConfig) -> PropertyReport:
+    try:
+        run = SUITES[name]
+    except KeyError:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}") from None
+    return run(cfg)
+
+
 # -------------------------------------------------------------------- suites
 
 
-def _suite_confluence(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("confluence")
-    for i, m in enumerate(gen_terms(cfg)):
-        rep.cases += 1
-        steps = enumerate_steps(m, cfg.rules)
-        inconclusive = False
-        for a in range(len(steps)):
-            for b in range(a + 1, len(steps)):
-                if joinable(steps[a].result, steps[b].result, cfg.fuel, cfg.rules) is None:
-                    inconclusive = True
-        if inconclusive:
-            rep.inconclusive += 1
-        else:
-            rep.passes += 1
-    return rep
+@suite("confluence")
+def _confluence(cfg: GenConfig, m: Comp):
+    steps = enumerate_steps(m, cfg.rules)
+    for a, b in itertools.combinations(steps, 2):
+        if joinable(a.result, b.result, cfg.fuel, cfg.rules) is None:
+            return INCONCLUSIVE
+    return PASS
 
 
-def _suite_triangle(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("triangle")
-    cap = 300
-
-    def violates(t: Comp) -> bool:
-        succ = parallel_successors(t)
-        if len(succ) > cap:
-            return False
-        dev = star(t)
-        return any(not parallel_reduces(q, dev) for q in succ)
-
-    for i, m in enumerate(gen_terms(cfg)):
-        rep.cases += 1
-        succ = parallel_successors(m)
-        if len(succ) > cap:
-            rep.inconclusive += 1
-            continue
-        dev = star(m)
-        bad = next((q for q in succ if not parallel_reduces(q, dev)), None)
-        if bad is None:
-            rep.passes += 1
-        else:
-            small = shrink_term(m, violates)
-            rep.failures.append(
-                {"index": i, "term": print_term(small), "successor": print_term(bad)}
-            )
-    return rep
+@suite("triangle")
+def _triangle(cfg: GenConfig, m: Comp):
+    succ = parallel_successors(m)
+    if len(succ) > 300:
+        return INCONCLUSIVE
+    dev = star(m)
+    bad = next((q for q in succ if not parallel_reduces(q, dev)), None)
+    return PASS if bad is None else {"successor": print_term(bad)}
 
 
-def _suite_ass_sn(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("ass-sn")
+def _ass_cases(cfg: GenConfig, info: dict) -> Iterator[tuple[dict, Comp]]:
+    info["ass_steps_seen"] = 0
+    for key, m in _term_cases(cfg, info):
+        info["ass_steps_seen"] += len(enumerate_steps(m, {Rule.ASS}))
+        yield key, m
 
-    def violates(t: Comp) -> bool:
-        before = ass_measure(t)
-        if any(ass_measure(s.result) >= before for s in enumerate_steps(t, {Rule.ASS})):
-            return True
-        return not normalize(t, {Rule.ASS}, fuel=before).normal_form
 
-    seen = 0
-    for i, m in enumerate(gen_terms(cfg)):
-        seen += len(enumerate_steps(m, {Rule.ASS}))
-        rep.cases += 1
-        if violates(m):
-            rep.failures.append({"index": i, "term": print_term(shrink_term(m, violates))})
-        else:
-            rep.passes += 1
-    rep.info["ass_steps_seen"] = seen
-    return rep
+@suite("ass-sn", _ass_cases)
+def _ass_sn(cfg: GenConfig, m: Comp):
+    before = ass_measure(m)
+    decreasing = all(ass_measure(s.result) < before for s in enumerate_steps(m, {Rule.ASS}))
+    return PASS if decreasing and normalize(m, {Rule.ASS}, fuel=before).normal_form else {}
+
+
+def _reduct(t: Comp, rule: Rule, at_root: Optional[bool] = None) -> Optional[Comp]:
+    """The first reduct of t by rule (at the root or below it, when at_root is given)."""
+    steps = (s for s in enumerate_steps(t) if s.rule == rule and at_root in (None, s.position == ()))
+    return next((s.result for s in steps), None)
 
 
 def critical_pair_diagrams() -> list[dict]:
@@ -330,9 +359,8 @@ def critical_pair_diagrams() -> list[dict]:
     mm = Bind(Unit(Variable("x")), Variable("q"))  # mentions the bound x
     nn = Unit(Variable("y"))
     t1 = Bind(Bind(Unit(Variable("v")), Lambda("x", mm)), Lambda("y2", nn))
-    a = [s for s in enumerate_steps(t1) if s.rule == Rule.BETA_C][0].result
-    b = [s for s in enumerate_steps(t1) if s.rule == Rule.ASS and s.position == ()][0].result
-    b2 = [s for s in enumerate_steps(b) if s.rule == Rule.BETA_C][0].result
+    a, b = _reduct(t1, Rule.BETA_C), _reduct(t1, Rule.ASS, at_root=True)
+    b2 = _reduct(b, Rule.BETA_C)
     out.append(
         {
             "name": "outer-ass-inner-beta",
@@ -347,9 +375,8 @@ def critical_pair_diagrams() -> list[dict]:
     # outer reassociation vs outer id, closed by one id inside
     M, N = Unit(Variable("m")), Unit(Variable("n"))
     t2 = Bind(Bind(M, Lambda("y", N)), Lambda("x", Unit(Variable("x"))))
-    a = [s for s in enumerate_steps(t2) if s.rule == Rule.ID and s.position == ()][0].result
-    b = [s for s in enumerate_steps(t2) if s.rule == Rule.ASS and s.position == ()][0].result
-    inner = [s for s in enumerate_steps(b) if s.rule == Rule.ID and s.position != ()]
+    a, b = _reduct(t2, Rule.ID, at_root=True), _reduct(t2, Rule.ASS, at_root=True)
+    inner = _reduct(b, Rule.ID, at_root=False)
     out.append(
         {
             "name": "outer-ass-outer-id",
@@ -357,17 +384,16 @@ def critical_pair_diagrams() -> list[dict]:
             "left": a,
             "right": b,
             "join_left": a,
-            "join_right": inner[0].result if inner else b,
-            "identical": bool(inner) and a == inner[0].result,
+            "join_right": inner or b,
+            "identical": a == inner,
         }
     )
     # outer reassociation vs inner id, closed by one beta inside up to
     # renaming of the bound variable
     Ny = Bind(Unit(Variable("y")), Variable("q"))  # mentions the bound y
     t3 = Bind(Bind(M, Lambda("x", Unit(Variable("x")))), Lambda("y", Ny))
-    a = [s for s in enumerate_steps(t3) if s.rule == Rule.ID][0].result
-    b = [s for s in enumerate_steps(t3) if s.rule == Rule.ASS and s.position == ()][0].result
-    inner = [s for s in enumerate_steps(b) if s.rule == Rule.BETA_C and s.position != ()]
+    a, b = _reduct(t3, Rule.ID), _reduct(t3, Rule.ASS, at_root=True)
+    inner = _reduct(b, Rule.BETA_C, at_root=False)
     out.append(
         {
             "name": "outer-ass-inner-id",
@@ -375,23 +401,18 @@ def critical_pair_diagrams() -> list[dict]:
             "left": a,
             "right": b,
             "join_left": a,
-            "join_right": inner[0].result if inner else b,
-            "identical": bool(inner) and alpha_key(a) == alpha_key(inner[0].result),
+            "join_right": inner or b,
+            "identical": inner is not None and alpha_key(a) == alpha_key(inner),
         }
     )
     # pure reassociation peak needing two steps on one side
     L, M, N, P = (Unit(Variable(ch)) for ch in "lmnp")
     m1 = Bind(Bind(Bind(L, Lambda("x", M)), Lambda("y", N)), Lambda("z", P))
-    m2 = [s for s in enumerate_steps(m1, {Rule.ASS}) if s.position == ()][0].result
-    m3 = [s for s in enumerate_steps(m1, {Rule.ASS}) if s.position != ()][0].result
+    m2, m3 = _reduct(m1, Rule.ASS, at_root=True), _reduct(m1, Rule.ASS, at_root=False)
     m4 = Bind(L, Lambda("x", Bind(M, Lambda("y", Bind(N, Lambda("z", P))))))
     m2_next = [s.result for s in enumerate_steps(m2, {Rule.ASS})]
     m3_next = [s.result for s in enumerate_steps(m3, {Rule.ASS})]
-    m3_two = [
-        s2.result
-        for t in m3_next
-        for s2 in enumerate_steps(t, {Rule.ASS})
-    ]
+    m3_two = [s2.result for t in m3_next for s2 in enumerate_steps(t, {Rule.ASS})]
     out.append(
         {
             "name": "reassociation-peak",
@@ -408,67 +429,37 @@ def critical_pair_diagrams() -> list[dict]:
     return out
 
 
-def _suite_critical_pairs(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("critical-pairs")
+def _diagram_cases(cfg: GenConfig, info: dict) -> Iterator[tuple[dict, dict]]:
     for diag in critical_pair_diagrams():
-        rep.cases += 1
-        if diag["identical"]:
-            rep.passes += 1
-        else:
-            rep.failures.append({"diagram": diag["name"], "term": print_term(diag["term"])})
-    return rep
+        yield {"diagram": diag["name"]}, diag
 
 
-def _suite_big_small(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("big-small")
-
-    def violates(t: Comp) -> bool:
-        b = big_step(t, cfg.fuel * 3)
-        s = small_step_converge(t, cfg.fuel * 3)
-        if b.status == Status.CONVERGES and s.status == Status.CONVERGES:
-            return not alpha_eq(b.value, s.value)
-        return b.status == Status.CONVERGES or s.status == Status.CONVERGES
-
-    for i, m in enumerate(gen_terms(cfg)):
-        rep.cases += 1
-        b = big_step(m, cfg.fuel * 3)
-        s = small_step_converge(m, cfg.fuel * 3)
-        if b.status == Status.CONVERGES and s.status == Status.CONVERGES and alpha_eq(b.value, s.value):
-            rep.passes += 1
-        elif b.status == Status.CONVERGES or s.status == Status.CONVERGES:
-            rep.failures.append(
-                {
-                    "index": i,
-                    "term": print_term(shrink_term(m, violates)),
-                    "big": b.status.value,
-                    "small": s.status.value,
-                }
-            )
-        else:
-            rep.inconclusive += 1
-    return rep
+@suite("critical-pairs", _diagram_cases)
+def _critical_pairs(cfg: GenConfig, diag: dict):
+    return PASS if diag["identical"] else {"term": print_term(diag["term"])}
 
 
-def _suite_characterization(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("characterization")
-    universe = _universe(cfg)
-    for i, m in enumerate(gen_terms(cfg)):
-        rep.cases += 1
-        b = big_step(m, cfg.fuel * 3)
-        found = typable_nontrivial(m, universe, cfg.atoms)
-        if b.status == Status.CONVERGES:
-            d = derive_convergent_typing(m, cfg.fuel * 3, cfg.atoms)
-            if d is not None and check_derivation(d, cfg.atoms).valid:
-                rep.passes += 1
-            else:
-                rep.failures.append({"index": i, "term": print_term(m)})
-        elif found is None:
-            rep.passes += 1
-        else:
-            # bounded search found a type, so the term converges beyond
-            # the evaluation budget: inconclusive, not asserted
-            rep.inconclusive += 1
-    return rep
+@suite("big-small")
+def _big_small(cfg: GenConfig, m: Comp):
+    b = big_step(m, cfg.fuel * 3)
+    s = small_step_converge(m, cfg.fuel * 3)
+    if b.status == Status.CONVERGES and s.status == Status.CONVERGES and alpha_eq(b.value, s.value):
+        return PASS
+    if b.status == Status.CONVERGES or s.status == Status.CONVERGES:
+        return {"big": b.status.value, "small": s.status.value}
+    return INCONCLUSIVE
+
+
+@suite("characterization")
+def _characterization(cfg: GenConfig, m: Comp):
+    if big_step(m, cfg.fuel * 3).status == Status.CONVERGES:
+        d = derive_convergent_typing(m, cfg.fuel * 3, cfg.atoms)
+        return PASS if d is not None and check_derivation(d, cfg.atoms).valid else {}
+    if typable_nontrivial(m, _universe(cfg), cfg.atoms) is None:
+        return PASS
+    # bounded search found a type, so the term converges beyond the
+    # evaluation budget: inconclusive, not asserted
+    return INCONCLUSIVE
 
 
 def derive_convergent_typing(m: Comp, fuel: int, table: AtomTable = EMPTY_TABLE) -> Optional[Derivation]:
@@ -479,272 +470,194 @@ def derive_convergent_typing(m: Comp, fuel: int, table: AtomTable = EMPTY_TABLE)
     if not out.normal_form or not isinstance(out.term, Unit):
         return None
     d = unit_node(omega_node((), out.term.value))
-    terms = [m]
-    for step in out.trace:
-        terms.append(step.result)
-    for idx in range(len(out.trace) - 1, -1, -1):
-        step = out.trace[idx]
-        d = transform.expand_derivation(terms[idx], step, d, table)
+    sources = [m] + [step.result for step in out.trace]
+    for source, step in reversed(list(zip(sources, out.trace))):
+        d = transform.expand_derivation(source, step, d, table)
     return d
 
 
-def _suite_subject_reduction(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("subject-reduction")
-    for i in range(cfg.cases):
-        m, d = gen_typed_term(cfg, i)
-        rep.cases += 1
-        ok = True
-        for step in enumerate_steps(m, DEFAULT_RULES):
-            nd = transform.reduce_derivation(d, step, cfg.atoms)
-            if not (
-                check_derivation(nd, cfg.atoms).valid
-                and nd.conclusion.tipo == d.conclusion.tipo
-                and alpha_eq(nd.conclusion.subject, step.result)
-            ):
-                ok = False
-                break
-        if ok:
-            rep.passes += 1
-        else:
-            rep.failures.append({"index": i, "term": print_term(m)})
-    return rep
+@suite("subject-reduction", _indexed(gen_typed_term))
+def _subject_reduction(cfg: GenConfig, case: tuple):
+    m, d = case
+    for step in enumerate_steps(m, DEFAULT_RULES):
+        nd = transform.reduce_derivation(d, step, cfg.atoms)
+        if not (
+            check_derivation(nd, cfg.atoms).valid
+            and nd.conclusion.tipo == d.conclusion.tipo
+            and alpha_eq(nd.conclusion.subject, step.result)
+        ):
+            return {"term": print_term(m)}
+    return PASS
 
 
-def _suite_subject_expansion(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("subject-expansion")
+@suite("subject-expansion")
+def _subject_expansion(cfg: GenConfig, m: Comp):
     universe = _universe(cfg)
-    for i in range(cfg.cases):
-        m = gen_term(cfg, i)
-        rep.cases += 1
-        ok = True
-        for step in enumerate_steps(m, DEFAULT_RULES):
-            tnt = typable_nontrivial(step.result, universe, cfg.atoms) if not free_vars(step.result) else None
-            target = tnt if tnt is not None else C_OMEGA
-            try:
-                d = synth_derivation((), step.result, target, universe[0], cfg.atoms)
-            except Unsynthesizable:
-                continue
-            ed = transform.expand_derivation(m, step, d, cfg.atoms)
-            if not (
-                check_derivation(ed, cfg.atoms).valid
-                and ed.conclusion.tipo == d.conclusion.tipo
-                and alpha_eq(ed.conclusion.subject, m)
-            ):
-                ok = False
-                break
-        if ok:
-            rep.passes += 1
-        else:
-            rep.failures.append({"index": i, "term": print_term(m)})
-    return rep
-
-
-def _suite_subtyping_oracle(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("subtyping-oracle")
-    rng = random.Random(cfg.seed)
-    for i in range(cfg.cases):
-        rep.cases += 1
-        a = _gen_vtype(rng, 3, cfg.atoms)
-        b = _gen_vtype(rng, 3, cfg.atoms)
-        want = brute_subtype_oracle(a, b, 300, cfg.atoms)
-        if want is None:
-            rep.inconclusive += 1
+    for step in enumerate_steps(m, DEFAULT_RULES):
+        tnt = typable_nontrivial(step.result, universe, cfg.atoms) if not free_vars(step.result) else None
+        target = tnt if tnt is not None else C_OMEGA
+        try:
+            d = synth_derivation((), step.result, target, universe[0], cfg.atoms)
+        except Unsynthesizable:
             continue
-        got = leq_v(a, b, cfg.atoms)
-        if got == want:
-            rep.passes += 1
-        else:
-            rep.failures.append(
-                {"index": i, "left": print_type(a), "right": print_type(b), "oracle": want, "decider": got}
-            )
-    return rep
+        ed = transform.expand_derivation(m, step, d, cfg.atoms)
+        if not (
+            check_derivation(ed, cfg.atoms).valid
+            and ed.conclusion.tipo == d.conclusion.tipo
+            and alpha_eq(ed.conclusion.subject, m)
+        ):
+            return {}
+    return PASS
 
 
-def _suite_model_soundness(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("model-soundness")
+def _type_pairs(cfg: GenConfig, info: dict) -> Iterator[tuple[dict, tuple]]:
     rng = random.Random(cfg.seed)
-    raw_agree = {1: 0, 2: 0}
     for i in range(cfg.cases):
-        m = gen_term(cfg, i)
-        steps = enumerate_steps(m, DEFAULT_RULES)
+        yield {"index": i}, (_gen_vtype(rng, 3, cfg.atoms), _gen_vtype(rng, 3, cfg.atoms))
+
+
+@suite("subtyping-oracle", _type_pairs)
+def _subtyping_oracle(cfg: GenConfig, case: tuple):
+    a, b = case
+    want = brute_subtype_oracle(a, b, 300, cfg.atoms)
+    if want is None:
+        return INCONCLUSIVE
+    got = leq_v(a, b, cfg.atoms)
+    if got == want:
+        return PASS
+    return {"left": print_type(a), "right": print_type(b), "oracle": want, "decider": got}
+
+
+def _convertible_pairs(cfg: GenConfig, info: dict) -> Iterator[tuple[dict, tuple]]:
+    """Two reducts of one term, each carried up to two random steps on.
+    Also reports, not asserted, how often the unprojected rank-n
+    interpretations of a pair agree, and how often the rank-n derivable
+    content is already reached by the rank-(n+1) interpretation
+    (type-semantics converse with one rank of slack)."""
+    from .assignment import minimal_comp
+
+    rng = random.Random(cfg.seed)
+    raw_agree = info["raw_rank_agreement"] = {1: 0, 2: 0}
+    for i in range(cfg.cases):
+        steps = enumerate_steps(gen_term(cfg, i), DEFAULT_RULES)
         if len(steps) < 2:
             continue
-        a, b = rng.sample(steps, 2)
-        pa, pb = a.result, b.result
-        for side in (0, 1):
-            cur = pa if side == 0 else pb
+        pair = []
+        for step in rng.sample(steps, 2):
+            cur = step.result
             for _ in range(rng.randrange(0, 3)):
                 nxt = enumerate_steps(cur, DEFAULT_RULES)
                 if not nxt:
                     break
                 cur = rng.choice(nxt).result
-            if side == 0:
-                pa = cur
-            else:
-                pb = cur
-        rep.cases += 1
-        ok = True
+            pair.append(cur)
+        pa, pb = pair
         for n in (1, 2):
-            ia = filters.project_comp(filters.interp_closed(pa, n + 1, cfg.atoms), n, cfg.atoms)
-            ib = filters.project_comp(filters.interp_closed(pb, n + 1, cfg.atoms), n, cfg.atoms)
-            if not typesys.eq_canon_c(ia.gen, ib.gen, cfg.atoms):
-                ok = False
             ra = filters.interp_closed(pa, n, cfg.atoms)
             rb = filters.interp_closed(pb, n, cfg.atoms)
             raw_agree[n] += typesys.eq_canon_c(ra.gen, rb.gen, cfg.atoms)
-        if ok:
-            rep.passes += 1
-        else:
-            rep.failures.append({"index": i, "left": print_term(pa), "right": print_term(pb)})
-    rep.info["raw_rank_agreement"] = raw_agree
-    # reported, not asserted: how often the rank-n derivable content is
-    # already reached by the rank-(n+1) interpretation (type-semantics
-    # converse with one rank of slack)
-    from .assignment import minimal_comp
-
+        yield {"index": i}, (pa, pb)
     converse = {1: 0, 2: 0}
-    probes = 0
-    for i in range(min(cfg.cases, 60)):
+    probes = min(cfg.cases, 60)
+    for i in range(probes):
         m = gen_term(cfg, 50_000 + i)
-        probes += 1
         for n in (1, 2):
             low = minimal_comp(m, {}, filters.value_lattice(n, cfg.atoms), cfg.atoms)
             fine = filters.project_comp(
                 filters.interp_closed(m, n + 1, cfg.atoms), n, cfg.atoms
             )
             converse[n] += typesys.leq_canon_c(fine.gen, low, cfg.atoms)
-    rep.info["type_semantics_converse"] = {"probes": probes, "reached": converse}
-    return rep
+    info["type_semantics_converse"] = {"probes": probes, "reached": converse}
 
 
-def _suite_interp_substitution(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("interp-substitution")
+@suite("model-soundness", _convertible_pairs)
+def _model_soundness(cfg: GenConfig, case: tuple):
+    pa, pb = case
+    for n in (1, 2):
+        ia = filters.project_comp(filters.interp_closed(pa, n + 1, cfg.atoms), n, cfg.atoms)
+        ib = filters.project_comp(filters.interp_closed(pb, n + 1, cfg.atoms), n, cfg.atoms)
+        if not typesys.eq_canon_c(ia.gen, ib.gen, cfg.atoms):
+            return {"left": print_term(pa), "right": print_term(pb)}
+    return PASS
+
+
+def _substitution_cases(cfg: GenConfig, info: dict) -> Iterator[tuple[dict, tuple]]:
+    """Open terms with u free, each with a closed value for u; at most
+    30 draws per case."""
     open_cfg = GenConfig(seed=cfg.seed + 1, max_size=min(cfg.max_size, 12), closed=False)
     value_cfg = GenConfig(seed=cfg.seed + 2, max_size=8, closed=True)
-    probe = 0
-    while rep.cases < cfg.cases and probe < cfg.cases * 30:
-        m = gen_term(open_cfg, probe)
-        probe += 1
-        if "u" not in free_vars(m):
-            continue
+
+    draws = ((probe, gen_term(open_cfg, probe - 1)) for probe in range(1, cfg.cases * 30 + 1))
+    for probe, m in itertools.islice(((p, m) for p, m in draws if "u" in free_vars(m)), cfg.cases):
         mv = gen_term(value_cfg, probe)
-        vv = mv.value if isinstance(mv, Unit) else Lambda("s0", mv)
-        rep.cases += 1
-        ok = True
-        for n in (1, 2):
-            dv = filters.interp_value(vv, {}, n, cfg.atoms)
-            env = {x: filters.BOTTOM_V for x in free_vars(m) if x != "u"}
-            lhs = filters.interp_comp(subst(m, "u", vv), env, n, cfg.atoms)
-            rhs = filters.interp_comp(m, {**env, "u": dv}, n, cfg.atoms)
-            if not typesys.eq_canon_c(lhs.gen, rhs.gen, cfg.atoms):
-                ok = False
-        if ok:
-            rep.passes += 1
-        else:
-            rep.failures.append({"probe": probe, "term": print_term(m), "value": print_term(vv)})
-    return rep
+        yield {"probe": probe}, (m, mv.value if isinstance(mv, Unit) else Lambda("s0", mv))
 
 
-def _suite_moggi_preservation(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("moggi-preservation")
-    for i in range(cfg.cases):
-        e = gen_mterm(cfg, i)
-        rep.cases += 1
-        results = moggi.check_preservation(e, cfg.fuel * 2)
-        if all(r.preserved for r in results):
-            rep.passes += 1
-        else:
-            rep.failures.append({"index": i, "term": moggi.m_print(e)})
-    return rep
+@suite("interp-substitution", _substitution_cases)
+def _interp_substitution(cfg: GenConfig, case: tuple):
+    m, vv = case
+    for n in (1, 2):
+        dv = filters.interp_value(vv, {}, n, cfg.atoms)
+        env = {x: filters.BOTTOM_V for x in free_vars(m) if x != "u"}
+        lhs = filters.interp_comp(subst(m, "u", vv), env, n, cfg.atoms)
+        rhs = filters.interp_comp(m, {**env, "u": dv}, n, cfg.atoms)
+        if not typesys.eq_canon_c(lhs.gen, rhs.gen, cfg.atoms):
+            return {"term": print_term(m), "value": print_term(vv)}
+    return PASS
 
 
-def _suite_moggi_convertibility(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("moggi-convertibility")
-    for i, m in enumerate(gen_terms(cfg)):
-        rep.cases += 1
-        ok = True
-        inconclusive = False
-        for step in enumerate_steps(m, DEFAULT_RULES):
-            r = moggi.convertible(moggi.to_moggi(m), moggi.to_moggi(step.result), cfg.fuel * 3)
-            if r is None:
-                inconclusive = True
-            elif r is False:
-                ok = False
-        if not ok:
-            rep.failures.append({"index": i, "term": print_term(m)})
-        elif inconclusive:
-            rep.inconclusive += 1
-        else:
-            rep.passes += 1
-    return rep
-
-
-def _suite_monad_laws(cfg: GenConfig) -> PropertyReport:
-    rep = PropertyReport("monad-laws")
+def _lattice_cases(cfg: GenConfig, info: dict) -> Iterator[tuple[dict, tuple]]:
     for table in (EMPTY_TABLE, AtomTable(("a",))):
         for n in (0, 1, 2):
             if table.atoms and n == 2:
                 continue  # the full one-atom rank-2 lattice is intractable
-            values = filters.value_lattice(n, table)
-            comps = filters.comp_lattice(n, table)
-            prev = filters.value_lattice(max(0, n - 1), table)
-            unit_fn = filters.unit_as_function(prev, table)
-            rep.cases += 1
-            ok = True
-            for dgen in values:
-                d = filters.ValFilt(dgen)
-                for fgen in values:
-                    f = filters.ValFilt(fgen)
-                    lhs = filters.bind_f(filters.project_comp(filters.unit_f(d), n, table), f, table)
-                    rhs = filters.apply_f(f, d, table)
-                    if not typesys.eq_canon_c(lhs.gen, rhs.gen, table):
-                        ok = False
-            for cgen in comps:
-                a = filters.ComFilt(cgen)
-                if not typesys.eq_canon_c(filters.bind_f(a, unit_fn, table).gen, a.gen, table):
-                    ok = False
-            for cgen in comps:
-                a = filters.ComFilt(cgen)
-                for fgen in values:
-                    f = filters.ValFilt(fgen)
-                    for ggen in values:
-                        g = filters.ValFilt(ggen)
-                        lhs = filters.bind_f(filters.bind_f(a, f, table), g, table)
-                        tablefn = {
-                            p: filters.bind_f(filters.apply_f(f, filters.ValFilt(p), table), g, table)
-                            for p in prev
-                        }
-                        rhs = filters.bind_f(a, filters.psi_f(tablefn, table), table)
-                        if not typesys.eq_canon_c(lhs.gen, rhs.gen, table):
-                            ok = False
-            if ok:
-                rep.passes += 1
-            else:
-                rep.failures.append({"table": table.atoms, "rank": n})
-    return rep
+            yield {"table": table.atoms, "rank": n}, (table, n)
 
 
-SUITES: dict[str, Callable[[GenConfig], PropertyReport]] = {
-    "confluence": _suite_confluence,
-    "triangle": _suite_triangle,
-    "ass-sn": _suite_ass_sn,
-    "critical-pairs": _suite_critical_pairs,
-    "big-small": _suite_big_small,
-    "characterization": _suite_characterization,
-    "subject-reduction": _suite_subject_reduction,
-    "subject-expansion": _suite_subject_expansion,
-    "subtyping-oracle": _suite_subtyping_oracle,
-    "model-soundness": _suite_model_soundness,
-    "interp-substitution": _suite_interp_substitution,
-    "monad-laws": _suite_monad_laws,
-    "moggi-preservation": _suite_moggi_preservation,
-    "moggi-convertibility": _suite_moggi_convertibility,
-}
+@suite("monad-laws", _lattice_cases)
+def _monad_laws(cfg: GenConfig, case: tuple):
+    table, n = case
+    values = [filters.ValFilt(g) for g in filters.value_lattice(n, table)]
+    comps = [filters.ComFilt(g) for g in filters.comp_lattice(n, table)]
+    prev = filters.value_lattice(max(0, n - 1), table)
+    unit_fn = filters.unit_as_function(prev, table)
+
+    def bind(a, f):
+        return filters.bind_f(a, f, table)
+
+    def apply(f, d):
+        return filters.apply_f(f, d, table)
+
+    def sides():
+        for d in values:  # left unit
+            for f in values:
+                yield bind(filters.project_comp(filters.unit_f(d), n, table), f), apply(f, d)
+        for a in comps:  # right unit
+            yield bind(a, unit_fn), a
+        for a in comps:  # associativity
+            for f in values:
+                for g in values:
+                    then = filters.psi_f({p: bind(apply(f, filters.ValFilt(p)), g) for p in prev}, table)
+                    yield bind(bind(a, f), g), bind(a, then)
+
+    if all(typesys.eq_canon_c(lhs.gen, rhs.gen, table) for lhs, rhs in sides()):
+        return PASS
+    return {}
 
 
-def run_suite(name: str, cfg: GenConfig) -> PropertyReport:
-    try:
-        suite = SUITES[name]
-    except KeyError:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}") from None
-    return suite(cfg)
+@suite("moggi-preservation", _indexed(gen_mterm))
+def _moggi_preservation(cfg: GenConfig, e: moggi.MTerm):
+    if all(r.preserved for r in moggi.check_preservation(e, cfg.fuel * 2)):
+        return PASS
+    return {"term": moggi.m_print(e)}
+
+
+@suite("moggi-convertibility")
+def _moggi_convertibility(cfg: GenConfig, m: Comp):
+    verdicts = [
+        moggi.convertible(moggi.to_moggi(m), moggi.to_moggi(step.result), cfg.fuel * 3)
+        for step in enumerate_steps(m, DEFAULT_RULES)
+    ]
+    if False in verdicts:
+        return {}
+    return INCONCLUSIVE if None in verdicts else PASS

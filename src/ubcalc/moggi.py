@@ -21,7 +21,9 @@ from .terms import (
     Bind,
     Comp,
     Lambda,
+    ParseError,
     Term,
+    TokenCursor,
     Unit,
     Value,
     Variable,
@@ -241,8 +243,7 @@ def m_print(e: MTerm) -> str:
 
 
 _M_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<let>let\b) | (?P<in>in\b)
+    r"""(?P<let>let\b) | (?P<in>in\b)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
       | (?P<lam>\\|λ) | (?P<dot>\.) | (?P<eq>=)
       | (?P<lpar>\() | (?P<rpar>\))
@@ -251,53 +252,25 @@ _M_TOKEN_RE = re.compile(
 )
 
 
-class MSyntaxError(ValueError):
+class MSyntaxError(ParseError):
     pass
 
 
-def _m_tokens(text: str) -> list[tuple[str, str]]:
-    toks, pos = [], 0
-    while pos < len(text):
-        m = _M_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise MSyntaxError(f"unexpected character {text[pos]!r} at offset {pos}")
-        if m.lastgroup != "ws":
-            toks.append((m.lastgroup, m.group()))
-        pos = m.end()
-    toks.append(("eof", ""))
-    return toks
-
-
-class _MParser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def pop(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def expect(self, kind):
-        k, text = self.pop()
-        if k != kind:
-            raise MSyntaxError(f"expected {kind}, got {text!r}")
-        return text
+class _MParser(TokenCursor):
+    TOKENS = _M_TOKEN_RE
+    ERROR = MSyntaxError
 
     def parse(self) -> MTerm:
-        kind, _ = self.peek()
+        kind = self.peek()[0]
         if kind == "lam":
             self.pop()
             x = self.expect("ident")
-            self.expect("dot")
+            self.expect("dot", ".")
             return MLam(x, self.parse())
         if kind == "let":
             self.pop()
             x = self.expect("ident")
-            self.expect("eq")
+            self.expect("eq", "=")
             bound = self.parse_app()
             self.expect("in")
             return MLet(x, bound, self.parse())
@@ -313,24 +286,19 @@ class _MParser:
         return acc
 
     def parse_atom(self) -> MTerm:
-        kind, text = self.peek()
+        t = self.pop()
+        kind, text, _ = t
         if kind == "ident":
-            self.pop()
             return MVar(text)
         if kind == "lpar":
-            self.pop()
             inner = self.parse()
-            self.expect("rpar")
+            self.expect("rpar", ")")
             return inner
-        raise MSyntaxError(f"unexpected token {text!r}")
+        raise self.error(f"unexpected token {text!r}", t)
 
 
 def m_parse(text: str) -> MTerm:
-    p = _MParser(_m_tokens(text))
-    e = p.parse()
-    if p.peek()[0] != "eof":
-        raise MSyntaxError(f"trailing input {p.peek()[1]!r}")
-    return e
+    return _MParser(text).parse_all()
 
 
 # --------------------------------------------------------------- translation

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Iterator, Union
 
 
@@ -45,11 +46,18 @@ class SortError(ValueError):
     """A term was used at the wrong sort (value vs computation)."""
 
 
-class TermSyntaxError(ValueError):
+class ParseError(ValueError):
+    """A syntax error at a line and column of the parsed text; each
+    grammar raises its own subclass."""
+
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
         self.column = column
+
+
+class TermSyntaxError(ParseError):
+    pass
 
 
 def is_value(t: Term) -> bool:
@@ -238,8 +246,7 @@ def print_term(t: Term) -> str:
 # ------------------------------------------------------------------- parsing
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<unit>unit\b)
+    r"""(?P<unit>unit\b)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
       | (?P<lam>\\|λ)
       | (?P<star>\*|⋆)
@@ -252,39 +259,87 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+# A token is (kind, text, offset of the text in the parsed text).
+Token = tuple[str, str, int]
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
+def _syntax_error(error: type[ParseError], message: str, text: str, pos: int) -> ParseError:
+    line = text.count("\n", 0, pos) + 1
+    return error(message, line, pos - text.rfind("\n", 0, pos))
+
+
+@lru_cache(maxsize=8)
+def _skipping_space(token_re: re.Pattern) -> re.Pattern:
+    """token_re after optional whitespace: one match per token."""
+    return re.compile(rf"\s*(?:{token_re.pattern})", token_re.flags)
+
+
+def tokenize(text: str, token_re: re.Pattern, error: type[ParseError]) -> list[Token]:
+    """The tokens of text under a grammar's token regex, whose named
+    groups are the token kinds, closed by an eof token.  Whitespace
+    between tokens is skipped; a character that starts no token raises
+    error."""
+    toks: list[Token] = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise TermSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        assert kind is not None
-        lexeme = m.group()
-        if kind != "ws":
-            toks.append(_Tok(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
+    for m in _skipping_space(token_re).finditer(text):
+        if m.start() != pos:
+            break
         pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
+        kind = m.lastgroup
+        toks.append((kind, m.group(kind), m.start(kind)))
+    rest = text[pos:]
+    if rest.strip():
+        pos += len(rest) - len(rest.lstrip())
+        raise _syntax_error(error, f"unexpected character {text[pos]!r}", text, pos)
+    toks.append(("eof", "", len(text)))
     return toks
 
 
-class _Parser:
+class TokenCursor:
+    """Base of the recursive-descent parsers: a subclass names its
+    grammar's token regex (TOKENS), its syntax-error class (ERROR) and its
+    start rule (parse)."""
+
+    TOKENS: re.Pattern
+    ERROR: type[ParseError]
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text, self.TOKENS, self.ERROR)
+        self.i = 0
+
+    def peek(self) -> Token:
+        return self.toks[self.i]
+
+    def pop(self) -> Token:
+        t = self.toks[self.i]
+        if t[0] != "eof":
+            self.i += 1
+        return t
+
+    def expect(self, kind: str, text: str | None = None) -> str:
+        """Pop the next token, which must be of the kind (and text) given,
+        and return its text."""
+        got_kind, got, _ = self.peek()
+        if got_kind != kind or (text is not None and got != text):
+            raise self.error(f"expected {text or kind!r}, got {got!r}")
+        self.i += 1
+        return got
+
+    def error(self, message: str, at: Token | None = None) -> ParseError:
+        """The grammar's syntax error at token `at`, by default the next one."""
+        return _syntax_error(self.ERROR, message, self.text, (at or self.peek())[2])
+
+    def parse_all(self) -> Any:
+        """The start rule over the whole text."""
+        result = self.parse()
+        kind, text, _ = self.peek()
+        if kind != "eof":
+            raise self.error(f"trailing input {text!r}")
+        return result
+
+
+class _Parser(TokenCursor):
     """Recursive descent over the surface grammar.
 
     Comp  ::= item (("*" ValueAtom) | ("@" item))*
@@ -295,31 +350,17 @@ class _Parser:
     application (see desugar_app).
     """
 
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
-        self.i = 0
+    TOKENS = _TOKEN_RE
+    ERROR = TermSyntaxError
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def sort_error(self, message: str) -> ParseError:
+        return self.error(f"sort error: {message}")
 
-    def pop(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def error(self, message: str) -> TermSyntaxError:
-        t = self.peek()
-        return TermSyntaxError(message, t.line, t.col)
-
-    def sort_error(self, message: str) -> TermSyntaxError:
-        t = self.peek()
-        return TermSyntaxError(f"sort error: {message}", t.line, t.col)
-
-    def parse_term(self) -> Term:
+    def parse(self) -> Term:
         first = self.parse_item()
         parts: list[tuple[str, Term]] = []
-        while self.peek().kind in ("star", "at"):
-            op = self.pop().kind
+        while self.peek()[0] in ("star", "at"):
+            op = self.pop()[0]
             if op == "star":
                 arg = self.parse_value_atom()
             else:
@@ -342,49 +383,44 @@ class _Parser:
         return acc
 
     def parse_item(self) -> Term:
-        t = self.peek()
-        if t.kind == "unit":
+        if self.peek()[0] == "unit":
             self.pop()
             v = self.parse_value_atom()
             return Unit(v)
         return self.parse_value_atom(allow_comp=True)
 
     def parse_value_atom(self, allow_comp: bool = False) -> Term:
-        t = self.peek()
-        if t.kind == "ident":
+        kind, text, _ = self.peek()
+        if kind == "ident":
             self.pop()
-            return Variable(t.text)
-        if t.kind == "lam":
+            return Variable(text)
+        if kind == "lam":
             self.pop()
-            name = self.peek()
-            if name.kind != "ident":
+            name_kind, name, _ = self.peek()
+            if name_kind != "ident":
                 raise self.error("expected identifier after lambda")
             self.pop()
-            if self.peek().kind != "dot":
+            if self.peek()[0] != "dot":
                 raise self.error("expected '.' after lambda binder")
             self.pop()
-            body = self.parse_term()
+            body = self.parse()
             if not is_comp(body):
                 raise self.sort_error("lambda body must be a computation")
-            return Lambda(name.text, body)
-        if t.kind == "lpar":
+            return Lambda(name, body)
+        if kind == "lpar":
             self.pop()
-            inner = self.parse_term()
-            if self.peek().kind != "rpar":
+            inner = self.parse()
+            if self.peek()[0] != "rpar":
                 raise self.error("expected ')'")
             self.pop()
             if not allow_comp and not is_value(inner):
                 raise self.sort_error("expected a value")
             return inner
-        raise self.error(f"unexpected token {t.text!r}")
+        raise self.error(f"unexpected token {text!r}")
 
 
 def parse_term(text: str) -> Term:
-    parser = _Parser(_tokenize(text))
-    t = parser.parse_term()
-    if parser.peek().kind != "eof":
-        raise parser.error(f"trailing input {parser.peek().text!r}")
-    return t
+    return _Parser(text).parse_all()
 
 
 # ------------------------------------------------------------------ app sugar

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
+from .terms import ParseError, TokenCursor
+
 # --------------------------------------------------------------- type ASTs
 
 
@@ -524,8 +526,7 @@ def print_type(t: AnyType) -> str:
 # ------------------------------------------------------------------ parsing
 
 _TYPE_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<wv>Wv\b)
+    r"""(?P<wv>Wv\b)
       | (?P<wc>Wc\b)
       | (?P<t>T\b)
       | (?P<atom>@[A-Za-z_][A-Za-z0-9_]*)
@@ -538,36 +539,13 @@ _TYPE_TOKEN_RE = re.compile(
 )
 
 
-class TypeSyntaxError(ValueError):
+class TypeSyntaxError(ParseError):
     pass
 
 
-def _type_tokens(text: str) -> list[tuple[str, str]]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TYPE_TOKEN_RE.match(text, pos)
-        if m is None:
-            raise TypeSyntaxError(f"unexpected character {text[pos]!r} at offset {pos}")
-        if m.lastgroup != "ws":
-            toks.append((m.lastgroup, m.group()))
-        pos = m.end()
-    toks.append(("eof", ""))
-    return toks
-
-
-class _TypeParser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def pop(self):
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+class _TypeParser(TokenCursor):
+    TOKENS = _TYPE_TOKEN_RE
+    ERROR = TypeSyntaxError
 
     def parse(self) -> AnyType:
         left = self.parse_inter()
@@ -575,9 +553,9 @@ class _TypeParser:
             self.pop()
             right = self.parse()
             if not is_vtype(left):
-                raise TypeSyntaxError("arrow domain must be a value type")
+                raise self.error("arrow domain must be a value type")
             if not is_ctype(right):
-                raise TypeSyntaxError("arrow codomain must be a computation type")
+                raise self.error("arrow codomain must be a computation type")
             return VArrow(left, right)
         return left
 
@@ -591,42 +569,32 @@ class _TypeParser:
             elif is_ctype(acc) and is_ctype(nxt):
                 acc = CInter(acc, nxt)
             else:
-                raise TypeSyntaxError("intersection of mixed sorts")
+                raise self.error("intersection of mixed sorts")
         return acc
 
     def parse_atom(self) -> AnyType:
-        kind, text = self.peek()
+        t = self.pop()
+        kind, text, _ = t
         if kind == "wv":
-            self.pop()
             return V_OMEGA
         if kind == "wc":
-            self.pop()
             return C_OMEGA
         if kind == "atom":
-            self.pop()
             return VAtom(text[1:])
         if kind == "t":
-            self.pop()
             arg = self.parse_atom()
             if not is_vtype(arg):
-                raise TypeSyntaxError("T expects a value type argument")
+                raise self.error("T expects a value type argument")
             return CTf(arg)
         if kind == "lpar":
-            self.pop()
             inner = self.parse()
-            if self.peek()[0] != "rpar":
-                raise TypeSyntaxError("expected ')'")
-            self.pop()
+            self.expect("rpar", ")")
             return inner
-        raise TypeSyntaxError(f"unexpected token {text!r}")
+        raise self.error(f"unexpected token {text!r}", t)
 
 
 def parse_type(text: str) -> AnyType:
-    p = _TypeParser(_type_tokens(text))
-    t = p.parse()
-    if p.peek()[0] != "eof":
-        raise TypeSyntaxError(f"trailing input {p.peek()[1]!r}")
-    return t
+    return _TypeParser(text).parse_all()
 
 
 # ---------------------------------------------------------- enumeration

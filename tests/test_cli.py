@@ -227,3 +227,23 @@ def test_lattice_over_size_budget_is_inconclusive(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == ""
     assert err.startswith("error: DomainSizeError:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unknown_rule_is_usage_error(capsys):
+    code, out, err = run(capsys, "reduce", "--rules", "foo", "unit (\\x. unit x)")
+    assert code == 2 and out == ""
+    assert "unknown rule 'foo'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("fmt",), ("eval",), ("reduce", "--fuel", "5"), ("infer",), ("interp", "--rank", "1")],
+)
+def test_deeply_nested_term_is_usage_error(tmp_path, capsys, argv):
+    stages = "".join(f" * (\\a{i}. unit a{i})" for i in range(1200))
+    path = tmp_path / "chain.txt"
+    path.write_text("unit (\\z. unit z)" + stages)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: term nests too deeply") and err.count("\n") == 1
+    assert "Traceback" not in err

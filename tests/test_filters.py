@@ -110,7 +110,7 @@ class TestDomains:
 
     def test_rank3_builds(self):
         start = time.perf_counter()
-        points = filters.value_lattice.__wrapped__(3)
+        points = filters._value_lattice.__wrapped__(3, EMPTY_TABLE, filters.LATTICE_CAP)
         assert time.perf_counter() - start < 10
         assert len(points) == 1650
 
@@ -118,7 +118,7 @@ class TestDomains:
         # 1,650 squared arrow generators exceed the cap before any meet
         start = time.perf_counter()
         with pytest.raises(DomainSizeError):
-            filters.value_lattice.__wrapped__(4)
+            filters._value_lattice.__wrapped__(4, EMPTY_TABLE, filters.LATTICE_CAP)
         assert time.perf_counter() - start < 10
 
 
@@ -153,7 +153,7 @@ def reference_value_lattice(n, table):
 
 @pytest.mark.parametrize("n,table", [(0, EMPTY_TABLE), (1, EMPTY_TABLE), (2, EMPTY_TABLE), (0, T1), (1, T1)])
 def test_generator_closure_matches_all_pairs(n, table):
-    assert filters.value_lattice.__wrapped__(n, table) == reference_value_lattice(n, table)
+    assert filters._value_lattice.__wrapped__(n, table, filters.LATTICE_CAP) == reference_value_lattice(n, table)
 
 
 class TestMonadOps:
@@ -448,8 +448,23 @@ class TestInterpMatchesReference:
 
 
 def test_lattice_and_projection_caches_are_bounded():
-    for cache in (value_lattice, comp_lattice, filters._projected):
+    for cache in (filters._value_lattice, comp_lattice, filters._projected):
         assert cache.cache_info().maxsize is not None
+
+
+def test_value_lattice_cache_key_is_normalised():
+    # comp_lattice(2) needs the rank-1 lattice that value_lattice(1)
+    # already built, and omitted and explicit defaults are one entry
+    filters._value_lattice.cache_clear()
+    comp_lattice.cache_clear()
+    value_lattice(1)
+    comp_lattice(2)
+    info = filters._value_lattice.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    value_lattice(1, EMPTY_TABLE)
+    value_lattice(1, EMPTY_TABLE, cap=filters.LATTICE_CAP)
+    info = filters._value_lattice.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 class TestTypeElems:

@@ -1,5 +1,6 @@
 import pytest
 
+from ubcalc import harness
 from ubcalc.harness import (
     GenConfig,
     SUITES,
@@ -13,7 +14,7 @@ from ubcalc.harness import (
 from ubcalc.assignment import check_derivation
 from ubcalc.convergence import Status, big_step
 from ubcalc.reduction import enumerate_steps
-from ubcalc.terms import Bind, alpha_eq, free_vars, is_comp, omega_c, term_size
+from ubcalc.terms import Bind, alpha_eq, free_vars, is_comp, omega_c, parse_term, term_size
 from ubcalc.typesys import eq_c, parse_type
 
 
@@ -68,6 +69,51 @@ class TestSuites:
         rep = run_suite("critical-pairs", GenConfig())
         data = rep.to_json()
         assert set(data) == {"suite", "cases", "passes", "failures", "inconclusive", "info"}
+
+
+class TestScaffold:
+    def test_suite_names(self):
+        assert sorted(SUITES) == [
+            "ass-sn", "big-small", "characterization", "confluence", "critical-pairs",
+            "interp-substitution", "model-soundness", "moggi-convertibility",
+            "moggi-preservation", "monad-laws", "subject-expansion", "subject-reduction",
+            "subtyping-oracle", "triangle",
+        ]
+
+    def test_failing_term_case_is_shrunk(self, monkeypatch):
+        monkeypatch.setattr(harness, "SUITES", dict(SUITES))
+
+        @harness.suite("has-bind")
+        def has_bind(cfg, m):
+            return {"size": term_size(m)} if isinstance(m, Bind) else harness.PASS
+
+        cfg = GenConfig(seed=11, max_size=22, cases=40)
+        rep = run_suite("has-bind", cfg)
+        originals = list(gen_terms(cfg))
+        assert rep.failures and rep.passes + len(rep.failures) == rep.cases == 40
+        for failure in rep.failures:
+            original = originals[failure["index"]]
+            small = parse_term(failure["term"])
+            assert has_bind(cfg, small) is not harness.PASS
+            assert term_size(small) <= term_size(original)
+            # every other field is the one computed on the original case
+            assert failure["size"] == term_size(original)
+        assert any(term_size(parse_term(f["term"])) < f["size"] for f in rep.failures)
+        assert "has-bind" not in SUITES
+
+    def test_other_cases_are_counted_and_not_shrunk(self, monkeypatch):
+        monkeypatch.setattr(harness, "SUITES", dict(SUITES))
+
+        def cases(cfg, info):
+            info["drawn"] = 3
+            for i, outcome in enumerate([harness.PASS, harness.INCONCLUSIVE, {"why": "odd"}]):
+                yield {"index": i}, outcome
+
+        harness.suite("fixed", cases)(lambda cfg, outcome: outcome)
+        rep = run_suite("fixed", GenConfig())
+        assert (rep.cases, rep.passes, rep.inconclusive) == (3, 1, 1)
+        assert rep.failures == [{"index": 2, "why": "odd"}]
+        assert rep.info == {"drawn": 3}
 
 
 class TestDiagrams:

@@ -3,9 +3,12 @@ from hypothesis import given
 
 from conftest import CLOSED_COMPS, OPEN_COMPS
 
+from ubcalc.derivfile import DerivationSyntaxError, parse_derivation
+from ubcalc.moggi import MSyntaxError, m_parse
 from ubcalc.terms import (
     Bind,
     Lambda,
+    ParseError,
     SortError,
     TermSyntaxError,
     Unit,
@@ -21,6 +24,7 @@ from ubcalc.terms import (
     term_size,
     unshadow,
 )
+from ubcalc.typesys import TypeSyntaxError, parse_type
 
 OMEGA_SRC = "unit (\\x. unit x * x) * (\\x. unit x * x)"
 
@@ -69,6 +73,12 @@ class TestParsePrint:
         with pytest.raises(TermSyntaxError) as err:
             parse_term("unit ?")
         assert err.value.line == 1
+
+    def test_syntax_error_carries_line_and_column(self):
+        with pytest.raises(TermSyntaxError) as err:
+            parse_term("unit x\n  * $")
+        assert (err.value.line, err.value.column) == (2, 5)
+        assert str(err.value).startswith("2:5: unexpected character '$'")
 
     def test_sort_error_unit_of_comp(self):
         with pytest.raises(TermSyntaxError, match="sort error"):
@@ -189,3 +199,19 @@ class TestFreshAndSugar:
     def test_unshadow_alpha_equal(self, m):
         assert alpha_eq(unshadow(m), m)
         assert term_size(unshadow(m)) == term_size(m)
+
+
+@pytest.mark.parametrize(
+    "parse, error, text",
+    [
+        (parse_term, TermSyntaxError, "unit x * $"),
+        (parse_type, TypeSyntaxError, "Wv -> T $"),
+        (m_parse, MSyntaxError, "let x = y in $"),
+        (parse_derivation, DerivationSyntaxError, "(rule Ax (concl |- x = y : Wv))"),
+    ],
+)
+def test_bad_character_raises_the_grammars_own_error(parse, error, text):
+    # the one tokenizer serves all four grammars, each with its own class
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse(text)
+    assert type(err.value) is error
