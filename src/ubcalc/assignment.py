@@ -22,7 +22,6 @@ from .terms import (
     Unit,
     Value,
     Variable,
-    free_vars,
     is_value,
     unshadow,
 )
@@ -396,7 +395,7 @@ def typable_nontrivial(
 ) -> Optional[ComType]:
     """A non-trivial computation type for a closed m, or None if the
     bounded search finds only the top class (inconclusive)."""
-    if free_vars(m):
+    if m.fv:
         raise ValueError("typable_nontrivial expects a closed computation")
     low = minimal_comp(m, {}, universe[0], table)
     if low.arg is None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .reduction import DEFAULT_RULES, first_step
-from .terms import Bind, Comp, Lambda, Unit, Value, alpha_key, free_vars, subst
+from .terms import Bind, Comp, Lambda, Unit, Value, alpha_key, subst
 
 
 class Status(enum.Enum):
@@ -38,7 +38,7 @@ def big_step(m: Comp, fuel: int = 1000) -> EvalOutcome:
     Fuel counts rule applications.  Divergence is only ever reported as
     FUEL_EXHAUSTED here; cycle detection lives in small_step_converge.
     """
-    if free_vars(m):
+    if m.fv:
         return EvalOutcome(Status.OPEN_TERM)
     budget = [fuel]
 
@@ -74,7 +74,7 @@ def small_step_converge(
     With detect_cycles, returns DIVERGES when the reduction revisits an
     alpha-equivalent prior state.
     """
-    if free_vars(m):
+    if m.fv:
         return EvalOutcome(Status.OPEN_TERM)
     seen: set[tuple] = set()
     cur = m

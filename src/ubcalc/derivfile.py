@@ -13,6 +13,7 @@ types use the surface grammars of the calculus and type modules.
 from __future__ import annotations
 
 import re
+from typing import Any, Callable
 
 from .assignment import Basis, Derivation, Judgment, make_basis
 from .terms import ParseError, TokenCursor, parse_term, print_term
@@ -37,25 +38,34 @@ class _Reader(TokenCursor):
     TOKENS = _TOKEN_RE
     ERROR = DerivationSyntaxError
 
-    def until_balanced(self, *stops: str) -> str:
-        """The text of the tokens up to a stop kind or an unmatched ')' at
-        depth zero, for the term and type grammars to parse."""
+    def until_balanced(self, *stops: str) -> tuple[str, int]:
+        """The source text up to a stop kind or an unmatched ')' at depth
+        zero, and its offset in the file, for the term and type grammars
+        to parse."""
         depth = 0
-        parts: list[str] = []
+        start = self.peek()[2]
         while True:
-            kind, text, _ = self.peek()
+            kind, _, at = self.peek()
             if kind == "eof":
                 raise self.error("unexpected end of input")
-            if depth == 0 and kind in stops:
-                return " ".join(parts)
+            if depth == 0 and (kind in stops or kind == "rpar"):
+                return self.text[start:at], start
             if kind == "lpar":
                 depth += 1
             elif kind == "rpar":
-                if depth == 0:
-                    return " ".join(parts)
                 depth -= 1
-            parts.append(text)
             self.i += 1
+
+    def embedded(self, parse: Callable[[str], Any], source: tuple[str, int]) -> Any:
+        """parse(text) on a slice of the file from until_balanced, its
+        syntax error moved to the line and column in the file."""
+        text, offset = source
+        try:
+            return parse(text)
+        except ParseError as e:
+            pos = offset + sum(len(line) + 1 for line in text.split("\n")[: e.line - 1]) + e.column - 1
+            line = self.text.count("\n", 0, pos) + 1
+            raise type(e)(e.message, line, pos - self.text.rfind("\n", 0, pos)) from None
 
     def parse(self) -> Derivation:
         self.expect("lpar", "(")
@@ -70,7 +80,7 @@ class _Reader(TokenCursor):
         while self.peek()[0] != "turnstile":
             name = self.expect("word")
             self.expect("colon", ":")
-            basis.append((name, parse_type(self.until_balanced("comma", "turnstile"))))
+            basis.append((name, self.embedded(parse_type, self.until_balanced("comma", "turnstile"))))
             if self.peek()[0] == "comma":
                 self.pop()
         self.pop()
@@ -93,11 +103,13 @@ class _Reader(TokenCursor):
                 self.expect("leq", "<=")
                 hi = self.until_balanced()
                 self.expect("rpar", ")")
-                side = (parse_type(lo), parse_type(hi))
+                side = (self.embedded(parse_type, lo), self.embedded(parse_type, hi))
             else:
                 raise self.error(f"unknown section {section!r}", at)
         self.expect("rpar", ")")
-        judgment = Judgment(make_basis(basis), parse_term(term_src), parse_type(type_src))
+        judgment = Judgment(
+            make_basis(basis), self.embedded(parse_term, term_src), self.embedded(parse_type, type_src)
+        )
         return Derivation(rule, judgment, tuple(premises), side)
 
 

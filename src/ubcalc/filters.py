@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .terms import Bind, Comp, Lambda, ScopedMemo, Unit, Value, Variable, free_vars
+from .terms import Bind, Comp, Lambda, ScopedMemo, Unit, Value, Variable
 from .typesys import (
     TOP_C,
     TOP_V,
@@ -302,8 +302,8 @@ def interp_comp(m: Comp, env: EnvN, n: int, table: AtomTable = EMPTY_TABLE) -> C
 
 
 def interp_closed(m: Comp, n: int, table: AtomTable = EMPTY_TABLE) -> ComFilt:
-    if free_vars(m):
-        raise OpenVariableError(sorted(free_vars(m))[0])
+    if m.fv:
+        raise OpenVariableError(sorted(m.fv)[0])
     return ComFilt(_Interp(n, table).comp(m, {}))
 
 

@@ -51,7 +51,6 @@ from .terms import (
     Variable,
     alpha_eq,
     alpha_key,
-    free_vars,
     is_comp,
     print_term,
     subst,
@@ -223,7 +222,9 @@ def _gen_ctype(rng: random.Random, depth: int, table: AtomTable):
 
 
 def shrink_term(m: Comp, still_fails: Callable[[Comp], bool], rounds: int = 40) -> Comp:
-    """Greedy counterexample minimization by subterm replacement."""
+    """Greedy counterexample minimization by subterm replacement; a
+    candidate has no free variable that m lacks, so a closed
+    counterexample shrinks to a closed one."""
     probe_value = Lambda("s", Unit(Variable("s")))
 
     def candidates(t: Comp) -> Iterator[Comp]:
@@ -236,14 +237,15 @@ def shrink_term(m: Comp, still_fails: Callable[[Comp], bool], rounds: int = 40) 
                 if isinstance(right, Lambda):
                     yield Bind(left, probe_value)
             case Unit(Lambda(x, body)):
-                yield body if not free_vars(body) - frozenset((x,)) else t
+                if x not in body.fv:
+                    yield body
                 yield Unit(probe_value)
         return
 
     cur = m
     for _ in range(rounds):
         for cand in candidates(cur):
-            if cand != cur and is_comp(cand) and term_size(cand) < term_size(cur):
+            if cand != cur and is_comp(cand) and cand.fv <= m.fv and term_size(cand) < term_size(cur):
                 try:
                     if still_fails(cand):
                         cur = cand
@@ -494,7 +496,7 @@ def _subject_reduction(cfg: GenConfig, case: tuple):
 def _subject_expansion(cfg: GenConfig, m: Comp):
     universe = _universe(cfg)
     for step in enumerate_steps(m, DEFAULT_RULES):
-        tnt = typable_nontrivial(step.result, universe, cfg.atoms) if not free_vars(step.result) else None
+        tnt = typable_nontrivial(step.result, universe, cfg.atoms) if not step.result.fv else None
         target = tnt if tnt is not None else C_OMEGA
         try:
             d = synth_derivation((), step.result, target, universe[0], cfg.atoms)
@@ -588,7 +590,7 @@ def _substitution_cases(cfg: GenConfig, info: dict) -> Iterator[tuple[dict, tupl
     value_cfg = GenConfig(seed=cfg.seed + 2, max_size=8, closed=True)
 
     draws = ((probe, gen_term(open_cfg, probe - 1)) for probe in range(1, cfg.cases * 30 + 1))
-    for probe, m in itertools.islice(((p, m) for p, m in draws if "u" in free_vars(m)), cfg.cases):
+    for probe, m in itertools.islice(((p, m) for p, m in draws if "u" in m.fv), cfg.cases):
         mv = gen_term(value_cfg, probe)
         yield {"probe": probe}, (m, mv.value if isinstance(mv, Unit) else Lambda("s0", mv))
 
@@ -598,7 +600,7 @@ def _interp_substitution(cfg: GenConfig, case: tuple):
     m, vv = case
     for n in (1, 2):
         dv = filters.interp_value(vv, {}, n, cfg.atoms)
-        env = {x: filters.BOTTOM_V for x in free_vars(m) if x != "u"}
+        env = {x: filters.BOTTOM_V for x in m.fv if x != "u"}
         lhs = filters.interp_comp(subst(m, "u", vv), env, n, cfg.atoms)
         rhs = filters.interp_comp(m, {**env, "u": dv}, n, cfg.atoms)
         if not typesys.eq_canon_c(lhs.gen, rhs.gen, cfg.atoms):

@@ -4,6 +4,8 @@ Terms are variables, abstractions, applications and lets; values are
 variables and abstractions.  Reduction has beta and eta for values, the
 let identity, let reassociation, let elimination on values, and two
 sequencing rules pushing non-value operands of applications into lets.
+The term constructors are ``terms.Node``s, so free variables,
+substitution, alpha keys and positions are the unit/bind calculus's own.
 
 to_moggi maps unit/bind terms into the let calculus (unit disappears,
 bind becomes let); from_moggi maps back, wrapping translated values in
@@ -21,6 +23,7 @@ from .terms import (
     Bind,
     Comp,
     Lambda,
+    Node,
     ParseError,
     Term,
     TokenCursor,
@@ -28,34 +31,45 @@ from .terms import (
     Value,
     Variable,
     all_vars,
+    alpha_key,
     fresh_var,
     is_comp,
+    positions,
+    replace_at,
+    subst,
 )
-from .terms import alpha_key as ub_alpha_key
 
 
 @dataclass(frozen=True, slots=True)
-class MVar:
+class MVar(Node):
     name: str
 
 
 @dataclass(frozen=True, slots=True)
-class MLam:
+class MLam(Node):
     binder: str
     body: "MTerm"
+    KIDS = (("lam-body", "body", True),)
+    TAG = "lam"
+    VAR = MVar
 
 
 @dataclass(frozen=True, slots=True)
-class MApp:
+class MApp(Node):
     fn: "MTerm"
     arg: "MTerm"
+    KIDS = (("app-fn", "fn", False), ("app-arg", "arg", False))
+    TAG = "app"
 
 
 @dataclass(frozen=True, slots=True)
-class MLet:
+class MLet(Node):
     binder: str
     bound: "MTerm"
     body: "MTerm"
+    KIDS = (("let-bound", "bound", False), ("let-body", "body", True))
+    TAG = "let"
+    VAR = MVar
 
 
 MTerm = Union[MVar, MLam, MApp, MLet]
@@ -63,79 +77,6 @@ MTerm = Union[MVar, MLam, MApp, MLet]
 
 def is_mvalue(e: MTerm) -> bool:
     return isinstance(e, (MVar, MLam))
-
-
-def m_free_vars(e: MTerm) -> frozenset[str]:
-    match e:
-        case MVar(name):
-            return frozenset((name,))
-        case MLam(x, body):
-            return m_free_vars(body) - {x}
-        case MApp(fn, arg):
-            return m_free_vars(fn) | m_free_vars(arg)
-        case MLet(x, bound, body):
-            return m_free_vars(bound) | (m_free_vars(body) - {x})
-    raise TypeError(f"not a term: {e!r}")
-
-
-def m_all_vars(e: MTerm) -> frozenset[str]:
-    match e:
-        case MVar(name):
-            return frozenset((name,))
-        case MLam(x, body):
-            return m_all_vars(body) | {x}
-        case MApp(fn, arg):
-            return m_all_vars(fn) | m_all_vars(arg)
-        case MLet(x, bound, body):
-            return m_all_vars(bound) | m_all_vars(body) | {x}
-    raise TypeError(f"not a term: {e!r}")
-
-
-def m_subst(e: MTerm, x: str, v: MTerm) -> MTerm:
-    """Capture-avoiding substitution of a value for x."""
-    match e:
-        case MVar(name):
-            return v if name == x else e
-        case MLam(binder, body):
-            if binder == x or x not in m_free_vars(body):
-                return e
-            if binder in m_free_vars(v):
-                new = fresh_var(m_free_vars(body) | m_free_vars(v) | {x, binder})
-                body = m_subst(body, binder, MVar(new))
-                binder = new
-            return MLam(binder, m_subst(body, x, v))
-        case MApp(fn, arg):
-            return MApp(m_subst(fn, x, v), m_subst(arg, x, v))
-        case MLet(binder, bound, body):
-            nb = m_subst(bound, x, v)
-            if binder == x or x not in m_free_vars(body):
-                return MLet(binder, nb, body)
-            if binder in m_free_vars(v):
-                new = fresh_var(m_free_vars(body) | m_free_vars(v) | {x, binder})
-                body = m_subst(body, binder, MVar(new))
-                binder = new
-            return MLet(binder, nb, m_subst(body, x, v))
-    raise TypeError(f"not a term: {e!r}")
-
-
-def m_debruijn(e: MTerm, env: tuple[str, ...] = ()) -> tuple:
-    match e:
-        case MVar(name):
-            for i, b in enumerate(reversed(env)):
-                if b == name:
-                    return ("b", i)
-            return ("f", name)
-        case MLam(x, body):
-            return ("lam", m_debruijn(body, env + (x,)))
-        case MApp(fn, arg):
-            return ("app", m_debruijn(fn, env), m_debruijn(arg, env))
-        case MLet(x, bound, body):
-            return ("let", m_debruijn(bound, env), m_debruijn(body, env + (x,)))
-    raise TypeError(f"not a term: {e!r}")
-
-
-def m_alpha_eq(a: MTerm, b: MTerm) -> bool:
-    return m_debruijn(a) == m_debruijn(b)
 
 
 # ------------------------------------------------------------------ reduction
@@ -162,46 +103,32 @@ def m_root_steps(e: MTerm) -> list[MStep]:
     out: list[MStep] = []
     match e:
         case MApp(MLam(x, body), arg) if is_mvalue(arg):
-            out.append(MStep(MRule.BETA_V, m_subst(body, x, arg)))
+            out.append(MStep(MRule.BETA_V, subst(body, x, arg)))
     match e:
-        case MLam(x, MApp(v, MVar(y))) if x == y and is_mvalue(v) and x not in m_free_vars(v):
+        case MLam(x, MApp(v, MVar(y))) if x == y and is_mvalue(v) and x not in v.fv:
             out.append(MStep(MRule.ETA_V, v))
     match e:
         case MLet(x, bound, MVar(y)) if x == y:
             out.append(MStep(MRule.ID, bound))
     match e:
         case MLet(x2, MLet(x1, e1, e2), body):
-            if x1 in m_free_vars(body):
-                new = fresh_var(m_all_vars(e) | m_free_vars(body))
-                e2 = m_subst(e2, x1, MVar(new))
+            if x1 in body.fv:
+                new = fresh_var(all_vars(e) | body.fv)
+                e2 = subst(e2, x1, MVar(new))
                 x1 = new
             out.append(MStep(MRule.COMP, MLet(x1, e1, MLet(x2, e2, body))))
     match e:
         case MLet(x, bound, body) if is_mvalue(bound):
-            out.append(MStep(MRule.LET_V, m_subst(body, x, bound)))
+            out.append(MStep(MRule.LET_V, subst(body, x, bound)))
     match e:
         case MApp(fn, arg) if not is_mvalue(fn):
-            x = fresh_var(m_all_vars(e))
+            x = fresh_var(all_vars(e))
             out.append(MStep(MRule.LET_1, MLet(x, fn, MApp(MVar(x), arg))))
     match e:
         case MApp(fn, arg) if is_mvalue(fn) and not is_mvalue(arg):
-            x = fresh_var(m_all_vars(e))
+            x = fresh_var(all_vars(e))
             out.append(MStep(MRule.LET_2, MLet(x, arg, MApp(fn, MVar(x)))))
     return out
-
-
-def _m_steps(e: MTerm) -> list[MStep]:
-    steps = m_root_steps(e)
-    match e:
-        case MLam(x, body):
-            steps.extend(MStep(s.rule, MLam(x, s.result)) for s in _m_steps(body))
-        case MApp(fn, arg):
-            steps.extend(MStep(s.rule, MApp(s.result, arg)) for s in _m_steps(fn))
-            steps.extend(MStep(s.rule, MApp(fn, s.result)) for s in _m_steps(arg))
-        case MLet(x, bound, body):
-            steps.extend(MStep(s.rule, MLet(x, s.result, body)) for s in _m_steps(bound))
-            steps.extend(MStep(s.rule, MLet(x, bound, s.result)) for s in _m_steps(body))
-    return steps
 
 
 def m_enumerate_steps(e: MTerm) -> list[MStep]:
@@ -210,10 +137,12 @@ def m_enumerate_steps(e: MTerm) -> list[MStep]:
     class, each with its key.  Contexts keep distinct keys distinct, so one
     deduplication at the root removes what one at every position would."""
     out: dict[tuple, MStep] = {}
-    for s in _m_steps(e):
-        k = m_debruijn(s.result)
-        if (s.rule, k) not in out:
-            out[s.rule, k] = MStep(s.rule, s.result, k)
+    for path, sub in positions(e):
+        for s in m_root_steps(sub):
+            result = replace_at(e, path, s.result)
+            k = alpha_key(result)
+            if (s.rule, k) not in out:
+                out[s.rule, k] = MStep(s.rule, result, k)
     return list(out.values())
 
 
@@ -339,10 +268,10 @@ def from_moggi_comp(n: MTerm) -> Comp:
             return Bind(from_moggi_comp(a), from_moggi_value(f))
         case MApp(f, a) if is_mvalue(a):
             va = from_moggi_value(a)
-            x = fresh_var(m_all_vars(n))
+            x = fresh_var(all_vars(n))
             return Bind(from_moggi_comp(f), Lambda(x, Bind(Unit(va), Variable(x))))
         case MApp(f, a):
-            x = fresh_var(m_all_vars(n))
+            x = fresh_var(all_vars(n))
             return Bind(from_moggi_comp(f), Lambda(x, Bind(from_moggi_comp(a), Variable(x))))
         case MLet(x, bound, body):
             left = Unit(from_moggi_value(bound)) if is_mvalue(bound) else from_moggi_comp(bound)
@@ -405,7 +334,7 @@ def convertible(a, b, fuel: int = 300) -> Optional[bool]:
     """
     if isinstance(a, (MVar, MLam, MApp, MLet)):
         seen: tuple[set, set] = (set(), set())
-        searches = {i: explore(t, _m_successors, m_debruijn, fuel, seen[i]) for i, t in enumerate((a, b))}
+        searches = {i: explore(t, _m_successors, alpha_key, fuel, seen[i]) for i, t in enumerate((a, b))}
         level, exhausted = [-1, -1], True
         while searches:
             for i, search in list(searches.items()):
@@ -444,12 +373,12 @@ class PreservationResult:
 def image_reaches(src: Comp, dst: Comp, fuel: int, allow_eta: bool) -> tuple[bool, int]:
     """Breadth-first check that src reduces to dst (up to alpha)."""
     rules = ub_reduction.DEFAULT_RULES | ({ub_reduction.Rule.ETA_C} if allow_eta else set())
-    target = ub_alpha_key(dst)
+    target = alpha_key(dst)
 
     def successors(t: Comp):
-        return ((ub_alpha_key(s.result), s.result) for s in ub_reduction.enumerate_steps(t, rules))
+        return ((alpha_key(s.result), s.result) for s in ub_reduction.enumerate_steps(t, rules))
 
-    found = explore(src, successors, ub_alpha_key, fuel, set())
+    found = explore(src, successors, alpha_key, fuel, set())
     depth = next((d for k, _, d in found if k == target), -1)
     return depth >= 0, depth
 

@@ -23,12 +23,14 @@ from .terms import (
     Bind,
     Comp,
     Lambda,
+    Position,
     Term,
     Unit,
     Variable,
     alpha_key,
-    free_vars,
     fresh_var,
+    positions,
+    replace_at,
     subst,
 )
 
@@ -42,15 +44,6 @@ class Rule(enum.Enum):
 
 DEFAULT_RULES = frozenset((Rule.BETA_C, Rule.ID, Rule.ASS))
 ALL_RULES = frozenset(Rule)
-
-# Child selectors for positions under the compatible closure.
-UNIT_ARG = "unit-arg"
-BIND_LEFT = "bind-left"
-BIND_RIGHT = "bind-right"
-LAMBDA_BODY = "lambda-body"
-
-Position = tuple[str, ...]
-
 
 @dataclass(frozen=True, slots=True)
 class Step:
@@ -80,65 +73,17 @@ def root_step(t: Term, rule: Rule) -> Optional[Term]:
         case Rule.ASS:
             match t:
                 case Bind(Bind(l, Lambda(x, m)), Lambda(y, n)):
-                    if x in free_vars(n):
-                        new = fresh_var(free_vars(m) | free_vars(n) | {x, y})
+                    if x in n.fv:
+                        new = fresh_var(m.fv | n.fv | {x, y})
                         m = subst(m, x, Variable(new))
                         x = new
                     return Bind(l, Lambda(x, Bind(m, Lambda(y, n))))
         case Rule.ETA_C:
             match t:
                 case Lambda(x, Bind(Unit(Variable(y)), v)) if x == y:
-                    if x not in free_vars(v):
+                    if x not in v.fv:
                         return v
     return None
-
-
-def _positions(t: Term) -> Iterator[tuple[Position, Term]]:
-    """Preorder traversal of all subterm positions (leftmost-outermost)."""
-    stack: list[tuple[Position, Term]] = [((), t)]
-    while stack:
-        path, s = stack.pop()
-        yield path, s
-        match s:
-            case Lambda(_, body):
-                stack.append((path + (LAMBDA_BODY,), body))
-            case Unit(v):
-                stack.append((path + (UNIT_ARG,), v))
-            case Bind(left, right):
-                stack.append((path + (BIND_RIGHT,), right))
-                stack.append((path + (BIND_LEFT,), left))
-
-
-def replace_at(t: Term, path: Position, new: Term) -> Term:
-    if not path:
-        return new
-    sel, rest = path[0], path[1:]
-    match t, sel:
-        case Lambda(binder, body), "lambda-body":
-            return Lambda(binder, replace_at(body, rest, new))
-        case Unit(v), "unit-arg":
-            return Unit(replace_at(v, rest, new))
-        case Bind(left, right), "bind-left":
-            return Bind(replace_at(left, rest, new), right)
-        case Bind(left, right), "bind-right":
-            return Bind(left, replace_at(right, rest, new))
-    raise ValueError(f"selector {sel!r} does not address {t!r}")
-
-
-def subterm_at(t: Term, path: Position) -> Term:
-    for sel in path:
-        match t, sel:
-            case Lambda(_, body), "lambda-body":
-                t = body
-            case Unit(v), "unit-arg":
-                t = v
-            case Bind(left, _), "bind-left":
-                t = left
-            case Bind(_, right), "bind-right":
-                t = right
-            case _:
-                raise ValueError(f"selector {sel!r} does not address {t!r}")
-    return t
 
 
 _RULE_ORDER = (Rule.BETA_C, Rule.ID, Rule.ASS, Rule.ETA_C)
@@ -152,7 +97,7 @@ def _redexes(m: Comp, rules: frozenset[Rule] | set[Rule]) -> Iterator[tuple[Rule
     value subterms are candidates too.  Only binds match betac, id and ass.
     """
     order = [rule for rule in _RULE_ORDER if rule in rules]
-    for path, sub in _positions(m):
+    for path, sub in positions(m):
         for rule in order:
             if not isinstance(sub, Lambda if rule is Rule.ETA_C else Bind):
                 continue

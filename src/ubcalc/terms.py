@@ -13,29 +13,79 @@ from functools import lru_cache
 from typing import Any, Callable, Iterator, Union
 
 
+# Child selectors of the unit/bind constructors, as printed in step paths.
+UNIT_ARG = "unit-arg"
+BIND_LEFT = "bind-left"
+BIND_RIGHT = "bind-right"
+LAMBDA_BODY = "lambda-body"
+
+Position = tuple[str, ...]
+
+
+class Node:
+    """A term node of either calculus.
+
+    A constructor's fields are its binder, when it has one, then its
+    children.  KIDS declares each child once, as (selector, field, whether
+    the binder scopes over it); that one schema drives free variables,
+    substitution, alpha keys and positions for both calculi.  A
+    constructor without children is a variable with a ``name``.  TAG
+    heads the node's alpha key and VAR is its calculus's variable
+    constructor.
+
+    ``fv``, the free variables, is computed once at construction from the
+    children's; equality, hashing and repr see the declared fields only.
+    """
+
+    __slots__ = ("fv",)
+    KIDS: tuple[tuple[str, str, bool], ...] = ()
+    TAG = ""
+    VAR: type
+
+    def __post_init__(self) -> None:
+        fv = None if self.KIDS else frozenset((self.name,))
+        for _, field, scoped in self.KIDS:
+            kid = getattr(self, field).fv
+            if scoped and self.binder in kid:
+                kid = kid - {self.binder}
+            fv = kid if fv is None else fv | kid
+        object.__setattr__(self, "fv", fv)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which sets fv
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
 @dataclass(frozen=True, slots=True)
-class Variable:
+class Variable(Node):
     name: str
 
 
 @dataclass(frozen=True, slots=True)
-class Lambda:
+class Lambda(Node):
     binder: str
     body: "Comp"
+    KIDS = ((LAMBDA_BODY, "body", True),)
+    TAG = "lam"
+    VAR = Variable
 
 
 Value = Union[Variable, Lambda]
 
 
 @dataclass(frozen=True, slots=True)
-class Unit:
+class Unit(Node):
     value: Value
+    KIDS = ((UNIT_ARG, "value", False),)
+    TAG = "unit"
 
 
 @dataclass(frozen=True, slots=True)
-class Bind:
+class Bind(Node):
     left: "Comp"
     right: Value
+    KIDS = ((BIND_LEFT, "left", False), (BIND_RIGHT, "right", False))
+    TAG = "bind"
 
 
 Comp = Union[Unit, Bind]
@@ -52,6 +102,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -81,89 +132,86 @@ def fresh_var(avoid: set[str] | frozenset[str]) -> str:
     return f"{FRESH_PREFIX}{i}"
 
 
-def free_vars(t: Term) -> frozenset[str]:
-    match t:
-        case Variable(name):
-            return frozenset((name,))
-        case Lambda(binder, body):
-            return free_vars(body) - {binder}
-        case Unit(v):
-            return free_vars(v)
-        case Bind(left, right):
-            return free_vars(left) | free_vars(right)
-    raise TypeError(f"not a term: {t!r}")
-
-
 class ScopedMemo(dict):
     """Per-call memo for an evaluator whose result at a node depends only
     on the node and on what the environment binds the node's free
     variables to.
 
     A key is the node's identity plus the environment's values for its
-    free variables, in sorted name order (a missing name reads as None).
-    Each keyed node is held until the memo is dropped, so its identity is
-    not reused while the memo lives; build one per top-level evaluation
-    and let it go with the call."""
+    free variables, in the iteration order of the node's own ``fv`` (a
+    missing name reads as None).  Each keyed node is held until the memo
+    is dropped, so its identity is not reused while the memo lives; build
+    one per top-level evaluation and let it go with the call."""
 
-    __slots__ = ("_scopes",)
+    __slots__ = ("_held",)
 
     def __init__(self) -> None:
         super().__init__()
-        self._scopes: dict[int, tuple[Term, tuple[str, ...]]] = {}
+        self._held: dict[int, Node] = {}
 
-    def cached(self, node: Term, env: dict, compute: Callable[[], Any]) -> Any:
+    def cached(self, node: Node, env: dict, compute: Callable[[], Any]) -> Any:
         """The memoised result at (node, env), running compute() on a miss."""
-        scope = self._scopes.get(id(node))
-        if scope is None:
-            scope = self._scopes[id(node)] = (node, tuple(sorted(free_vars(node))))
-        key = (id(node), *[env.get(x) for x in scope[1]])
+        key = (id(node), *[env.get(x) for x in node.fv])
         hit = self.get(key)
         if hit is None:
+            self._held[id(node)] = node
             hit = self[key] = compute()
         return hit
 
 
-def all_vars(t: Term) -> frozenset[str]:
-    """Every variable name occurring in t, free or bound."""
-    match t:
-        case Variable(name):
-            return frozenset((name,))
-        case Lambda(binder, body):
-            return all_vars(body) | {binder}
-        case Unit(v):
-            return all_vars(v)
-        case Bind(left, right):
-            return all_vars(left) | all_vars(right)
-    raise TypeError(f"not a term: {t!r}")
+def subterms(t: Node) -> Iterator[Node]:
+    """All subterms of t, preorder, including t itself."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        stack.extend(getattr(s, field) for _, field, _ in reversed(s.KIDS))
+
+
+def all_vars(t: Node) -> frozenset[str]:
+    """Every variable name occurring in t, free or bound: its free
+    variables and its binders."""
+    names = set(t.fv)
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        binder = getattr(s, "binder", None)
+        if binder is not None:
+            names.add(binder)
+        for _, field, _ in s.KIDS:
+            stack.append(getattr(s, field))
+    return frozenset(names)
 
 
 # ------------------------------------------------------------ substitution
 
 
-def subst(t: Term, x: str, v: Value) -> Term:
-    """Capture-avoiding substitution of value v for x in t (either sort)."""
-    match t:
-        case Variable(name):
-            return v if name == x else t
-        case Lambda(binder, body):
-            if binder == x or x not in free_vars(body):
-                return t
-            if binder in free_vars(v):
-                new = fresh_var(free_vars(body) | free_vars(v) | {x, binder})
-                body = subst(body, binder, Variable(new))
-                binder = new
-            return Lambda(binder, subst(body, x, v))
-        case Unit(w):
-            return Unit(subst(w, x, v))
-        case Bind(left, right):
-            return Bind(subst(left, x, v), subst(right, x, v))
-    raise TypeError(f"not a term: {t!r}")
+def subst(t: Node, x: str, v: Node) -> Node:
+    """Capture-avoiding substitution of the value v for x in t, in either
+    calculus.  A binder that would capture a free variable of v becomes
+    the first fresh_var outside v's and its scope's free variables, x and
+    the old binder."""
+    if x not in t.fv:
+        return t
+    if not t.KIDS:
+        return v
+    kids = [(getattr(t, field), scoped) for _, field, scoped in t.KIDS]
+    binder = getattr(t, "binder", None)
+    if binder is None:
+        return type(t)(*[subst(k, x, v) for k, _ in kids])
+    if binder == x:
+        return type(t)(binder, *[k if scoped else subst(k, x, v) for k, scoped in kids])
+    if binder in v.fv and any(scoped and x in k.fv for k, scoped in kids):
+        new = fresh_var(v.fv.union((x, binder), *(k.fv for k, scoped in kids if scoped)))
+        kids = [(subst(k, binder, t.VAR(new)) if scoped else k, scoped) for k, scoped in kids]
+        binder = new
+    return type(t)(binder, *[subst(k, x, v) for k, _ in kids])
 
 
 def unshadow(t: Term, avoid: frozenset[str] | set[str] = frozenset()) -> Term:
     """Alpha-variant of t whose binders are pairwise distinct, disjoint
     from free variables and from `avoid`."""
-    taken = set(avoid) | set(free_vars(t))
+    taken = set(avoid) | t.fv
 
     def walk(s: Term) -> Term:
         match s:
@@ -191,31 +239,65 @@ def unshadow(t: Term, avoid: frozenset[str] | set[str] = frozenset()) -> Term:
 # become indices, free variables keep their names.
 
 
-def debruijn(t: Term, env: tuple[str, ...] = ()) -> tuple:
-    match t:
-        case Variable(name):
-            for i, b in enumerate(reversed(env)):
-                if b == name:
-                    return ("b", i)
-            return ("f", name)
-        case Lambda(binder, body):
-            return ("lam", debruijn(body, env + (binder,)))
-        case Unit(v):
-            return ("unit", debruijn(v, env))
-        case Bind(left, right):
-            return ("bind", debruijn(left, env), debruijn(right, env))
-    raise TypeError(f"not a term: {t!r}")
+def debruijn(t: Node, env: tuple[str, ...] = ()) -> tuple:
+    if not t.KIDS:
+        if t.name in env:
+            return ("b", env[::-1].index(t.name))
+        return ("f", t.name)
+    binder = getattr(t, "binder", None)
+    inner = env if binder is None else env + (binder,)
+    return (t.TAG, *[debruijn(getattr(t, field), inner if scoped else env) for _, field, scoped in t.KIDS])
 
 
-def alpha_eq(t1: Term, t2: Term) -> bool:
+def alpha_eq(t1: Node, t2: Node) -> bool:
     if is_value(t1) != is_value(t2):
         raise SortError("alpha_eq compares terms of the same sort")
     return debruijn(t1) == debruijn(t2)
 
 
-def alpha_key(t: Term) -> tuple:
+def alpha_key(t: Node) -> tuple:
     """Hashable key identifying t up to alpha-equivalence."""
     return debruijn(t)
+
+
+# ---------------------------------------------------------------- positions
+
+
+def positions(t: Node) -> Iterator[tuple[Position, Node]]:
+    """Every (path, subterm) of t in preorder, leftmost first; a path is
+    the selectors of the children taken from the root."""
+    stack: list[tuple[Position, Node]] = [((), t)]
+    while stack:
+        path, s = stack.pop()
+        yield path, s
+        for sel, field, _ in reversed(s.KIDS):
+            stack.append((path + (sel,), getattr(s, field)))
+
+
+def _field(t: Node, sel: str) -> str:
+    for s, field, _ in t.KIDS:
+        if s == sel:
+            return field
+    raise ValueError(f"selector {sel!r} does not address {t!r}")
+
+
+def subterm_at(t: Node, path: Position) -> Node:
+    for sel in path:
+        t = getattr(t, _field(t, sel))
+    return t
+
+
+def replace_at(t: Node, path: Position, new: Node) -> Node:
+    """t with its subterm at path replaced by new; only the spine above
+    the path is rebuilt."""
+    spine = []
+    for sel in path:
+        field = _field(t, sel)
+        spine.append((t, field))
+        t = getattr(t, field)
+    for node, field in reversed(spine):
+        new = type(node)(*[new if f == field else getattr(node, f) for f in node.__match_args__])
+    return new
 
 
 # ------------------------------------------------------------------ printing
@@ -428,7 +510,7 @@ def parse_term(text: str) -> Term:
 
 def desugar_app(m: Comp, n: Comp) -> Comp:
     """Monadic application M @ N == M * (\\z. N * z) with z fresh for N."""
-    z = fresh_var(free_vars(n))
+    z = fresh_var(n.fv)
     return Bind(m, Lambda(z, Bind(n, Variable(z))))
 
 
@@ -439,22 +521,6 @@ def omega_c() -> Comp:
     """The closed looping computation unit (\\x. unit x * x) * (\\x. unit x * x)."""
     w = Lambda("x", Bind(Unit(Variable("x")), Variable("x")))
     return Bind(Unit(w), w)
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    """All subterms of t, preorder, including t itself."""
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        yield s
-        match s:
-            case Lambda(_, body):
-                stack.append(body)
-            case Unit(v):
-                stack.append(v)
-            case Bind(left, right):
-                stack.append(right)
-                stack.append(left)
 
 
 def term_size(t: Term) -> int:

@@ -17,29 +17,24 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .reduction import (
+from .reduction import Rule, Step, root_step
+from .terms import (
     BIND_LEFT,
     BIND_RIGHT,
     LAMBDA_BODY,
-    Position,
-    Rule,
-    Step,
     UNIT_ARG,
-    replace_at,
-    root_step,
-    subterm_at,
-)
-from .terms import (
     Bind,
     Comp,
     Lambda,
+    Position,
     Term,
     Unit,
     Variable,
     all_vars,
     alpha_eq,
-    free_vars,
+    replace_at,
     subst,
+    subterm_at,
     unshadow,
 )
 from .typesys import (
@@ -282,7 +277,7 @@ def subst_derivation(d: Derivation, x: str, dv: Derivation, table: AtomTable = E
     avoid = _deriv_vars(d) | _deriv_vars(dv) | {x}
     dv = freshen_derivation(dv, avoid)
     v = dv.conclusion.subject
-    d = freshen_derivation(d, avoid | _deriv_vars(dv) | free_vars(v))
+    d = freshen_derivation(d, avoid | _deriv_vars(dv) | v.fv)
 
     def walk(node: Derivation) -> Derivation:
         J = node.conclusion

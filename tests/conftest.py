@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from ubcalc.harness import GenConfig, gen_term
-from ubcalc.terms import Bind, Lambda, Unit, Variable, free_vars
+from ubcalc.terms import Bind, Lambda, Unit, Variable
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=60
@@ -94,6 +94,6 @@ OPEN_TERMS = [gen_term(GenConfig(seed=s, max_size=10, closed=False), i) for s in
 
 def rotations(t, points, count=3):
     """Maps giving t's free variables the given points, in rotations."""
-    names = sorted(free_vars(t))
+    names = sorted(t.fv)
     for shift in range(count if names else 1):
         yield {x: points[(i + shift) % len(points)] for i, x in enumerate(names)}

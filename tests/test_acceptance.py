@@ -42,7 +42,6 @@ from ubcalc.terms import (
     Unit,
     Variable,
     alpha_eq,
-    free_vars,
     omega_c,
     parse_term,
     subst,
@@ -215,7 +214,7 @@ def test_06_subject_reduction_and_expansion():
     for i in range(150):
         m = gen_term(cfg, 10_000 + i)
         for step in enumerate_steps(m, DEFAULT_RULES):
-            tnt = typable_nontrivial(step.result, universe) if not free_vars(step.result) else None
+            tnt = typable_nontrivial(step.result, universe) if not step.result.fv else None
             d = synth_derivation((), step.result, tnt if tnt else C_OMEGA, universe[0])
             ed = transform.expand_derivation(m, step, d)
             se_steps += 1
@@ -450,7 +449,7 @@ def test_10_moggi_bridge():
         for e in mterms(size, ["x", "q"]):
             for v in vals:
                 sub_checked += 1
-                lhs = moggi.from_moggi(moggi.m_subst(e, "x", v))
+                lhs = moggi.from_moggi(subst(e, "x", v))
                 rhs = subst(moggi.from_moggi(e), "x", moggi.from_moggi_value(v))
                 if not alpha_eq(lhs, rhs):
                     sub_failures += 1
@@ -460,8 +459,8 @@ def test_10_moggi_bridge():
                 sub_checked += 1
                 w = moggi.from_moggi_value(v)
                 lhs = moggi.to_moggi(subst(m, "x", w))
-                rhs = moggi.m_subst(moggi.to_moggi(m), "x", moggi.to_moggi(w))
-                if not moggi.m_alpha_eq(lhs, rhs):
+                rhs = subst(moggi.to_moggi(m), "x", moggi.to_moggi(w))
+                if not alpha_eq(lhs, rhs):
                     sub_failures += 1
 
     ok = (

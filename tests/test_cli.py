@@ -235,15 +235,31 @@ def test_unknown_rule_is_usage_error(capsys):
     assert "unknown rule 'foo'" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("fmt",), ("eval",), ("reduce", "--fuel", "5"), ("infer",), ("interp", "--rank", "1")],
-)
-def test_deeply_nested_term_is_usage_error(tmp_path, capsys, argv):
+def _deep_chain(tmp_path) -> str:
     stages = "".join(f" * (\\a{i}. unit a{i})" for i in range(1200))
     path = tmp_path / "chain.txt"
     path.write_text("unit (\\z. unit z)" + stages)
-    code, out, err = run(capsys, *argv, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fmt",),
+        ("eval", "--fuel", "5000"),
+        ("reduce", "--fuel", "5"),
+        ("infer",),
+        ("interp", "--rank", "1"),
+    ],
+)
+def test_deeply_nested_term_is_usage_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv, _deep_chain(tmp_path))
     assert code == 2 and out == ""
     assert err.startswith("error: term nests too deeply") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_deep_chain_eval_runs_out_of_fuel_before_the_recursion_limit(tmp_path, capsys):
+    code, out, err = run(capsys, "eval", _deep_chain(tmp_path))
+    assert code == 3 and out == "fuel-exhausted after 200\n"
+    assert err == ""

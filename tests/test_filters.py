@@ -41,7 +41,6 @@ from ubcalc.terms import (
     Lambda,
     Unit,
     Variable,
-    free_vars,
     is_value,
     omega_c,
     parse_term,
@@ -421,9 +420,9 @@ class TestInterpMatchesReference:
         dv = interp_value(vv, {}, n, table)
         assert dv == reference_interp_value(vv, {}, n, table)
         for m in OPEN_TERMS:
-            if "u" not in free_vars(m):
+            if "u" not in m.fv:
                 continue
-            env = {x: BOTTOM_V for x in free_vars(m) if x != "u"}
+            env = {x: BOTTOM_V for x in m.fv if x != "u"}
             lhs = interp_comp(subst(m, "u", vv), env, n, table)
             assert lhs == reference_interp_comp(subst(m, "u", vv), env, n, table)
             rhs = interp_comp(m, {**env, "u": dv}, n, table)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ubcalc import harness
@@ -14,7 +20,7 @@ from ubcalc.harness import (
 from ubcalc.assignment import check_derivation
 from ubcalc.convergence import Status, big_step
 from ubcalc.reduction import enumerate_steps
-from ubcalc.terms import Bind, alpha_eq, free_vars, is_comp, omega_c, parse_term, term_size
+from ubcalc.terms import Bind, alpha_eq, is_comp, omega_c, parse_term, term_size
 from ubcalc.typesys import eq_c, parse_type
 
 
@@ -29,12 +35,12 @@ class TestGenerators:
         cfg = GenConfig(seed=1, max_size=18, cases=50)
         for t in gen_terms(cfg):
             assert is_comp(t)
-            assert not free_vars(t)
+            assert not t.fv
             assert term_size(t) <= 3 * cfg.max_size
 
     def test_open_mode_emits_free_vars(self):
         cfg = GenConfig(seed=3, closed=False, cases=60)
-        assert any(free_vars(t) for t in gen_terms(cfg))
+        assert any(t.fv for t in gen_terms(cfg))
 
     def test_typed_terms_validate(self):
         cfg = GenConfig(seed=7, max_size=12, cases=5)
@@ -51,6 +57,10 @@ class TestShrink:
         small = shrink_term(big, lambda t: isinstance(t, Bind))
         assert isinstance(small, Bind)
         assert term_size(small) <= term_size(big)
+
+    def test_closed_counterexample_shrinks_to_a_closed_term(self):
+        small = shrink_term(parse_term(r"unit (\x. unit x) * (\y. unit y)"), lambda m: True)
+        assert not small.fv
 
 
 class TestSuites:
@@ -69,6 +79,26 @@ class TestSuites:
         rep = run_suite("critical-pairs", GenConfig())
         data = rep.to_json()
         assert set(data) == {"suite", "cases", "passes", "failures", "inconclusive", "info"}
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_suite_verdicts_match_the_pinned_run():
+    """run_suites.py --json --cases 20 --seed 0 gives, suite by suite and
+    field by field, what tests/data/suites_seed0.json records (timings
+    aside).  Regenerate that file when a suite's claim changes on purpose."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_suites.py"), "--json", "--cases", "20", "--seed", "0"],
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = [{k: v for k, v in row.items() if k != "seconds"} for row in json.loads(proc.stdout)]
+    want = json.loads((ROOT / "tests" / "data" / "suites_seed0.json").read_text())
+    assert [row["suite"] for row in got] == [row["suite"] for row in want]
+    for g, w in zip(got, want):
+        assert g == w, g["suite"]
 
 
 class TestScaffold:

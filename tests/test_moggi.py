@@ -18,14 +18,10 @@ from ubcalc.moggi import (
     from_moggi,
     from_moggi_value,
     image_reaches,
-    m_alpha_eq,
-    m_debruijn,
     m_enumerate_steps,
-    m_free_vars,
     m_parse,
     m_print,
     m_root_steps,
-    m_subst,
     to_moggi,
 )
 from ubcalc.reduction import enumerate_steps
@@ -66,37 +62,37 @@ class TestReduction:
     def test_beta_v(self):
         e = m_parse("(\\x. x) y")
         assert any(
-            s.rule is MRule.BETA_V and m_alpha_eq(s.result, MVar("y"))
+            s.rule is MRule.BETA_V and alpha_eq(s.result, MVar("y"))
             for s in m_root_steps(e)
         )
 
     def test_let_id(self):
         e = m_parse("let x = (y z) in x")
         assert any(
-            s.rule is MRule.ID and m_alpha_eq(s.result, m_parse("y z"))
+            s.rule is MRule.ID and alpha_eq(s.result, m_parse("y z"))
             for s in m_root_steps(e)
         )
 
     def test_let_1_names_nonvalue_function(self):
         e = m_parse("(x y) z")
         got = [s for s in m_root_steps(e) if s.rule is MRule.LET_1]
-        assert got and m_alpha_eq(got[0].result, m_parse("let q = (x y) in q z"))
+        assert got and alpha_eq(got[0].result, m_parse("let q = (x y) in q z"))
 
     def test_let_2_names_nonvalue_argument(self):
         e = m_parse("x (y z)")
         got = [s for s in m_root_steps(e) if s.rule is MRule.LET_2]
-        assert got and m_alpha_eq(got[0].result, m_parse("let q = (y z) in x q"))
+        assert got and alpha_eq(got[0].result, m_parse("let q = (y z) in x q"))
 
     def test_comp_reassociates(self):
         e = m_parse("let b = (let a = x y in a) in b b")
         got = [s for s in m_root_steps(e) if s.rule is MRule.COMP]
-        assert got and m_alpha_eq(got[0].result, m_parse("let a = x y in (let b = a in b b)"))
+        assert got and alpha_eq(got[0].result, m_parse("let a = x y in (let b = a in b b)"))
 
     def test_comp_renames_on_capture(self):
         e = MLet("b", MLet("a", MApp(MVar("x"), MVar("y")), MVar("a")), MVar("a"))
         (step,) = [s for s in m_root_steps(e) if s.rule is MRule.COMP]
         # the free a of the outer body must not be captured
-        assert "a" in m_free_vars(step.result)
+        assert "a" in step.result.fv
 
     def test_eta_v(self):
         e = m_parse("\\x. y x")
@@ -116,12 +112,12 @@ class TestTranslations:
 
     def test_bind_becomes_let(self):
         got = to_moggi(parse_term("unit m * v"))
-        assert m_alpha_eq(got, m_parse("let x = m in v x"))
+        assert alpha_eq(got, m_parse("let x = m in v x"))
 
     def test_omega_golden(self):
         got = to_moggi(omega_c())
         want = m_parse("let q = (\\x. let z = x in x z) in (\\x. let z = x in x z) q")
-        assert m_alpha_eq(got, want)
+        assert alpha_eq(got, want)
 
     def test_from_value_application(self):
         got = from_moggi(m_parse("f y"))
@@ -179,8 +175,8 @@ class TestSubstitutionLemmas:
         for m in small_comps(4, ["x", "q"]):
             for w in vals:
                 lhs = to_moggi(subst(m, "x", w))
-                rhs = m_subst(to_moggi(m), "x", to_moggi(w))
-                assert m_alpha_eq(lhs, rhs)
+                rhs = subst(to_moggi(m), "x", to_moggi(w))
+                assert alpha_eq(lhs, rhs)
                 checked += 1
         assert checked > 50
 
@@ -188,7 +184,7 @@ class TestSubstitutionLemmas:
         checked = 0
         for e in mterms(5, ["x", "q"]):
             for v in self.VALS:
-                lhs = from_moggi(m_subst(e, "x", v))
+                lhs = from_moggi(subst(e, "x", v))
                 rhs = subst(from_moggi(e), "x", from_moggi_value(v))
                 assert alpha_eq(lhs, rhs)
                 checked += 1
@@ -266,7 +262,7 @@ def _ref_m_enumerate_steps(e):
     seen = set()
     out = []
     for s in steps:
-        k = (s.rule, m_debruijn(s.result))
+        k = (s.rule, alpha_key(s.result))
         if k not in seen:
             seen.add(k)
             out.append(s)
@@ -274,7 +270,7 @@ def _ref_m_enumerate_steps(e):
 
 
 def _ref_m_reachable(e, budget):
-    seen = {m_debruijn(e): e}
+    seen = {alpha_key(e): e}
     frontier = [e]
     exhausted = True
     while frontier and budget > 0:
@@ -282,7 +278,7 @@ def _ref_m_reachable(e, budget):
         for t in frontier:
             for s in _ref_m_enumerate_steps(t):
                 budget -= 1
-                k = m_debruijn(s.result)
+                k = alpha_key(s.result)
                 if k not in seen:
                     seen[k] = s.result
                     nxt.append(s.result)
@@ -299,7 +295,7 @@ def _ref_m_reachable(e, budget):
 
 
 def _ref_convertible(a, b, fuel):
-    if m_alpha_eq(a, b):
+    if alpha_eq(a, b):
         return True
     ra, ea = _ref_m_reachable(a, fuel)
     rb, eb = _ref_m_reachable(b, fuel)
@@ -360,10 +356,10 @@ class TestSearchOracles:
             for e in (a, b):
                 got = m_enumerate_steps(e)
                 want = _ref_m_enumerate_steps(e)
-                assert [(s.rule, m_debruijn(s.result)) for s in got] == [
-                    (s.rule, m_debruijn(s.result)) for s in want
+                assert [(s.rule, alpha_key(s.result)) for s in got] == [
+                    (s.rule, alpha_key(s.result)) for s in want
                 ]
-                assert all(s.key == m_debruijn(s.result) for s in got)
+                assert all(s.key == alpha_key(s.result) for s in got)
 
     def test_convertible_matches_full_searches(self):
         verdicts = set()
@@ -424,7 +420,7 @@ class TestGrammar:
     )
     def test_round_trip(self, src):
         e = m_parse(src)
-        assert m_alpha_eq(m_parse(m_print(e)), e)
+        assert alpha_eq(m_parse(m_print(e)), e)
 
     def test_application_left_associative(self):
         assert m_parse("f g h") == MApp(MApp(MVar("f"), MVar("g")), MVar("h"))

@@ -15,7 +15,6 @@ from ubcalc.terms import (
     Variable,
     alpha_eq,
     desugar_app,
-    free_vars,
     fresh_var,
     omega_c,
     parse_term,
@@ -95,13 +94,13 @@ class TestParsePrint:
 
 class TestFreeVars:
     def test_identity_lambda_closed(self):
-        assert free_vars(Lambda("x", Unit(Variable("x")))) == frozenset()
+        assert Lambda("x", Unit(Variable("x"))).fv == frozenset()
 
     def test_bind_collects_both_sides(self):
-        assert free_vars(Bind(Unit(Variable("x")), Variable("y"))) == {"x", "y"}
+        assert Bind(Unit(Variable("x")), Variable("y")).fv == {"x", "y"}
 
     def test_omega_closed(self):
-        assert free_vars(omega_c()) == frozenset()
+        assert omega_c().fv == frozenset()
 
 
 class TestSubst:
@@ -133,8 +132,8 @@ class TestSubst:
     @given(OPEN_COMPS, CLOSED_COMPS)
     def test_free_vars_shrink(self, m, mv):
         v = Lambda("v0", mv)
-        got = free_vars(subst(m, "u", v))
-        assert got <= (free_vars(m) - {"u"}) | free_vars(v)
+        got = subst(m, "u", v).fv
+        assert got <= (m.fv - {"u"}) | v.fv
 
 
 class TestAlphaEq:
@@ -215,3 +214,18 @@ def test_bad_character_raises_the_grammars_own_error(parse, error, text):
     with pytest.raises(ParseError, match="unexpected character") as err:
         parse(text)
     assert type(err.value) is error
+
+
+@pytest.mark.parametrize(
+    "second_line, error, where",
+    [
+        ("  (concl x: Wv |- unit unit : T Wv))", TermSyntaxError, (2, 24)),
+        ("  (concl x: Wv |- unit x : T Wv ->))", TypeSyntaxError, (2, 35)),
+    ],
+)
+def test_derivation_file_errors_point_into_the_file(second_line, error, where):
+    # terms and types are parsed from slices of the file; their errors
+    # still give the file's line and column
+    with pytest.raises(error) as err:
+        parse_derivation("(rule UnitI\n" + second_line)
+    assert (err.value.line, err.value.column) == where
