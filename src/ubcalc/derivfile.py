@@ -7,8 +7,9 @@ A derivation is a nested parenthesized record:
       (premises <derivation> ...)
       (side <type> <= <type>)?)
 
-Bases are written ``x: <type>, y: <type>`` (empty allowed); terms and
-types use the surface grammars of the calculus and type modules.
+Bases are written ``x: <type>, y: <type>`` (empty allowed), each
+variable bound once and to a value type; terms and types use the
+surface grammars of the calculus and type modules.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Any, Callable
 
 from .assignment import Basis, Derivation, Judgment, make_basis
 from .terms import ParseError, TokenCursor, parse_term, print_term
-from .typesys import parse_type, print_type
+from .typesys import ValType, is_vtype, parse_type, print_type
 
 _RULES = {"Ax", "ArrowI", "UnitI", "ArrowE", "Omega", "InterI", "Leq"}
 
@@ -76,11 +77,17 @@ class _Reader(TokenCursor):
             raise self.error(f"unknown rule {rule!r}", at)
         self.expect("lpar", "(")
         self.expect("word", "concl")
-        basis = []
+        basis: dict[str, ValType] = {}
         while self.peek()[0] != "turnstile":
+            at = self.peek()
             name = self.expect("word")
+            if name in basis:
+                raise self.error(f"{name} is bound twice in the basis", at)
             self.expect("colon", ":")
-            basis.append((name, self.embedded(parse_type, self.until_balanced("comma", "turnstile"))))
+            at = self.peek()
+            basis[name] = self.embedded(parse_type, self.until_balanced("comma", "turnstile"))
+            if not is_vtype(basis[name]):
+                raise self.error(f"{name} is bound to a computation type", at)
             if self.peek()[0] == "comma":
                 self.pop()
         self.pop()
@@ -108,7 +115,7 @@ class _Reader(TokenCursor):
                 raise self.error(f"unknown section {section!r}", at)
         self.expect("rpar", ")")
         judgment = Judgment(
-            make_basis(basis), self.embedded(parse_term, term_src), self.embedded(parse_type, type_src)
+            make_basis(basis.items()), self.embedded(parse_term, term_src), self.embedded(parse_type, type_src)
         )
         return Derivation(rule, judgment, tuple(premises), side)
 

@@ -22,6 +22,14 @@ LAMBDA_BODY = "lambda-body"
 Position = tuple[str, ...]
 
 
+_EMPTY: frozenset[str] = frozenset()
+
+
+@lru_cache(maxsize=4096)
+def _singleton(name: str) -> frozenset[str]:
+    return frozenset((name,))
+
+
 class Node:
     """A term node of either calculus.
 
@@ -43,12 +51,17 @@ class Node:
     VAR: type
 
     def __post_init__(self) -> None:
-        fv = None if self.KIDS else frozenset((self.name,))
+        # share sets: a variable's comes from _singleton, and a node whose
+        # children add or remove nothing reuses a child's
+        fv = None if self.KIDS else _singleton(self.name)
         for _, field, scoped in self.KIDS:
             kid = getattr(self, field).fv
             if scoped and self.binder in kid:
-                kid = kid - {self.binder}
-            fv = kid if fv is None else fv | kid
+                kid = kid - {self.binder} or _EMPTY
+            if fv is None or fv <= kid:
+                fv = kid
+            elif not kid <= fv:
+                fv = fv | kid
         object.__setattr__(self, "fv", fv)
 
     def __reduce__(self):

@@ -4,9 +4,19 @@ reduce_derivation carries a valid derivation of the source of a step to
 one of its contractum at the same type (subject reduction);
 expand_derivation goes the other way (subject expansion).  Both are
 purely syntactic constructions, validated by the checker, built from a
-toolkit of derivation rewrites: binder freshening, basis weakening and
-strengthening, binding narrowing, substitution, and alignment of a
-derivation's subjects with an alpha-equivalent target term.
+toolkit of derivation rewrites: basis weakening and strengthening,
+binding narrowing (which also fixes a binding that was left at Wv),
+substitution, and one alignment walk that retargets a derivation to an
+alpha-variant of its subject under a rename map.  That walk does all of
+the renaming: alignment with an alpha-equivalent term, binder
+freshening, and renaming a free variable.
+
+Each step fixes one term to place at the redex.  Reduction places a
+shadow-free contractum and aligns each piece it builds there to it once.
+Expansion aligns the derivation once, up front, with a shadow-free
+source; every piece it builds at the redex then types that source's
+redex exactly.  The copies of the redex under an intersection therefore
+agree on every name, and the walk down to the redex never realigns.
 
 Returned derivations may type an alpha-renamed variant of the requested
 term: the assignment system cannot type shadowed binders as written, so
@@ -32,6 +42,7 @@ from .terms import (
     Variable,
     all_vars,
     alpha_eq,
+    fresh_var,
     replace_at,
     subst,
     subterm_at,
@@ -92,73 +103,44 @@ def _deriv_vars(d: Derivation) -> frozenset[str]:
     return frozenset(out)
 
 
-class _NameSupply:
-    def __init__(self, avoid: Iterable[str]):
-        self.avoid = set(avoid)
-
-    def fresh(self) -> str:
-        i = 0
-        while f"x{i}" in self.avoid:
-            i += 1
-        name = f"x{i}"
-        self.avoid.add(name)
-        return name
-
-
-def _rename_free(d: Derivation, old: str, new: str) -> Derivation:
-    """Rename free occurrences of a variable in subjects and basis keys;
-    `new` must be globally fresh for the tree."""
+def _align(d: Derivation, target: Term, ren: dict[str, str]) -> Derivation:
+    """The one renaming walk: d retargeted to `target`, which must be d's
+    subject up to alpha and up to the renaming `ren` of its free
+    variables.  Every subject becomes the matching part of target and
+    every basis key follows the renaming, binders included."""
     J = d.conclusion
-    basis = tuple(sorted(((new if n == old else n, t) for n, t in J.basis), key=lambda it: it[0]))
-    subject = subst(J.subject, old, Variable(new))
-    shadows = d.rule == ARROW_I and isinstance(J.subject, Lambda) and J.subject.binder == old
-    premises = (
-        d.premises
-        if shadows
-        else tuple(_rename_free(p, old, new) for p in d.premises)
-    )
-    return Derivation(d.rule, Judgment(basis, subject, J.tipo), premises, d.side)
+    basis = tuple(sorted(((ren.get(n, n), ty) for n, ty in J.basis), key=lambda it: it[0])) if ren else J.basis
+    match d.rule:
+        case "Ax" | "Omega":
+            premises: tuple[Derivation, ...] = ()
+        case "InterI" | "Leq":
+            premises = tuple(_align(p, target, ren) for p in d.premises)
+        case "ArrowI":
+            premises = (_align(d.premises[0], target.body, {**ren, J.subject.binder: target.binder}),)
+        case "UnitI":
+            premises = (_align(d.premises[0], target.value, ren),)
+        case "ArrowE":
+            premises = (_align(d.premises[0], target.left, ren), _align(d.premises[1], target.right, ren))
+        case _:
+            raise TransformError(f"unknown rule {d.rule!r}")
+    return Derivation(d.rule, Judgment(basis, target, J.tipo), premises, d.side)
+
+
+def align_derivation(d: Derivation, target: Term) -> Derivation:
+    """Rewrite subjects (and basis keys for binders) so the derivation
+    types the alpha-equivalent `target` instead."""
+    if d.conclusion.subject == target:
+        # each node of a valid derivation already types its part of target
+        return d
+    if not alpha_eq(d.conclusion.subject, target):
+        raise TransformError("alignment target is not alpha-equivalent")
+    return _align(d, target, {})
 
 
 def freshen_derivation(d: Derivation, avoid: Iterable[str] = ()) -> Derivation:
-    """Rename every abstraction binder in d to a globally fresh name."""
-    supply = _NameSupply(set(avoid) | _deriv_vars(d))
-
-    def walk(node: Derivation) -> Derivation:
-        premises = tuple(walk(p) for p in node.premises)
-        J = node.conclusion
-        if node.rule == ARROW_I and isinstance(J.subject, Lambda):
-            new = supply.fresh()
-            prem = _rename_free(premises[0], J.subject.binder, new)
-            return Derivation(
-                ARROW_I,
-                Judgment(J.basis, Lambda(new, prem.conclusion.subject), J.tipo),
-                (prem,),
-                node.side,
-            )
-        if node.rule == INTER_I:
-            # independently freshened siblings must share their subject again
-            premises = (
-                premises[0],
-                align_derivation(premises[1], premises[0].conclusion.subject),
-            )
-        subject = J.subject
-        if premises:
-            subject = _resubject(node.rule, J.subject, premises)
-        return Derivation(node.rule, Judgment(J.basis, subject, J.tipo), premises, node.side)
-
-    return walk(d)
-
-
-def _resubject(rule: str, subject: Term, premises: tuple[Derivation, ...]) -> Term:
-    """Recompute a node subject from renamed premise subjects."""
-    if rule in (INTER_I, LEQ):
-        return premises[0].conclusion.subject
-    if rule == UNIT_I:
-        return Unit(premises[0].conclusion.subject)
-    if rule == ARROW_E:
-        return Bind(premises[0].conclusion.subject, premises[1].conclusion.subject)
-    return subject
+    """Rename every abstraction binder in d to a globally fresh name, no
+    two alike."""
+    return _align(d, unshadow(d.conclusion.subject, _deriv_vars(d).union(avoid)), {})
 
 
 def weaken_derivation(d: Derivation, extra: Basis) -> Derivation:
@@ -202,8 +184,9 @@ def strengthen_derivation(d: Derivation, drop: frozenset[str]) -> Derivation:
 
 
 def narrow_basis(d: Derivation, x: str, stronger: ValType, table: AtomTable) -> Derivation:
-    """Replace the binding of x with a stronger type, patching Ax nodes
-    with a subtyping step."""
+    """Replace the binding of x in every basis with a stronger type (one
+    left at Wv takes any type), patching Ax nodes on x with a subtyping
+    step."""
     old = basis_get(d.conclusion.basis, x)
     if not leq_v(stronger, old, table):
         raise TransformError("narrowing requires a stronger binding")
@@ -224,48 +207,6 @@ def narrow_basis(d: Derivation, x: str, stronger: ValType, table: AtomTable) -> 
         )
 
     return walk(d)
-
-
-def align_derivation(d: Derivation, target: Term) -> Derivation:
-    """Rewrite subjects (and basis keys for binders) so the derivation
-    types the alpha-equivalent `target` instead."""
-    if not alpha_eq(d.conclusion.subject, target):
-        raise TransformError("alignment target is not alpha-equivalent")
-
-    def walk(node: Derivation, t: Term, ren: dict[str, str]) -> Derivation:
-        J = node.conclusion
-        basis = tuple(sorted(((ren.get(n, n), ty) for n, ty in J.basis), key=lambda it: it[0]))
-        match node.rule:
-            case "Ax" | "Omega":
-                return Derivation(node.rule, Judgment(basis, t, J.tipo))
-            case "InterI" | "Leq":
-                prems = tuple(walk(p, t, ren) for p in node.premises)
-                return Derivation(node.rule, Judgment(basis, t, J.tipo), prems, node.side)
-            case "ArrowI":
-                assert isinstance(t, Lambda)
-                inner = {**ren, J.subject.binder: t.binder}
-                prem = walk(node.premises[0], t.body, inner)
-                return Derivation(ARROW_I, Judgment(basis, t, J.tipo), (prem,), node.side)
-            case "UnitI":
-                assert isinstance(t, Unit)
-                prem = walk(node.premises[0], t.value, ren)
-                return Derivation(UNIT_I, Judgment(basis, t, J.tipo), (prem,), node.side)
-            case "ArrowE":
-                assert isinstance(t, Bind)
-                pm = walk(node.premises[0], t.left, ren)
-                pv = walk(node.premises[1], t.right, ren)
-                return Derivation(ARROW_E, Judgment(basis, t, J.tipo), (pm, pv), node.side)
-        raise TransformError(f"unknown rule {node.rule!r}")
-
-    return walk(d, target, {})
-
-
-def fold_aligned(nodes: Sequence[Derivation]) -> Derivation:
-    """InterI fold after aligning all subjects with the first node's."""
-    assert nodes
-    target = nodes[0].conclusion.subject
-    aligned = [nodes[0]] + [align_derivation(n, target) for n in nodes[1:]]
-    return inter_fold(aligned)
 
 
 def subst_derivation(d: Derivation, x: str, dv: Derivation, table: AtomTable = EMPTY_TABLE) -> Derivation:
@@ -344,64 +285,62 @@ def _omega_route(basis: Basis, subject: Term, target: AnyType, table: AtomTable)
     return leq_node(omega_node(basis, subject), target)
 
 
+def _fold_below(nodes: Sequence[Derivation], target: AnyType, table: AtomTable) -> Derivation:
+    """The InterI fold of nodes, which share basis and subject, weakened
+    to the target type."""
+    folded = inter_fold(nodes)
+    _checked_leq(folded.conclusion.tipo, target, table)
+    return leq_node(folded, target)
+
+
+def _fold_or_omega(
+    nodes: Sequence[Derivation], basis: Basis, subject: Term, target: AnyType, table: AtomTable
+) -> Derivation:
+    return _fold_below(nodes, target, table) if nodes else _omega_route(basis, subject, target, table)
+
+
 # ------------------------------------------------- subject reduction cases
 
+# Each case types `target`, the contractum of its node's subject, and
+# aligns every piece it folds to target once.
 
-def _reduce_betac(d: Derivation, table: AtomTable) -> Derivation:
+
+def _reduce_betac(d: Derivation, target: Comp, table: AtomTable) -> Derivation:
     """unit V * \\x.B  -->  B[V/x], carrying the typing forward."""
     J = d.conclusion
     subj = J.subject
     assert isinstance(subj, Bind) and isinstance(subj.left, Unit) and isinstance(subj.right, Lambda)
     v = subj.left.value
-    contractum = subst(subj.right.body, subj.right.binder, v)
     pieces: list[Derivation] = []
     for dm, dvp in _extract_bind(d):
         arrow = dvp.conclusion.tipo
-        out_i = arrow.cod
         unit_atoms = _extract_unit(dm)
-        fams = _extract_lambda(dvp)
-        keep = [(b, dk, body) for b, dk, _, body in fams if leq_v(arrow.dom, dk, table)]
-        if not keep:
-            pieces.append(_omega_route(J.basis, contractum, out_i, table))
-            continue
+        vd = inter_fold([dvx for _, dvx in unit_atoms]) if unit_atoms else omega_node(J.basis, v)
         ks: list[Derivation] = []
-        for binder, dk, body in keep:
-            vd = fold_aligned([dvx for _, dvx in unit_atoms]) if unit_atoms else omega_node(J.basis, v)
-            _checked_leq(vd.conclusion.tipo, dk, table)
-            vd = leq_node(vd, dk)
-            ks.append(subst_derivation(body, binder, vd, table))
-        folded = fold_aligned(ks)
-        _checked_leq(folded.conclusion.tipo, out_i, table)
-        pieces.append(leq_node(folded, out_i))
-    if not pieces:
-        return _omega_route(J.basis, contractum, J.tipo, table)
-    folded = fold_aligned(pieces)
-    _checked_leq(folded.conclusion.tipo, J.tipo, table)
-    return leq_node(folded, J.tipo)
+        for binder, dk, _, body in _extract_lambda(dvp):
+            if leq_v(arrow.dom, dk, table):
+                _checked_leq(vd.conclusion.tipo, dk, table)
+                ks.append(align_derivation(subst_derivation(body, binder, leq_node(vd, dk), table), target))
+        pieces.append(_fold_or_omega(ks, J.basis, target, arrow.cod, table))
+    return _fold_or_omega(pieces, J.basis, target, J.tipo, table)
 
 
-def _reduce_id(d: Derivation, table: AtomTable) -> Derivation:
+def _reduce_id(d: Derivation, target: Comp, table: AtomTable) -> Derivation:
     """M * \\x.unit x  -->  M."""
     J = d.conclusion
-    assert isinstance(J.subject, Bind)
     pieces: list[Derivation] = []
     for dm, dvp in _extract_bind(d):
         out_i = dvp.conclusion.tipo.cod
         _checked_leq(dm.conclusion.tipo, out_i, table)
-        pieces.append(leq_node(dm, out_i))
-    if not pieces:
-        return _omega_route(J.basis, J.subject.left, J.tipo, table)
-    folded = fold_aligned(pieces)
-    _checked_leq(folded.conclusion.tipo, J.tipo, table)
-    return leq_node(folded, J.tipo)
+        pieces.append(align_derivation(leq_node(dm, out_i), target))
+    return _fold_or_omega(pieces, J.basis, target, J.tipo, table)
 
 
-def _reduce_ass(d: Derivation, table: AtomTable) -> Derivation:
+def _reduce_ass(d: Derivation, target: Comp, table: AtomTable) -> Derivation:
     """(L * \\x.B) * \\y.N  -->  L * \\x.(B * \\y.N), x renamed fresh."""
     J = d.conclusion
     subj = J.subject
     assert isinstance(subj, Bind) and isinstance(subj.left, Bind)
-    contractum = root_step(subj, Rule.ASS)
     pieces: list[Derivation] = []
     for d_lb, d_n in _extract_bind(d):
         alpha = d_n.conclusion.tipo.dom
@@ -420,77 +359,34 @@ def _reduce_ass(d: Derivation, table: AtomTable) -> Derivation:
                 doms.append(dk)
                 collected.append((b, body))
         if not collected:
-            pieces.append(_omega_route(J.basis, contractum, beta, table))
+            pieces.append(_omega_route(J.basis, target, beta, table))
             continue
         dhat = vinter_all(doms)
-        supply = _NameSupply(
-            set().union(*(_deriv_vars(b) for _, b in collected))
+        xstar = fresh_var(
+            frozenset().union(*(_deriv_vars(b) for _, b in collected))
             | _deriv_vars(d_n) | all_vars(subj) | basis_dom(J.basis)
         )
-        xstar = supply.fresh()
         narrowed = []
         for binder, body in collected:
             nb = narrow_basis(body, binder, dhat, table)
-            narrowed.append(_rename_free(nb, binder, xstar))
-        b_fold = fold_aligned(narrowed)
-        t_alpha = CTf(alpha)
-        _checked_leq(b_fold.conclusion.tipo, t_alpha, table)
-        b_at = leq_node(b_fold, t_alpha)
+            narrowed.append(_align(nb, subst(nb.conclusion.subject, binder, Variable(xstar)), {binder: xstar}))
+        b_at = _fold_below(narrowed, CTf(alpha), table)
         dn_w = freshen_derivation(d_n, _deriv_vars(b_at) | {xstar})
         dn_w = weaken_derivation(dn_w, ((xstar, dhat),))
-        inner_bind = arrow_e_node(b_at, dn_w)
-        lam = arrow_i_node(inner_bind, xstar)
-        l_fold = fold_aligned(l_nodes)
-        _checked_leq(l_fold.conclusion.tipo, CTf(dhat), table)
-        l_at = leq_node(l_fold, CTf(dhat))
-        pieces.append(arrow_e_node(l_at, lam))
-    if not pieces:
-        return _omega_route(J.basis, contractum, J.tipo, table)
-    folded = fold_aligned(pieces)
-    _checked_leq(folded.conclusion.tipo, J.tipo, table)
-    return leq_node(folded, J.tipo)
+        lam = arrow_i_node(arrow_e_node(b_at, dn_w), xstar)
+        l_at = _fold_below(l_nodes, CTf(dhat), table)
+        pieces.append(align_derivation(arrow_e_node(l_at, lam), target))
+    return _fold_or_omega(pieces, J.basis, target, J.tipo, table)
 
 
 # -------------------------------------------------- subject expansion cases
 
-
-def _var_positions(t: Term, x: str) -> list[Position]:
-    out: list[Position] = []
-
-    def walk(s: Term, pos: Position) -> None:
-        match s:
-            case Variable(name):
-                if name == x:
-                    out.append(pos)
-            case Lambda(binder, body):
-                if binder != x:
-                    walk(body, pos + (LAMBDA_BODY,))
-            case Unit(v):
-                walk(v, pos + (UNIT_ARG,))
-            case Bind(left, right):
-                walk(left, pos + (BIND_LEFT,))
-                walk(right, pos + (BIND_RIGHT,))
-
-    walk(t, ())
-    return out
-
-
-def _set_binding(d: Derivation, x: str, t: ValType) -> Derivation:
-    """Fix the type bound to x in every basis, patching Ax nodes on x."""
-
-    def walk(node: Derivation) -> Derivation:
-        J = node.conclusion
-        basis = tuple(sorted(((n, t if n == x else ty) for n, ty in J.basis), key=lambda it: it[0]))
-        if node.rule == AX and J.subject == Variable(x):
-            return leq_node(Derivation(AX, Judgment(basis, J.subject, t)), J.tipo)
-        return Derivation(
-            node.rule,
-            Judgment(basis, J.subject, J.tipo),
-            tuple(walk(p) for p in node.premises),
-            node.side,
-        )
-
-    return walk(d)
+# expand_derivation aligns the derivation once, to the contractum of a
+# shadow-free source whose binders are also clear of the root basis.  A
+# redex node's subject is then exactly the contractum of `source_sub`:
+# substitution renamed nothing, no binder of source_sub is in scope at
+# the node, and none is free in V.  So each case rebuilds source_sub
+# itself from the node's parts and never renames.
 
 
 def _expand_betac(source_sub: Comp, d: Derivation, table: AtomTable) -> Derivation:
@@ -500,56 +396,38 @@ def _expand_betac(source_sub: Comp, d: Derivation, table: AtomTable) -> Derivati
     assert isinstance(source_sub, Bind) and isinstance(source_sub.left, Unit)
     lam = source_sub.right
     assert isinstance(lam, Lambda)
-    v = source_sub.left.value
-    occurrences = _var_positions(lam.body, lam.binder)
-    d = freshen_derivation(d, all_vars(source_sub))
-    supply = _NameSupply(_deriv_vars(d) | all_vars(source_sub))
-    xhat = supply.fresh()
+    x = Variable(lam.binder)
     collected: list[Derivation] = []
 
-    def rebuild(node: Derivation, pos: Position) -> Derivation:
+    def rebuild(node: Derivation, t: Term) -> Derivation:
+        """node, which types the copy of t in B[V/x], made to type t with
+        x bound to Wv; each copy of V becomes an Ax on x."""
         Jn = node.conclusion
-        rel = [p[len(pos):] for p in occurrences if p[: len(pos)] == pos]
-        basis = basis_extend(Jn.basis, xhat, VOmega())
-        if () in rel:
+        basis = basis_extend(Jn.basis, x.name, VOmega())
+        if t == x:
             collected.append(node)
-            return Derivation(AX, Judgment(basis, Variable(xhat), Jn.tipo))
-        new_subject = Jn.subject
-        for r in rel:
-            new_subject = replace_at(new_subject, r, Variable(xhat))
+            return Derivation(AX, Judgment(basis, x, Jn.tipo))
         match node.rule:
             case "Omega" | "Ax":
-                return Derivation(node.rule, Judgment(basis, new_subject, Jn.tipo))
+                premises: tuple[Derivation, ...] = ()
             case "InterI" | "Leq":
-                prems = tuple(rebuild(p, pos) for p in node.premises)
-                return Derivation(node.rule, Judgment(basis, new_subject, Jn.tipo), prems, node.side)
+                premises = tuple(rebuild(p, t) for p in node.premises)
             case "ArrowI":
-                prem = rebuild(node.premises[0], pos + (LAMBDA_BODY,))
-                return Derivation(ARROW_I, Judgment(basis, new_subject, Jn.tipo), (prem,), node.side)
+                premises = (rebuild(node.premises[0], t.body),)
             case "UnitI":
-                prem = rebuild(node.premises[0], pos + (UNIT_ARG,))
-                return Derivation(UNIT_I, Judgment(basis, new_subject, Jn.tipo), (prem,), node.side)
+                premises = (rebuild(node.premises[0], t.value),)
             case "ArrowE":
-                pm = rebuild(node.premises[0], pos + (BIND_LEFT,))
-                pv = rebuild(node.premises[1], pos + (BIND_RIGHT,))
-                return Derivation(ARROW_E, Judgment(basis, new_subject, Jn.tipo), (pm, pv), node.side)
-        raise TransformError(f"unknown rule {node.rule!r}")
+                premises = (rebuild(node.premises[0], t.left), rebuild(node.premises[1], t.right))
+            case _:
+                raise TransformError(f"unknown rule {node.rule!r}")
+        return Derivation(node.rule, Judgment(basis, t, Jn.tipo), premises, node.side)
 
-    body_deriv = rebuild(d, ())
-    v_clean = unshadow(v, _deriv_vars(d) | basis_dom(J.basis) | {xhat})
-    v_derivs = []
-    for node in collected:
-        extra = basis_dom(node.conclusion.basis) - basis_dom(J.basis)
-        nd = strengthen_derivation(node, frozenset(extra))
-        v_derivs.append(align_derivation(nd, v_clean))
-    if v_derivs:
-        vd = inter_fold(v_derivs)
-        delta: ValType = vd.conclusion.tipo
-    else:
-        vd = omega_node(J.basis, v_clean)
-        delta = VOmega()
-    body_deriv = _set_binding(body_deriv, xhat, delta)
-    built = arrow_e_node(unit_node(vd), arrow_i_node(body_deriv, xhat))
+    body_deriv = rebuild(d, lam.body)
+    # a copy of V types it under the binders of B above the copy, which V does not use
+    v_derivs = [strengthen_derivation(n, basis_dom(n.conclusion.basis) - basis_dom(J.basis)) for n in collected]
+    vd = inter_fold(v_derivs) if v_derivs else omega_node(J.basis, source_sub.left.value)
+    body_deriv = narrow_basis(body_deriv, x.name, vd.conclusion.tipo, table)
+    built = arrow_e_node(unit_node(vd), arrow_i_node(body_deriv, x.name))
     return leq_node(built, J.tipo)
 
 
@@ -559,14 +437,11 @@ def _expand_id(source_sub: Comp, d: Derivation, table: AtomTable) -> Derivation:
     assert isinstance(source_sub, Bind) and isinstance(source_sub.right, Lambda)
     canon = normalize_ctype(J.tipo, table)
     if canon.arg is None:
-        return _omega_route(J.basis, Bind(J.subject, source_sub.right), J.tipo, table)
+        return _omega_route(J.basis, source_sub, J.tipo, table)
     delta = to_vtype(canon.arg)
-    supply = _NameSupply(_deriv_vars(d) | all_vars(source_sub))
     x = source_sub.right.binder
-    xh = x if x not in basis_dom(J.basis) else supply.fresh()
-    dm = leq_node(d, CTf(delta))
-    body = unit_node(ax(basis_extend(J.basis, xh, delta), xh))
-    built = arrow_e_node(dm, arrow_i_node(body, xh))
+    body = unit_node(ax(basis_extend(J.basis, x, delta), x))
+    built = arrow_e_node(leq_node(d, CTf(delta)), arrow_i_node(body, x))
     return leq_node(built, J.tipo)
 
 
@@ -579,13 +454,10 @@ def _expand_ass(source_sub: Comp, d: Derivation, table: AtomTable) -> Derivation
     for d_l, d_lam in _extract_bind(d):
         beta = d_lam.conclusion.tipo.cod
         alpha = d_lam.conclusion.tipo.dom
-        fams = _extract_lambda(d_lam)
-        keep = [(b, dk, body) for b, dk, _, body in fams if leq_v(alpha, dk, table)]
-        if not keep:
-            pieces.append(_omega_route(J.basis, source_sub, beta, table))
-            continue
         subpieces: list[Derivation] = []
-        for binder, dk, body in keep:
+        for binder, dk, _, body in _extract_lambda(d_lam):
+            if not leq_v(alpha, dk, table):
+                continue
             for db, dn in _extract_bind(body):
                 gamma = dn.conclusion.tipo.dom
                 lam_b = arrow_i_node(db, binder)
@@ -594,17 +466,8 @@ def _expand_ass(source_sub: Comp, d: Derivation, table: AtomTable) -> Derivation
                 _checked_leq(inner_bind.conclusion.tipo, CTf(gamma), table)
                 dn_s = strengthen_derivation(dn, frozenset({binder}))
                 subpieces.append(arrow_e_node(leq_node(inner_bind, CTf(gamma)), dn_s))
-        if not subpieces:
-            pieces.append(_omega_route(J.basis, source_sub, beta, table))
-            continue
-        folded = fold_aligned(subpieces)
-        _checked_leq(folded.conclusion.tipo, beta, table)
-        pieces.append(leq_node(folded, beta))
-    if not pieces:
-        return _omega_route(J.basis, source_sub, J.tipo, table)
-    folded = fold_aligned(pieces)
-    _checked_leq(folded.conclusion.tipo, J.tipo, table)
-    return leq_node(folded, J.tipo)
+        pieces.append(_fold_or_omega(subpieces, J.basis, source_sub, beta, table))
+    return _fold_or_omega(pieces, J.basis, source_sub, J.tipo, table)
 
 
 # ----------------------------------------------------------- path descent
@@ -613,44 +476,46 @@ def _expand_ass(source_sub: Comp, d: Derivation, table: AtomTable) -> Derivation
 def _descend(
     d: Derivation,
     path: Position,
+    placed: Term,
     at_redex: Callable[[Derivation], Derivation],
-    at_omega: Callable[[Derivation, Position], Term],
 ) -> Derivation:
+    """d with its subject's subterm at path replaced by `placed`.
+    at_redex rebuilds each node that types the redex and must return a
+    derivation of exactly `placed`; an Omega node above the redex just
+    takes the new subject.  The premises of an InterI node therefore
+    keep sharing their subject."""
     if not path:
         return at_redex(d)
     sel, rest = path[0], path[1:]
     J = d.conclusion
     match d.rule:
         case "Omega":
-            return Derivation(OMEGA, Judgment(J.basis, at_omega(d, path), J.tipo))
-        case "InterI":
-            pl = _descend(d.premises[0], path, at_redex, at_omega)
-            pr = _descend(d.premises[1], path, at_redex, at_omega)
-            pr = align_derivation(pr, pl.conclusion.subject)
-            subj = pl.conclusion.subject
-            return Derivation(INTER_I, Judgment(J.basis, subj, J.tipo), (pl, pr), d.side)
-        case "Leq":
-            prem = _descend(d.premises[0], path, at_redex, at_omega)
-            subj = prem.conclusion.subject
-            return Derivation(LEQ, Judgment(J.basis, subj, J.tipo), (prem,), d.side)
+            return Derivation(OMEGA, Judgment(J.basis, replace_at(J.subject, path, placed), J.tipo))
+        case "InterI" | "Leq":
+            prems = tuple(_descend(p, path, placed, at_redex) for p in d.premises)
+            return Derivation(d.rule, Judgment(J.basis, prems[0].conclusion.subject, J.tipo), prems, d.side)
         case "ArrowI" if sel == LAMBDA_BODY:
-            prem = _descend(d.premises[0], rest, at_redex, at_omega)
+            prem = _descend(d.premises[0], rest, placed, at_redex)
             subj = Lambda(J.subject.binder, prem.conclusion.subject)
             return Derivation(ARROW_I, Judgment(J.basis, subj, J.tipo), (prem,), d.side)
         case "UnitI" if sel == UNIT_ARG:
-            prem = _descend(d.premises[0], rest, at_redex, at_omega)
+            prem = _descend(d.premises[0], rest, placed, at_redex)
             return Derivation(
                 UNIT_I, Judgment(J.basis, Unit(prem.conclusion.subject), J.tipo), (prem,), d.side
             )
         case "ArrowE" if sel == BIND_LEFT:
-            pm = _descend(d.premises[0], rest, at_redex, at_omega)
+            pm = _descend(d.premises[0], rest, placed, at_redex)
             subj = Bind(pm.conclusion.subject, J.subject.right)
             return Derivation(ARROW_E, Judgment(J.basis, subj, J.tipo), (pm, d.premises[1]), d.side)
         case "ArrowE" if sel == BIND_RIGHT:
-            pv = _descend(d.premises[1], rest, at_redex, at_omega)
+            pv = _descend(d.premises[1], rest, placed, at_redex)
             subj = Bind(J.subject.left, pv.conclusion.subject)
             return Derivation(ARROW_E, Judgment(J.basis, subj, J.tipo), (d.premises[0], pv), d.side)
     raise TransformError(f"path {path} does not match rule {d.rule}")
+
+
+_REDUCE = {Rule.BETA_C: _reduce_betac, Rule.ID: _reduce_id, Rule.ASS: _reduce_ass}
+_EXPAND = {Rule.BETA_C: _expand_betac, Rule.ID: _expand_id, Rule.ASS: _expand_ass}
 
 
 def reduce_derivation(d: Derivation, step: Step, table: AtomTable = EMPTY_TABLE) -> Derivation:
@@ -658,23 +523,18 @@ def reduce_derivation(d: Derivation, step: Step, table: AtomTable = EMPTY_TABLE)
     to a valid derivation of the step's result at the same type."""
     if step.rule is Rule.ETA_C:
         raise TransformError("eta steps are outside the assignment system")
-
-    def at_redex(node: Derivation) -> Derivation:
-        if step.rule is Rule.BETA_C:
-            return _reduce_betac(node, table)
-        if step.rule is Rule.ID:
-            return _reduce_id(node, table)
-        return _reduce_ass(node, table)
-
-    def at_omega(node: Derivation, rest: Position) -> Term:
-        subj = node.conclusion.subject
-        sub = subterm_at(subj, rest)
-        contractum = root_step(sub, step.rule)
-        if contractum is None:
-            raise TransformError("omega subject does not hold the redex")
-        return replace_at(subj, rest, contractum)
-
-    return _descend(d, step.position, at_redex, at_omega)
+    root = d.conclusion.subject
+    try:
+        contractum = root_step(subterm_at(root, step.position), step.rule)
+    except ValueError:
+        contractum = None
+    if contractum is None:
+        raise TransformError("derivation subject does not hold the step's redex")
+    # one contractum for the whole step, its binders clear of every name
+    # in scope at the redex
+    target = unshadow(contractum, all_vars(root) | basis_dom(d.conclusion.basis))
+    reduce = _REDUCE[step.rule]
+    return _descend(d, step.position, target, lambda node: reduce(node, target, table))
 
 
 def expand_derivation(
@@ -687,28 +547,19 @@ def expand_derivation(
     alpha) build a valid derivation of the source at the same type.
 
     The derivation's subjects are first aligned with a shadow-free
-    variant of the step result, so the redex reconstruction and the
-    derivation agree on every bound name.
+    variant of the step result whose binders are also clear of the
+    derivation's basis, so the redex reconstruction and the derivation
+    agree on every bound name.
     """
     if step.rule is Rule.ETA_C:
         raise TransformError("eta steps are not covered by expansion")
     if not alpha_eq(d.conclusion.subject, step.result):
         raise TransformError("derivation does not type the step's result")
-    src = unshadow(source)
+    src = unshadow(source, basis_dom(d.conclusion.basis))
     src_sub = subterm_at(src, step.position)
     contractum = root_step(src_sub, step.rule)
     if contractum is None:
         raise TransformError("source does not hold the step's redex")
     d = align_derivation(d, replace_at(src, step.position, contractum))
-
-    def at_redex(node: Derivation) -> Derivation:
-        if step.rule is Rule.BETA_C:
-            return _expand_betac(src_sub, node, table)
-        if step.rule is Rule.ID:
-            return _expand_id(src_sub, node, table)
-        return _expand_ass(src_sub, node, table)
-
-    def at_omega(node: Derivation, rest: Position) -> Term:
-        return replace_at(node.conclusion.subject, rest, src_sub)
-
-    return _descend(d, step.position, at_redex, at_omega)
+    expand = _EXPAND[step.rule]
+    return _descend(d, step.position, src_sub, lambda node: expand(src_sub, node, table))

@@ -104,6 +104,20 @@ def test_typecheck_invalid_file(tmp_path, capsys):
     assert code == 1 and "invalid" in out
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("(rule Ax (concl x: Wv, x: Wv -> T Wv |- x : Wv -> T Wv))", "1:24: x is bound twice"),
+        ("(rule Omega\n  (concl x: T Wv |- unit x : Wc))", "2:13: x is bound to a computation type"),
+    ],
+)
+def test_typecheck_rejects_a_basis_that_is_not_a_value_map(tmp_path, capsys, text, where):
+    path = tmp_path / "deriv.txt"
+    path.write_text(text)
+    err = _usage_error(capsys, "typecheck", str(path))
+    assert err.count("\n") == 1 and f"DerivationSyntaxError: {where}" in err
+
+
 def test_prop_json(capsys):
     code, out, _ = run(capsys, "prop", "critical-pairs", "--json")
     assert code == 0

@@ -411,3 +411,15 @@ def test_copies_carry_free_variables(clone):
     for t in (Unit(Lambda("x", Bind(Unit(Variable("x")), Variable("y")))), MLet("x", MVar("y"), MVar("x"))):
         got = clone(t)
         assert got == t and got.fv == t.fv
+
+
+def test_equal_free_variable_sets_are_shared():
+    x = Variable("x")
+    assert Variable("x").fv is x.fv
+    bind = Bind(Unit(x), Variable("x"))
+    assert bind.fv is bind.left.fv
+    # a binder that removes nothing, and a union that adds nothing, reuse a child's set
+    lam = Lambda("y", Bind(Unit(x), Variable("x")))
+    assert lam.fv is lam.body.fv
+    assert Lambda("x", Unit(x)).fv is Lambda("y", Unit(Variable("y"))).fv
+    assert MLet("z", MVar("x"), MVar("x")).fv is MVar("x").fv
