@@ -64,13 +64,21 @@ def compare(parent: list[float], change: list[float], bound: float, better: str)
     }
 
 
+def pair_count(text: str) -> int:
+    """--pairs: the quartiles of a side need at least two runs."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 pairs, got {n}")
+    return n
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=pair_count, default=10)
     ap.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
     args = ap.parse_args(argv)
 

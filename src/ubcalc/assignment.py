@@ -129,12 +129,25 @@ class CheckReport:
     errors: list[tuple[tuple[int, ...], str]] = field(default_factory=list)
 
 
+def _basis_errors(basis: Basis) -> list[str]:
+    """A basis maps each variable once, to a value type."""
+    errs: list[str] = []
+    seen: set[str] = set()
+    for name, t in basis:
+        if name in seen:
+            errs.append(f"{name} is bound twice in the basis")
+        seen.add(name)
+        if not is_vtype(t):
+            errs.append(f"{name} is bound to a computation type")
+    return errs
+
+
 def _node_errors(d: Derivation, table: AtomTable) -> list[str]:
     J = d.conclusion
     subj, t = J.subject, J.tipo
-    errs: list[str] = []
+    errs = _basis_errors(J.basis)
     if is_value(subj) != is_vtype(t):
-        return [f"sort mismatch between subject and type in {d.rule}"]
+        return errs + [f"sort mismatch between subject and type in {d.rule}"]
     prem = d.premises
     match d.rule:
         case "Ax":

@@ -97,10 +97,9 @@ class TransformError(ValueError):
 
 
 def _deriv_vars(d: Derivation) -> frozenset[str]:
-    out = set(all_vars(d.conclusion.subject)) | set(basis_dom(d.conclusion.basis))
-    for p in d.premises:
-        out |= _deriv_vars(p)
-    return frozenset(out)
+    """Every name d uses.  A premise's basis is its conclusion's, possibly
+    extended with a binder of the subject, so the root holds them all."""
+    return all_vars(d.conclusion.subject) | basis_dom(d.conclusion.basis)
 
 
 def _align(d: Derivation, target: Term, ren: dict[str, str]) -> Derivation:

@@ -28,43 +28,93 @@ from .terms import ParseError, TokenCursor
 
 # --------------------------------------------------------------- type ASTs
 
+# Types, raw and canonical, are hash-consed (Filliatre & Conchon,
+# "Type-safe modular hash-consing", 2006).  Every node is built through a
+# weak intern table keyed by its class and fields, so structurally equal
+# live nodes are one object and equality and hashing are by identity.  The
+# children of a node are interned first, so a lookup hashes only one
+# level, and a memo keyed on a node costs one lookup rather than a walk of
+# the tree.  Fields are read-only; copy and pickle rebuild through the
+# table.  Structural identity is not equality in the theory: that stays
+# leq both ways (``eq_v``, ``eq_canon_v``).
 
-@dataclass(frozen=True, slots=True)
-class VAtom:
+_INTERNED_TYPES: "weakref.WeakValueDictionary[tuple, _TypeNode]" = weakref.WeakValueDictionary()
+
+
+class _TypeNode:
+    """Base of the raw type syntax: positional fields named by
+    ``__match_args__``, built through ``_INTERNED_TYPES``."""
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs:
+            try:
+                args += tuple(kwargs.pop(f) for f in cls.__match_args__[len(args):])
+            except KeyError as missing:
+                raise TypeError(f"{cls.__name__} is missing field {missing}") from None
+            if kwargs:
+                raise TypeError(f"{cls.__name__} got unexpected fields {sorted(kwargs)}")
+        key = (cls, *args)
+        node = _INTERNED_TYPES.get(key)
+        if node is None:
+            if len(args) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__} takes fields {cls.__match_args__}, got {len(args)}")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, args):
+                object.__setattr__(node, name, value)
+            _INTERNED_TYPES[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class VAtom(_TypeNode):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class VArrow:
+class VArrow(_TypeNode):
+    __slots__ = __match_args__ = ("dom", "cod")
     dom: "ValType"
     cod: "ComType"
 
 
-@dataclass(frozen=True, slots=True)
-class VInter:
+class VInter(_TypeNode):
+    __slots__ = __match_args__ = ("left", "right")
     left: "ValType"
     right: "ValType"
 
 
-@dataclass(frozen=True, slots=True)
-class VOmega:
-    pass
+class VOmega(_TypeNode):
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class CTf:
+class CTf(_TypeNode):
+    __slots__ = __match_args__ = ("arg",)
     arg: "ValType"
 
 
-@dataclass(frozen=True, slots=True)
-class CInter:
+class CInter(_TypeNode):
+    __slots__ = __match_args__ = ("left", "right")
     left: "ComType"
     right: "ComType"
 
 
-@dataclass(frozen=True, slots=True)
-class COmega:
-    pass
+class COmega(_TypeNode):
+    __slots__ = __match_args__ = ()
 
 
 ValType = Union[VAtom, VArrow, VInter, VOmega]
@@ -175,14 +225,9 @@ def rank(t: AnyType) -> int:
 # ----------------------------------------------------------- canonical forms
 
 
-# Canonical types are hash-consed (Filliatre & Conchon, "Type-safe modular
-# hash-consing", 2006): every node is built through one weak intern table
-# keyed by its fields, so structurally equal live nodes are one object and
-# equality and hashing are by identity.  The children of a node are interned
-# first, so a lookup hashes only one level.  Each node carries ``key``, a
-# structural sort key fixing the order of canonical forms, and ``rank``,
-# both computed once from its children.  Structural identity is not
-# equality in the theory: that stays leq both ways (``eq_canon_*``).
+# Canonical types are hash-consed in the same way, with a table per class.
+# Each node also carries ``key``, a structural sort key fixing the order
+# of canonical forms, and ``rank``, both computed once from its children.
 
 _INTERNED_V: "weakref.WeakValueDictionary[tuple, CanonV]" = weakref.WeakValueDictionary()
 _INTERNED_C: "weakref.WeakValueDictionary[Optional[CanonV], CanonC]" = weakref.WeakValueDictionary()
@@ -402,7 +447,15 @@ def _unfold_atom(name: str, table: AtomTable, depth: int) -> CanonV:
 
 
 def normalize_vtype(t: ValType, table: AtomTable = EMPTY_TABLE, eta_depth: int | None = None) -> CanonV:
-    depth = table.eta_depth if eta_depth is None else eta_depth
+    return _normalize_v(t, table, table.eta_depth if eta_depth is None else eta_depth)
+
+
+def normalize_ctype(t: ComType, table: AtomTable = EMPTY_TABLE, eta_depth: int | None = None) -> CanonC:
+    return _normalize_c(t, table, table.eta_depth if eta_depth is None else eta_depth)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _normalize_v(t: ValType, table: AtomTable, depth: int) -> CanonV:
     match t:
         case VOmega():
             return TOP_V
@@ -411,29 +464,25 @@ def normalize_vtype(t: ValType, table: AtomTable = EMPTY_TABLE, eta_depth: int |
                 raise UnknownAtomError(name)
             return _unfold_atom(name, table, depth)
         case VArrow(d, c):
-            cc = normalize_ctype(c, table, depth)
+            cc = _normalize_c(c, table, depth)
             if cc.is_top:
                 return TOP_V
             # a single arrow with a non-top codomain is already canonical
-            return CanonV((), ((normalize_vtype(d, table, depth), cc),))
+            return CanonV((), ((_normalize_v(d, table, depth), cc),))
         case VInter(l, r):
-            return meet_canon_v(
-                normalize_vtype(l, table, depth), normalize_vtype(r, table, depth), table
-            )
+            return meet_canon_v(_normalize_v(l, table, depth), _normalize_v(r, table, depth), table)
     raise TypeError(f"not a value type: {t!r}")
 
 
-def normalize_ctype(t: ComType, table: AtomTable = EMPTY_TABLE, eta_depth: int | None = None) -> CanonC:
-    depth = table.eta_depth if eta_depth is None else eta_depth
+@lru_cache(maxsize=_MEMO_SIZE)
+def _normalize_c(t: ComType, table: AtomTable, depth: int) -> CanonC:
     match t:
         case COmega():
             return TOP_C
         case CTf(a):
-            return tcan(normalize_vtype(a, table, depth))
+            return tcan(_normalize_v(a, table, depth))
         case CInter(l, r):
-            return meet_canon_c(
-                normalize_ctype(l, table, depth), normalize_ctype(r, table, depth), table
-            )
+            return meet_canon_c(_normalize_c(l, table, depth), _normalize_c(r, table, depth), table)
     raise TypeError(f"not a computation type: {t!r}")
 
 
@@ -471,6 +520,7 @@ def eq_c(a: ComType, b: ComType, table: AtomTable = EMPTY_TABLE) -> bool:
     return leq_c(a, b, table) and leq_c(b, a, table)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def to_vtype(c: CanonV) -> ValType:
     if c.is_top:
         return V_OMEGA
@@ -593,6 +643,7 @@ class _TypeParser(TokenCursor):
         raise self.error(f"unexpected token {text!r}", t)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def parse_type(text: str) -> AnyType:
     return _TypeParser(text).parse_all()
 

@@ -131,6 +131,15 @@ class TestChecker:
         rep = check_derivation(bad)
         assert not rep.valid
 
+    def test_basis_binding_a_computation_type(self):
+        d = Derivation("Omega", Judgment((("x", CTf(V_OMEGA)),), Unit(Variable("x")), C_OMEGA))
+        assert check_derivation(d).errors == [((), "x is bound to a computation type")]
+
+    def test_basis_binding_a_name_twice(self):
+        arrow = VArrow(V_OMEGA, CTf(V_OMEGA))
+        d = Derivation("Ax", Judgment((("x", V_OMEGA), ("x", arrow)), Variable("x"), arrow))
+        assert check_derivation(d).errors == [((), "x is bound twice in the basis")]
+
 
 class TestInfer:
     def test_omega_only_top_class(self):

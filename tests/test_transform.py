@@ -8,6 +8,8 @@ under the ``ubcalc`` package so that its relative imports resolve.
 """
 import importlib.util
 import pathlib
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from conftest import CLOSED_COMPS
 from test_assignment import ID_LAM, UNIVERSE, two_node_identity_derivation
 
+from ubcalc import assignment, derivfile, harness, transform
 from ubcalc.assignment import (
     C_OMEGA,
     Derivation,
@@ -25,7 +28,7 @@ from ubcalc.assignment import (
     synth_derivation,
     typable_nontrivial,
 )
-from ubcalc.harness import GenConfig, _universe, gen_term, gen_typed_term
+from ubcalc.harness import GenConfig, _universe, gen_term, gen_typed_term, run_suite
 from ubcalc.reduction import DEFAULT_RULES, enumerate_steps
 from ubcalc.terms import Lambda, Unit, Variable, alpha_eq, parse_term, subterms
 from ubcalc.transform import (
@@ -139,3 +142,38 @@ def test_transforms_match_the_reference(seed):
             except Unsynthesizable:
                 continue
             _same_construction(expand_derivation(m, step, d), reference.expand_derivation(m, step, d))
+
+
+def _load_workloads():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_deriv_vars_reads_the_root(monkeypatch):
+    """The names a derivation uses are those of its root subject and
+    basis: the reference's walk over every node finds no more, on every
+    derivation the transforms ask about in the typed benchmark workload
+    and in the subject-reduction and subject-expansion suites."""
+    root_only = transform._deriv_vars
+    calls, mismatches = [0], []
+
+    def checked(d):
+        calls[0] += 1
+        got = root_only(d)
+        if got != reference._deriv_vars(d):
+            mismatches.append(d)
+        return got
+
+    monkeypatch.setattr(transform, "_deriv_vars", checked)
+    for seed in (0, 7):
+        for name in ("subject-reduction", "subject-expansion"):
+            assert not run_suite(name, GenConfig(seed=seed, cases=20)).failures
+    workloads = _load_workloads()
+    api = types.SimpleNamespace(harness=harness, derivfile=derivfile, assignment=assignment)
+    for item in workloads.build(workloads.plan("typed", 0)):
+        assert item.run(api) != workloads.FAIL
+    assert calls[0] > 1000 and not mismatches

@@ -11,6 +11,7 @@ from ubcalc.typesys import (
     CanonC,
     CanonV,
     CInter,
+    COmega,
     CTf,
     EMPTY_TABLE,
     TOP_C,
@@ -20,12 +21,14 @@ from ubcalc.typesys import (
     VArrow,
     VAtom,
     VInter,
+    VOmega,
     brute_subtype_oracle,
     enumerate_types,
     eq_c,
     eq_v,
     leq_c,
     leq_v,
+    meet_canon_c,
     meet_canon_v,
     normalize_ctype,
     normalize_vtype,
@@ -204,6 +207,150 @@ class TestInterning:
     def test_memos_are_bounded(self):
         for memo in (typesys._meet_canon_v_cached, typesys._leq_canon_v_cached):
             assert memo.cache_info().maxsize is not None
+
+
+# The un-memoised normalisation the raw types were read with before they
+# were hash-consed: a walk of the whole tree at every call.
+
+
+def ref_normalize_vtype(t, table=EMPTY_TABLE, eta_depth=None):
+    depth = table.eta_depth if eta_depth is None else eta_depth
+    match t:
+        case VOmega():
+            return TOP_V
+        case VAtom(name):
+            if name not in table.atoms:
+                raise UnknownAtomError(name)
+            return typesys._unfold_atom(name, table, depth)
+        case VArrow(d, c):
+            cc = ref_normalize_ctype(c, table, depth)
+            if cc.is_top:
+                return TOP_V
+            return CanonV((), ((ref_normalize_vtype(d, table, depth), cc),))
+        case VInter(l, r):
+            return meet_canon_v(ref_normalize_vtype(l, table, depth), ref_normalize_vtype(r, table, depth), table)
+    raise TypeError(f"not a value type: {t!r}")
+
+
+def ref_normalize_ctype(t, table=EMPTY_TABLE, eta_depth=None):
+    depth = table.eta_depth if eta_depth is None else eta_depth
+    match t:
+        case COmega():
+            return TOP_C
+        case CTf(a):
+            return tcan(ref_normalize_vtype(a, table, depth))
+        case CInter(l, r):
+            return meet_canon_c(ref_normalize_ctype(l, table, depth), ref_normalize_ctype(r, table, depth), table)
+    raise TypeError(f"not a computation type: {t!r}")
+
+
+TYPE_NAMES = {cls.__name__: cls for cls in (VAtom, VArrow, VInter, VOmega, CTf, CInter, COmega)}
+RAW_MEMOS = ("_normalize_v", "_normalize_c", "to_vtype", "parse_type")
+NORMALIZE_TABLES = [EMPTY_TABLE, T1] + [
+    AtomTable(("a",), eta_mode=mode, eta_depth=depth) for mode in ("scott", "park") for depth in (0, 1, 2)
+]
+
+
+def rebuilt(t):
+    """A structurally equal copy of t, built bottom-up from its fields."""
+    fields = (getattr(t, name) for name in t.__match_args__)
+    return type(t)(*(rebuilt(f) if isinstance(f, typesys._TypeNode) else f for f in fields))
+
+
+def clear_type_memos():
+    for name in RAW_MEMOS + ("_meet_canon_v_cached", "_leq_canon_v_cached"):
+        getattr(typesys, name).cache_clear()
+
+
+class TestRawInterning:
+    @given(st.one_of(vtypes(3, T2), ctypes(3, T2)))
+    def test_equal_types_are_one_object(self, t):
+        assert rebuilt(t) is t
+        assert eval(repr(t), TYPE_NAMES) is t
+        text = print_type(t)
+        first = parse_type(text)
+        typesys.parse_type.cache_clear()
+        assert parse_type(text) is first
+
+    @given(vtypes(3, T1), vtypes(3, T1))
+    def test_equal_exactly_when_printed_alike(self, a, b):
+        assert (a == b) == (repr(a) == repr(b)) == (a is b)
+        # the surface form prints intersections without their nesting
+        pa, pb = parse_type(print_type(a)), parse_type(print_type(b))
+        assert (pa == pb) == (print_type(a) == print_type(b))
+
+    def test_fields_are_read_only(self):
+        t = parse_type("Wv -> T Wv")
+        with pytest.raises(AttributeError):
+            t.dom = VAtom("a")
+        with pytest.raises(AttributeError):
+            del t.cod
+        with pytest.raises(AttributeError):
+            V_OMEGA.extra = 1
+
+    @pytest.mark.parametrize(
+        "src,want",
+        [
+            ("Wv -> T Wv", "VArrow(dom=VOmega(), cod=CTf(arg=VOmega()))"),
+            ("@a & Wv", "VInter(left=VAtom(name='a'), right=VOmega())"),
+            ("Wc & T @b", "CInter(left=COmega(), right=CTf(arg=VAtom(name='b')))"),
+        ],
+    )
+    def test_repr_is_dataclass_style(self, src, want):
+        assert repr(parse_type(src)) == want
+
+    def test_construction_by_field_name(self):
+        assert VArrow(dom=V_OMEGA, cod=C_OMEGA) is VArrow(V_OMEGA, C_OMEGA) is VArrow(V_OMEGA, cod=C_OMEGA)
+        with pytest.raises(TypeError):
+            VArrow(V_OMEGA)
+        with pytest.raises(TypeError):
+            VArrow(V_OMEGA, dom=V_OMEGA)
+
+    def test_rebuilt_by_copy_and_pickle_as_the_same_node(self):
+        import copy
+        import pickle
+
+        t = parse_type("(Wv -> T @a) & @b -> Wc & T Wv")
+        assert copy.copy(t) is t
+        assert copy.deepcopy(t) is t
+        assert pickle.loads(pickle.dumps(t)) is t
+
+    def test_dropped_types_leave_the_table(self):
+        clear_type_memos()
+        gc.collect()
+        before = len(typesys._INTERNED_TYPES)
+        t = V_OMEGA
+        for i in range(50):
+            t = VInter(VArrow(t, CTf(VAtom(f"drop{i}"))), VAtom(f"drop{i}"))
+        assert len(typesys._INTERNED_TYPES) > before + 50
+        normalize_vtype(t, AtomTable(tuple(f"drop{i}" for i in range(50))))
+        to_vtype(normalize_vtype(parse_type("Wv -> T (Wv -> T Wv)")))
+        del t
+        # the memos hold strong references; dropping them frees the types
+        clear_type_memos()
+        gc.collect()
+        assert len(typesys._INTERNED_TYPES) <= before
+
+    def test_memos_are_bounded(self):
+        for name in RAW_MEMOS:
+            assert getattr(typesys, name).cache_info().maxsize == typesys._MEMO_SIZE
+
+    @given(vtypes(3, T1), ctypes(3, T1))
+    @settings(max_examples=150)
+    def test_normalize_matches_the_unmemoised_walk(self, v, c):
+        def same(got, want, *args):
+            try:
+                expected = want(*args)
+            except UnknownAtomError:
+                with pytest.raises(UnknownAtomError):
+                    got(*args)
+                return
+            assert got(*args) is expected
+
+        for table in NORMALIZE_TABLES:
+            for depth in (None, 0, 1, 2):
+                same(normalize_vtype, ref_normalize_vtype, v, table, depth)
+                same(normalize_ctype, ref_normalize_ctype, c, table, depth)
 
 
 class TestTheoryAxioms:
