@@ -1,29 +1,29 @@
 #!/usr/bin/env python3
 """Print the finite-rank value and computation lattices, optionally as DOT."""
 import argparse
-import json
+import sys
 
-from ubcalc.cli import _dot_order
-from ubcalc.filters import build_domain
+from ubcalc.cli import AtomSpecError, _atom_spec, _dot_order, non_negative_int
+from ubcalc.filters import DomainSizeError, build_domain
 from ubcalc.typesys import AtomTable, EMPTY_TABLE, print_ctype, print_vtype, to_ctype, to_vtype
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--rank", type=int, default=2)
+    ap.add_argument("--rank", type=non_negative_int, default=2)
     ap.add_argument("--atoms", help="JSON file with atoms and order pairs")
     ap.add_argument("--dot", action="store_true")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    table = EMPTY_TABLE
-    if args.atoms:
-        with open(args.atoms) as fh:
-            spec = json.load(fh)
-        table = AtomTable(
-            tuple(spec.get("atoms", ())),
-            frozenset(tuple(p) for p in spec.get("order", ())),
-        )
-    dom = build_domain(args.rank, table)
+    try:
+        table = AtomTable(*_atom_spec(args.atoms)) if args.atoms else EMPTY_TABLE
+        dom = build_domain(args.rank, table)
+    except (OSError, AtomSpecError) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
+    except DomainSizeError as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     if args.dot:
         print(_dot_order(dom))
         return 0

@@ -11,7 +11,7 @@ reduction step (subject reduction) or backward (subject expansion).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .terms import (
     Bind,
@@ -43,12 +43,12 @@ from .typesys import (
     VInter,
     VOmega,
     _make_canon_v,
+    apply_canon,
     is_vtype,
     leq_c,
     leq_canon_c,
     leq_canon_v,
     leq_v,
-    meet_all_canon_c,
     normalize_ctype,
     normalize_vtype,
     print_type,
@@ -324,15 +324,24 @@ def _canon_basis(basis: Basis, table: AtomTable) -> tuple[tuple[str, CanonV], ..
 class _Minimal:
     """Bounded inference over one term tree and one universe.
 
-    Abstractions and binds are memoised on (node, basis types of their
-    free variables), so a closed abstraction runs its body once per
-    evaluator rather than once per enclosing universe point."""
+    An abstraction's argument ranges over the universe; a unit is typed
+    from its value's type by ``unit`` (``tcan`` for inference; the filter
+    interpreter truncates into its rank).  Abstractions and binds are
+    memoised on (node, basis types of their free variables), so a closed
+    abstraction runs its body once per evaluator rather than once per
+    enclosing universe point."""
 
-    __slots__ = ("universe", "table", "memo")
+    __slots__ = ("universe", "table", "unit", "memo")
 
-    def __init__(self, universe: Sequence[CanonV], table: AtomTable) -> None:
+    def __init__(
+        self,
+        universe: Sequence[CanonV],
+        table: AtomTable,
+        unit: Callable[[CanonV], CanonC] = tcan,
+    ) -> None:
         self.universe = universe
         self.table = table
+        self.unit = unit
         self.memo = ScopedMemo()
 
     def value(self, v: Value, basis: dict[str, CanonV]) -> CanonV:
@@ -346,7 +355,7 @@ class _Minimal:
     def comp(self, m: Comp, basis: dict[str, CanonV]) -> CanonC:
         match m:
             case Unit(v):
-                return tcan(self.value(v, basis))
+                return self.unit(self.value(v, basis))
             case Bind(left, right):
                 return self.memo.cached(m, basis, lambda: self._bind(left, right, basis))
         raise TypeError(f"not a computation: {m!r}")
@@ -359,8 +368,7 @@ class _Minimal:
         t = self.comp(left, basis)
         if t.arg is None:
             return TOP_C
-        e = self.value(right, basis)
-        return meet_all_canon_c((c for d, c in e.arrows if leq_canon_v(t.arg, d, self.table)), self.table)
+        return apply_canon(self.value(right, basis), t.arg, self.table)
 
 
 def minimal_value(

@@ -8,10 +8,15 @@ classes of rank <= n; the computation side is the top class plus ``T``
 of every value class of rank <= n-1.
 
 Bind and application act on generators by collecting the codomains of
-the arrow parts whose domains dominate the argument; abstraction builds
-the meet of one arrow per sampled argument point.  Interpretation of a
-term at rank n samples abstraction arguments from the rank n-1 value
-lattice and truncates unit results into rank n.
+the arrow parts whose domains dominate the argument (``apply_canon``);
+abstraction builds the meet of one arrow per sampled argument point.
+By the completeness of type assignment a term denotes the filter of its
+types, so interpretation at rank n is the bounded inference of
+``assignment``, with abstraction arguments drawn from the rank n-1 value
+lattice and unit contents truncated into rank n (rank 0 has no argument
+points, and every unit denotes bottom).  Interpretation raises
+``OpenVariableError`` at every rank when the environment leaves a free
+variable of the term unbound.
 """
 from __future__ import annotations
 
@@ -19,7 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
-from .terms import Bind, Comp, Lambda, ScopedMemo, Unit, Value, Variable
+from .assignment import _Minimal
+from .terms import Comp, Term, Value
 from .typesys import (
     TOP_C,
     TOP_V,
@@ -29,9 +35,9 @@ from .typesys import (
     EMPTY_TABLE,
     _MEMO_SIZE,
     _make_canon_v,
+    apply_canon,
     leq_canon_c,
     leq_canon_v,
-    meet_all_canon_c,
     meet_canon_v,
     tcan,
 )
@@ -163,19 +169,11 @@ def bind_f(t: ComFilt, e: ValFilt, table: AtomTable = EMPTY_TABLE) -> ComFilt:
     a = t.gen.arg
     if a is None:
         return BOTTOM_C
-    return ComFilt(
-        meet_all_canon_c(
-            (c for d, c in e.gen.arrows if leq_canon_v(a, d, table)), table
-        )
-    )
+    return ComFilt(apply_canon(e.gen, a, table))
 
 
 def apply_f(u: ValFilt, d: ValFilt, table: AtomTable = EMPTY_TABLE) -> ComFilt:
-    return ComFilt(
-        meet_all_canon_c(
-            (c for dd, c in u.gen.arrows if leq_canon_v(d.gen, dd, table)), table
-        )
-    )
+    return ComFilt(apply_canon(u.gen, d.gen, table))
 
 
 def unit_as_function(points: Iterable[CanonV], table: AtomTable = EMPTY_TABLE) -> ValFilt:
@@ -239,54 +237,16 @@ class OpenVariableError(KeyError):
 EnvN = dict[str, ValFilt]
 
 
-class _Interp:
-    """One rank-n interpretation over one term tree.
-
-    Abstractions and binds are memoised on (node, generators of their free
-    variables), so a closed abstraction runs its body once per call rather
-    than once per enclosing lattice point.  Environments map names to
-    generators."""
-
-    __slots__ = ("n", "table", "memo")
-
-    def __init__(self, n: int, table: AtomTable) -> None:
-        self.n = n
-        self.table = table
-        self.memo = ScopedMemo()
-
-    def value(self, v: Value, env: dict[str, CanonV]) -> CanonV:
-        match v:
-            case Variable(name):
-                try:
-                    return env[name]
-                except KeyError:
-                    raise OpenVariableError(name) from None
-            case Lambda(x, body):
-                if self.n == 0:
-                    return TOP_V
-                return self.memo.cached(v, env, lambda: self._lambda(x, body, env))
-        raise TypeError(f"not a value: {v!r}")
-
-    def comp(self, m: Comp, env: dict[str, CanonV]) -> CanonC:
-        match m:
-            case Unit(v):
-                d = self.value(v, env)
-                if self.n == 0:
-                    return TOP_C
-                return tcan(_projected(d, self.n - 1, self.table))
-            case Bind(left, right):
-                return self.memo.cached(m, env, lambda: self._bind(left, right, env))
-        raise TypeError(f"not a computation: {m!r}")
-
-    def _lambda(self, x: str, body: Comp, env: dict[str, CanonV]) -> CanonV:
-        points = value_lattice(self.n - 1, self.table)
-        arrows = [(p, self.comp(body, {**env, x: p})) for p in points]
-        return _make_canon_v((), arrows, self.table)
-
-    def _bind(self, left: Comp, right: Value, env: dict[str, CanonV]) -> CanonC:
-        t = self.comp(left, env)
-        e = self.value(right, env)
-        return bind_f(ComFilt(t), ValFilt(e), self.table).gen
+def _interpreter(t: Term, env: EnvN, n: int, table: AtomTable) -> _Minimal:
+    """Bounded inference that interprets t at rank n: abstraction arguments
+    range over the rank n-1 lattice and units truncate into rank n.  Every
+    free variable of t must be bound in env."""
+    unbound = sorted(t.fv - env.keys())
+    if unbound:
+        raise OpenVariableError(unbound[0])
+    if n == 0:
+        return _Minimal((), table, lambda d: TOP_C)
+    return _Minimal(value_lattice(n - 1, table), table, lambda d: tcan(_projected(d, n - 1, table)))
 
 
 def _gens(env: EnvN) -> dict[str, CanonV]:
@@ -294,17 +254,15 @@ def _gens(env: EnvN) -> dict[str, CanonV]:
 
 
 def interp_value(v: Value, env: EnvN, n: int, table: AtomTable = EMPTY_TABLE) -> ValFilt:
-    return ValFilt(_Interp(n, table).value(v, _gens(env)))
+    return ValFilt(_interpreter(v, env, n, table).value(v, _gens(env)))
 
 
 def interp_comp(m: Comp, env: EnvN, n: int, table: AtomTable = EMPTY_TABLE) -> ComFilt:
-    return ComFilt(_Interp(n, table).comp(m, _gens(env)))
+    return ComFilt(_interpreter(m, env, n, table).comp(m, _gens(env)))
 
 
 def interp_closed(m: Comp, n: int, table: AtomTable = EMPTY_TABLE) -> ComFilt:
-    if m.fv:
-        raise OpenVariableError(sorted(m.fv)[0])
-    return ComFilt(_Interp(n, table).comp(m, {}))
+    return interp_comp(m, {}, n, table)
 
 
 # ----------------------------------------------------------- type meaning

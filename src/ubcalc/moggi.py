@@ -332,7 +332,8 @@ def convertible(a, b, fuel: int = 300) -> Optional[bool]:
     fuel, and stop at the first state one reaches that the other has seen:
     a meet of the two full searches shows when the later side reaches it.
     """
-    if isinstance(a, (MVar, MLam, MApp, MLet)):
+    let_terms = (MVar, MLam, MApp, MLet)
+    if isinstance(a, let_terms) and isinstance(b, let_terms):
         seen: tuple[set, set] = (set(), set())
         searches = {i: explore(t, _m_successors, alpha_key, fuel, seen[i]) for i, t in enumerate((a, b))}
         level, exhausted = [-1, -1], True
@@ -348,9 +349,9 @@ def convertible(a, b, fuel: int = 300) -> Optional[bool]:
                     exhausted = exhausted and stop.value
                     del searches[i]
         return False if exhausted else None
-    if is_comp(a):
+    if is_comp(a) and is_comp(b):
         return True if ub_reduction.joinable(a, b, fuel) is not None else None
-    raise TypeError("convertible expects two terms of one calculus")
+    raise TypeError("convertible expects two let-terms or two unit/bind computations")
 
 
 # ------------------------------------------------------------ preservation

@@ -303,10 +303,4 @@ def joinable(
             frontier[:] = nxt
             if budget <= 0:
                 break
-        common = set(seen_m) & set(seen_n)
-        if common:
-            return seen_m[next(iter(common))]
-    common = set(seen_m) & set(seen_n)
-    if common:
-        return seen_m[next(iter(common))]
     return None

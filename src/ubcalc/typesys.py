@@ -158,6 +158,11 @@ class AtomTable:
     atom -> T(atom); atoms are rewritten by bounded unfolding during
     normalization, making the decider sound but not complete in
     eta mode.
+
+    Every type memo is keyed on a table, so its hash is computed once,
+    at construction; copy and pickle rebuild through the constructor, so
+    a table sent to another process is hashed under that process's
+    string-hash seed.
     """
 
     atoms: tuple[str, ...] = ()
@@ -176,6 +181,13 @@ class AtomTable:
                         closed.add((a, d))
                         changed = True
         object.__setattr__(self, "order", frozenset(closed))
+        object.__setattr__(self, "_hash", hash((self.atoms, self.order, self.eta_mode, self.eta_depth)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return AtomTable, (self.atoms, self.order, self.eta_mode, self.eta_depth)
 
     def leq_atom(self, a: str, b: str) -> bool:
         if a not in self.atoms or b not in self.atoms:
@@ -392,16 +404,19 @@ def meet_all_canon_c(parts: Iterable[CanonC], table: AtomTable) -> CanonC:
     return acc
 
 
+def apply_canon(f: CanonV, arg: CanonV, table: AtomTable) -> CanonC:
+    """The type of applying a function of type f to an argument of type arg:
+    the meet of the codomains of f's arrows whose domain arg entails."""
+    return meet_all_canon_c((c for d, c in f.arrows if leq_canon_v(arg, d, table)), table)
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _leq_canon_v_cached(a: CanonV, b: CanonV, table: AtomTable) -> bool:
     for atom in b.atoms:
         if not any(table.leq_atom(x, atom) for x in a.atoms):
             return False
     for d2, c2 in b.arrows:
-        covering = meet_all_canon_c(
-            (c1 for d1, c1 in a.arrows if leq_canon_v(d2, d1, table)), table
-        )
-        if not leq_canon_c(covering, c2, table):
+        if not leq_canon_c(apply_canon(a, d2, table), c2, table):
             return False
     return True
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from conftest import CLOSED_COMPS, CLOSED_TERMS, OPEN_TERMS, rotations
 
-from ubcalc import filters
+from ubcalc import assignment, filters
 from ubcalc.filters import (
     BOTTOM_C,
     BOTTOM_V,
@@ -282,6 +282,15 @@ class TestInterp:
         with pytest.raises(OpenVariableError):
             interp_closed(Unit(Variable("x")), 1)
 
+    @pytest.mark.parametrize("n", range(4))
+    def test_unbound_variable_under_an_abstraction_raises_at_every_rank(self, n):
+        # at rank 0 no abstraction body is run, so only an up-front check
+        # of the free variables sees y
+        with pytest.raises(OpenVariableError, match="y"):
+            interp_value(Lambda("x", Unit(Variable("y"))), {}, n)
+        with pytest.raises(OpenVariableError, match="y"):
+            interp_comp(Unit(Lambda("x", Unit(Variable("y")))), {"x": BOTTOM_V}, n)
+
     def test_env_lookup(self):
         d = ValFilt(canon_v("Wv -> T Wv"))
         got = interp_comp(Unit(Variable("x")), {"x": d}, 2)
@@ -439,7 +448,7 @@ class TestInterpMatchesReference:
             return _make_canon_v(atoms, arrows, table)
 
         m = parse_term("unit (\\x. unit (\\y. unit y) * x)")
-        monkeypatch.setattr(filters, "_make_canon_v", counting)
+        monkeypatch.setattr(assignment, "_make_canon_v", counting)
         got = interp_closed(m, 3)
         monkeypatch.undo()
         assert built == [6, 6]

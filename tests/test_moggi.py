@@ -241,6 +241,15 @@ class TestConvertibility:
         n = parse_term("unit (\\x. unit x)")
         assert convertible(m, n) is True
 
+    @pytest.mark.parametrize(
+        "a,b",
+        [(MVar("a"), Unit(Variable("a"))), (Unit(Variable("a")), MVar("a"))],
+        ids=["let-then-ub", "ub-then-let"],
+    )
+    def test_mixed_calculi_rejected(self, a, b):
+        with pytest.raises(TypeError):
+            convertible(a, b)
+
 
 # The searches as they were before the two sides stopped at their first
 # meet, kept as differential oracles: the step list deduplicated at every

@@ -342,6 +342,18 @@ class TestJoinable:
         got = joinable(a, b, fuel=60)
         assert got is not None
 
+    def test_divergent_peak_joins_by_breadth_first_search(self):
+        # neither reduct normalises, so the join must come from the
+        # breadth-first search, not from comparing normal forms
+        t = Bind(Bind(Unit(Variable("v")), Lambda("x", omega_c())), Lambda("y", Unit(Variable("n"))))
+        steps = enumerate_steps(t)
+        a = [s for s in steps if s.rule is Rule.BETA_C][0].result
+        b = [s for s in steps if s.rule is Rule.ASS][0].result
+        assert not normalize(a, DEFAULT_RULES, 80).normal_form
+        assert not normalize(b, DEFAULT_RULES, 80).normal_form
+        got = joinable(a, b, fuel=60)
+        assert got is not None and alpha_eq(got, a)
+
     def test_reassociation_peak_joins(self):
         l, m, n, p = star_free("lmnp")
         t = Bind(Bind(Bind(l, Lambda("x", m)), Lambda("y", n)), Lambda("z", p))

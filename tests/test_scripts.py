@@ -27,3 +27,37 @@ def test_bench_pairs_needs_two_pairs_before_any_run(monkeypatch, pairs):
     with pytest.raises(SystemExit) as exit_info:
         bench_pairs.main(argv)
     assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "spec,rank,code,out",
+    [
+        ('{"atoms": ["a"]}', "1", 0, "rank 1: 12 value classes, 3 computation classes"),
+        ('{"atoms": "ab"}', "1", 2, ""),
+        ("not json", "1", 2, ""),
+        (None, "1", 2, ""),
+        ('{"atoms": ["a"]}', "2", 3, ""),
+    ],
+    ids=["one-atom", "atoms-not-a-list", "not-json", "missing-file", "over-the-cap"],
+)
+def test_dump_domain_reads_atoms_like_the_cli(tmp_path, capsys, spec, rank, code, out):
+    dump_domain = _load_script("dump_domain")
+    path = tmp_path / "atoms.json"
+    if spec is not None:
+        path.write_text(spec)
+    assert dump_domain.main(["--rank", rank, "--atoms", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[:1] == ([out] if out else [])
+    errors = captured.err.splitlines()
+    if code == 0:
+        assert errors == []
+    else:
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+
+
+def test_dump_domain_rejects_a_negative_rank(capsys):
+    dump_domain = _load_script("dump_domain")
+    with pytest.raises(SystemExit) as exit_info:
+        dump_domain.main(["--rank", "-1"])
+    assert exit_info.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err

@@ -47,6 +47,29 @@ T2C = AtomTable(("a", "b"), frozenset({("a", "b")}))
 ARROW_TOP = VArrow(V_OMEGA, C_OMEGA)
 
 
+class TestAtomTableHash:
+    def test_equal_tables_hash_equal(self):
+        # the order is closed at construction, so these are one table
+        again = AtomTable(("a", "b"), frozenset({("a", "b"), ("a", "a")}))
+        assert again == T2C and hash(again) == hash(T2C)
+
+    def test_copy_and_pickle_rebuild_the_hash(self):
+        import copy
+        import pickle
+        import pickletools
+
+        table = AtomTable(("a", "b"), frozenset({("a", "b")}), "scott", 2)
+        stale = AtomTable(("a", "b"), frozenset({("a", "b")}), "scott", 2)
+        # a hash computed under another process's string-hash seed
+        object.__setattr__(stale, "_hash", hash(table) ^ 1)
+        payload = pickle.dumps(stale)
+        assert not any(
+            arg in (hash(stale), "_hash") for _, arg, _ in pickletools.genops(payload)
+        )
+        for back in (pickle.loads(payload), copy.copy(stale), copy.deepcopy(stale)):
+            assert back == table and hash(back) == hash(table)
+
+
 def vtypes(depth, table=EMPTY_TABLE):
     base = [st.just(V_OMEGA)]
     if table.atoms:
