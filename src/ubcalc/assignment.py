@@ -3,10 +3,10 @@
 Judgments assign value types to values and computation types to
 computations over a finite basis.  Derivations are explicit trees with
 rules Ax, ArrowI, UnitI, ArrowE, Omega, InterI and Leq, checkable node
-by node.  On top of the checker sit generation-lemma inversion, bounded
-inference relative to a finite type universe, derivation synthesis, and
-the constructive transformations carrying a derivation forward along a
-reduction step (subject reduction) or backward (subject expansion).
+by node.  On top of the checker sit bounded inference relative to a
+finite type universe, derivation synthesis, and the constructive
+transformations carrying a derivation forward along a reduction step
+(subject reduction) or backward (subject expansion).
 """
 from __future__ import annotations
 
@@ -49,13 +49,11 @@ from .typesys import (
     leq_canon_c,
     leq_canon_v,
     leq_v,
-    normalize_ctype,
     normalize_vtype,
     print_type,
     tcan,
     to_ctype,
     to_vtype,
-    vinter_all,
 )
 
 # ------------------------------------------------------------------- bases
@@ -95,14 +93,6 @@ def basis_extend(basis: Basis, x: str, t: ValType) -> Basis:
 
 def basis_remove(basis: Basis, x: str) -> Basis:
     return tuple((n, t) for n, t in basis if n != x)
-
-
-def basis_meet(a: Basis, b: Basis) -> Basis:
-    """Pointwise intersection of two bases."""
-    out: dict[str, ValType] = dict(a)
-    for name, t in b:
-        out[name] = VInter(out[name], t) if name in out else t
-    return make_basis(out.items())
 
 
 # -------------------------------------------------------------- derivations
@@ -422,75 +412,6 @@ def typable_nontrivial(
     if low.arg is None:
         return None
     return to_ctype(low)
-
-
-# ------------------------------------------------------- generation lemma
-
-
-@dataclass(frozen=True)
-class ObligationSet:
-    """One disjunct of the generation lemma: judgments to establish plus
-    subtype side conditions."""
-
-    judgments: tuple[Judgment, ...]
-    sides: tuple[tuple[AnyType, AnyType], ...]
-
-
-def invert(
-    basis: Basis,
-    subject: Term,
-    sigma: AnyType,
-    universe: tuple[Sequence[CanonV], Sequence[CanonC]] | None = None,
-    table: AtomTable = EMPTY_TABLE,
-) -> list[ObligationSet]:
-    """Premise obligations for a judgment, one ObligationSet per disjunct.
-
-    A trivial sigma yields the empty obligation.  For binds, the
-    existential content type ranges over the universe's value classes.
-    """
-    trivial = (
-        leq_v(VOmega(), sigma, table) if is_vtype(sigma) else leq_c(COmega(), sigma, table)
-    )
-    if trivial:
-        return [ObligationSet((), ())]
-    match subject:
-        case Variable(name):
-            lo = basis_get(basis, name)
-            ok = leq_v(lo, sigma, table)
-            return [ObligationSet((), (((lo, sigma)),))] if ok else []
-        case Lambda(x, body):
-            canon = normalize_vtype(sigma, table)
-            if canon.atoms:
-                return []
-            judgments = tuple(
-                Judgment(basis_extend(basis, x, to_vtype(d)), body, to_ctype(c))
-                for d, c in canon.arrows
-            )
-            family = vinter_all([VArrow(to_vtype(d), to_ctype(c)) for d, c in canon.arrows])
-            return [ObligationSet(judgments, ((family, sigma),))]
-        case Unit(v):
-            canon = normalize_ctype(sigma, table)
-            if canon.arg is None:
-                return [ObligationSet((), ())]
-            w = to_vtype(canon.arg)
-            return [ObligationSet((Judgment(basis, v, w),), ((CTf(w), sigma),))]
-        case Bind(left, right):
-            if universe is None:
-                raise ValueError("bind inversion needs a universe for the content type")
-            out = []
-            for d in universe[0]:
-                dd = to_vtype(d)
-                out.append(
-                    ObligationSet(
-                        (
-                            Judgment(basis, left, CTf(dd)),
-                            Judgment(basis, right, VArrow(dd, sigma)),
-                        ),
-                        (),
-                    )
-                )
-            return out
-    raise TypeError(f"not a term: {subject!r}")
 
 
 # ------------------------------------------------------------ synthesis

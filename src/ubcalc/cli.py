@@ -34,7 +34,8 @@ OK, FALSE, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 
 
 class AtomSpecError(ValueError):
-    """The --atoms file is not a JSON object of atom names and order pairs."""
+    """The --atoms file is not a JSON object of atom names and order pairs
+    over those names."""
 
 
 # Errors in what the user gave (typed text, files): exit 2, never 1, which
@@ -107,6 +108,9 @@ def _atom_spec(path: str) -> tuple[tuple[str, ...], frozenset[tuple[str, str]]]:
         )
     ):
         raise AtomSpecError(shape)
+    undeclared = sorted({a for p in order for a in p} - set(atoms))
+    if undeclared:
+        raise AtomSpecError(f"{path}: order names undeclared atoms: {', '.join(undeclared)}")
     return tuple(atoms), frozenset(tuple(p) for p in order)
 
 

@@ -317,8 +317,11 @@ def run_suite(name: str, cfg: GenConfig) -> PropertyReport:
 def _confluence(cfg: GenConfig, m: Comp):
     steps = enumerate_steps(m, cfg.rules)
     for a, b in itertools.combinations(steps, 2):
-        if joinable(a.result, b.result, cfg.fuel, cfg.rules) is None:
+        found = joinable(a.result, b.result, cfg.fuel, cfg.rules)
+        if found is None:
             return INCONCLUSIVE
+        if found is False:
+            return {"left": print_term(a.result), "right": print_term(b.result)}
     return PASS
 
 

@@ -290,34 +290,6 @@ def from_moggi(e: MTerm) -> Comp:
 # ------------------------------------------------------------- conversion
 
 
-def explore(start, successors, key, budget: int, seen: set):
-    """Bounded breadth-first search up to key.  Yields (key, state, depth)
-    for start, then for each state first reached, after adding its key to
-    seen.  successors(t) gives (key, state) pairs, each costing one unit of
-    budget; the one that spends the last unit is still looked at.  Returns
-    True when the reachable set was exhausted within the budget."""
-    k = key(start)
-    seen.add(k)
-    yield k, start, 0
-    frontier, depth = [start], 0
-    while frontier:
-        if budget <= 0:
-            return False
-        depth += 1
-        nxt = []
-        for t in frontier:
-            for k, r in successors(t):
-                budget -= 1
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(r)
-                    yield k, r, depth
-                if budget <= 0:
-                    return False
-        frontier = nxt
-    return True
-
-
 def _m_successors(e: MTerm):
     return ((s.key, s.result) for s in m_enumerate_steps(e))
 
@@ -328,30 +300,17 @@ def convertible(a, b, fuel: int = 300) -> Optional[bool]:
     True when a common reduct is found; False when both reachable sets
     were exhausted without meeting; None when budgets ran out
     (inconclusive, since conversion is only semi-decided by joining).
-    On let-terms the sides search in turn, a level at a time and each with
-    fuel, and stop at the first state one reaches that the other has seen:
-    a meet of the two full searches shows when the later side reaches it.
+    Let-terms search with ``reduction.meet``, unit/bind computations with
+    ``reduction.joinable`` under the default rules.
     """
     let_terms = (MVar, MLam, MApp, MLet)
     if isinstance(a, let_terms) and isinstance(b, let_terms):
-        seen: tuple[set, set] = (set(), set())
-        searches = {i: explore(t, _m_successors, alpha_key, fuel, seen[i]) for i, t in enumerate((a, b))}
-        level, exhausted = [-1, -1], True
-        while searches:
-            for i, search in list(searches.items()):
-                try:
-                    depth = level[i]
-                    while level[i] == depth:
-                        k, _, level[i] = next(search)
-                        if k in seen[1 - i]:
-                            return True
-                except StopIteration as stop:
-                    exhausted = exhausted and stop.value
-                    del searches[i]
-        return False if exhausted else None
-    if is_comp(a) and is_comp(b):
-        return True if ub_reduction.joinable(a, b, fuel) is not None else None
-    raise TypeError("convertible expects two let-terms or two unit/bind computations")
+        found = ub_reduction.meet(a, b, _m_successors, fuel)
+    elif is_comp(a) and is_comp(b):
+        found = ub_reduction.joinable(a, b, fuel)
+    else:
+        raise TypeError("convertible expects two let-terms or two unit/bind computations")
+    return None if found is None else found is not False
 
 
 # ------------------------------------------------------------ preservation
@@ -379,7 +338,7 @@ def image_reaches(src: Comp, dst: Comp, fuel: int, allow_eta: bool) -> tuple[boo
     def successors(t: Comp):
         return ((alpha_key(s.result), s.result) for s in ub_reduction.enumerate_steps(t, rules))
 
-    found = explore(src, successors, alpha_key, fuel, set())
+    found = ub_reduction.explore(src, successors, fuel, set())
     depth = next((d for k, _, d in found if k == target), -1)
     return depth >= 0, depth
 
@@ -405,6 +364,6 @@ def check_preservation(e: MTerm, fuel: int = 400) -> list[PreservationResult]:
             if back:
                 eta_join, n = True, nb
             else:
-                eta_join = ub_reduction.joinable(src, dst, fuel, ub_reduction.ALL_RULES) is not None
+                eta_join = is_comp(ub_reduction.joinable(src, dst, fuel, ub_reduction.ALL_RULES))
         out.append(PreservationResult(s.rule, src, dst, ok, n, eta_join))
     return out

@@ -11,7 +11,13 @@ plus the optional, confluence-breaking value rule
     etac)   \\x. (unit x * V)        -->  V                    (x not free in V)
 
 together with their compatible closure, complete developments, the
-left-of-star termination measure for ass, and bounded joinability search.
+left-of-star termination measure for ass, and the bounded breadth-first
+search both calculi share: ``explore`` from one term, ``meet`` from two.
+``joinable`` runs ``meet`` on unit/bind terms and returns a common
+reduct, False once both reachable sets are exhausted without meeting, or
+None when a budget runs out first.  Without etac the rules are
+confluent, so False means not convertible; with etac it means only "no
+common reduct".
 """
 from __future__ import annotations
 
@@ -258,7 +264,64 @@ def ass_measure(m: Comp) -> int:
     return _stars_and_measure(m)[1]
 
 
-# -------------------------------------------------------------- joinability
+# ------------------------------------------------------------ bounded search
+
+
+def explore(start, successors, budget: int, seen: set, whole: bool = False):
+    """Bounded breadth-first search up to alpha.  Yields (key, state, depth)
+    for start, then for each state first reached, after adding its key to
+    seen.  successors(t) gives (key, state) pairs, each costing one unit of
+    budget.  The search stops once the budget is spent: after the pair
+    that spent it or, with whole, after the rest of t's pairs.  Returns
+    True when the reachable set was exhausted within the budget."""
+    k = alpha_key(start)
+    seen.add(k)
+    yield k, start, 0
+    frontier, depth = [start], 0
+    while frontier:
+        if budget <= 0:
+            return False
+        depth += 1
+        nxt = []
+        for t in frontier:
+            for k, r in successors(t):
+                budget -= 1
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(r)
+                    yield k, r, depth
+                if budget <= 0 and not whole:
+                    return False
+            if budget <= 0:
+                return False
+        frontier = nxt
+    return True
+
+
+def meet(a, b, successors, fuel: int, whole: bool = False):
+    """Search from a and from b for a common reduct.
+
+    The sides explore in turn, a level at a time and each with fuel, and
+    stop at the first state one reaches that the other has seen: a meet of
+    the two full searches shows when the later side reaches it.  Returns
+    that state; False when both reachable sets were exhausted without
+    meeting; None when a budget ran out first.
+    """
+    seen: tuple[set, set] = (set(), set())
+    searches = {i: explore(t, successors, fuel, seen[i], whole) for i, t in enumerate((a, b))}
+    level, exhausted = [-1, -1], True
+    while searches:
+        for i, search in list(searches.items()):
+            try:
+                depth = level[i]
+                while level[i] == depth:
+                    k, state, level[i] = next(search)
+                    if k in seen[1 - i]:
+                        return state
+            except StopIteration as stop:
+                exhausted = exhausted and stop.value
+                del searches[i]
+    return False if exhausted else None
 
 
 def joinable(
@@ -266,12 +329,15 @@ def joinable(
     n: Comp,
     fuel: int = 200,
     rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES,
-) -> Optional[Comp]:
-    """Search for a common reduct of m and n.
+) -> Comp | bool | None:
+    """A common reduct of m and n, False, or None.
 
-    Fast path: leftmost-outermost normalization of both sides.  Fallback:
-    breadth-first expansion of both reachable sets (visited modulo alpha)
-    within the step budget.  None means inconclusive, not non-joinable.
+    Fast path: leftmost-outermost normalization of both sides.  Otherwise
+    ``meet`` with fuel steps per side, where every step of a term expanded
+    is looked at: False means both reachable sets were exhausted without
+    meeting, None that a budget ran out.  Without etac the rules are
+    confluent, so False means not convertible; with etac it means only
+    that m and n have no common reduct.
     """
     if alpha_key(m) == alpha_key(n):
         return m
@@ -281,26 +347,7 @@ def joinable(
     if nm.normal_form and nn.normal_form and alpha_key(nm.term) == alpha_key(nn.term):
         return nm.term
 
-    seen_m: dict[tuple, Comp] = {alpha_key(m): m}
-    seen_n: dict[tuple, Comp] = {alpha_key(n): n}
-    frontier_m = [m]
-    frontier_n = [n]
-    budget = fuel
-    while budget > 0 and (frontier_m or frontier_n):
-        for seen, other, frontier in ((seen_m, seen_n, frontier_m), (seen_n, seen_m, frontier_n)):
-            nxt: list[Comp] = []
-            for term in frontier:
-                for step in enumerate_steps(term, rules):
-                    budget -= 1
-                    k = alpha_key(step.result)
-                    if k in other:
-                        return step.result
-                    if k not in seen:
-                        seen[k] = step.result
-                        nxt.append(step.result)
-                if budget <= 0:
-                    break
-            frontier[:] = nxt
-            if budget <= 0:
-                break
-    return None
+    def successors(t: Comp):
+        return ((alpha_key(s.result), s.result) for s in enumerate_steps(t, rules))
+
+    return meet(m, n, successors, fuel, whole=True)

@@ -107,7 +107,11 @@ def test_02_confluence_sampling():
         cases += 1
         steps = enumerate_steps(m, DEFAULT_RULES)
         for a, b in itertools.combinations(steps, 2):
-            if joinable(a.result, b.result, cfg.fuel, DEFAULT_RULES) is None:
+            found = joinable(a.result, b.result, cfg.fuel, DEFAULT_RULES)
+            if found is False:
+                failures += 1
+                break
+            if found is None:
                 inconclusive += 1
                 break
     elapsed = time.time() - t0
@@ -121,7 +125,7 @@ def test_02_confluence_sampling():
         2,
         "confluence sampling",
         ok,
-        f"{cases} terms, {inconclusive} inconclusive, {elapsed:.1f}s",
+        f"{cases} terms, {failures} not joinable, {inconclusive} inconclusive, {elapsed:.1f}s",
     )
 
 

@@ -7,14 +7,10 @@ from ubcalc.assignment import (
     C_OMEGA,
     Derivation,
     Judgment,
-    ObligationSet,
     Unsynthesizable,
-    arrow_e_node,
     ax,
-    basis_meet,
     check_derivation,
     infer_bounded,
-    invert,
     make_basis,
     minimal_comp,
     minimal_value,
@@ -258,48 +254,6 @@ class TestMinimalMatchesReference:
         assert check_derivation(d).valid
 
 
-class TestInvert:
-    def test_variable_clause(self):
-        basis = make_basis([("x", parse_type("Wv -> T Wv"))])
-        obs = invert(basis, Variable("x"), parse_type("Wv -> T Wv"), UNIVERSE)
-        assert len(obs) == 1 and obs[0].judgments == ()
-
-    def test_variable_not_below(self):
-        basis = make_basis([("x", V_OMEGA)])
-        assert invert(basis, Variable("x"), parse_type("Wv -> T Wv"), UNIVERSE) == []
-
-    def test_unit_clause(self):
-        obs = invert((), Unit(ID_LAM), parse_type("T Wv"), UNIVERSE)
-        assert len(obs) == 1
-        (j,) = obs[0].judgments
-        assert j.subject == ID_LAM
-
-    def test_bind_clause_ranges_over_universe(self):
-        m = Bind(Unit(ID_LAM), ID_LAM)
-        obs = invert((), m, parse_type("T Wv"), UNIVERSE)
-        assert len(obs) == len(UVALS)
-        for ob in obs:
-            assert len(ob.judgments) == 2
-
-    def test_trivial_sigma_empty_obligation(self):
-        assert invert((), omega_c(), C_OMEGA, UNIVERSE) == [ObligationSet((), ())]
-
-    def test_obligations_reassemble(self):
-        # satisfy a bind obligation with synthesized witnesses, then glue
-        m = Bind(Unit(ID_LAM), ID_LAM)
-        target = parse_type("T Wv")
-        for ob in invert((), m, target, UNIVERSE):
-            try:
-                left = synth_derivation(ob.judgments[0].basis, ob.judgments[0].subject, ob.judgments[0].tipo, UVALS)
-                right = synth_derivation(ob.judgments[1].basis, ob.judgments[1].subject, ob.judgments[1].tipo, UVALS)
-            except Unsynthesizable:
-                continue
-            node = arrow_e_node(left, right)
-            assert check_derivation(node).valid
-            return
-        pytest.fail("no obligation set was satisfiable")
-
-
 class TestSynth:
     def test_identity_example(self):
         d = synth_derivation((), ID_LAM, parse_type("Wv -> T Wv"), UVALS)
@@ -374,17 +328,6 @@ class TestTransformations:
         assert check_derivation(got).valid
         assert alpha_eq(got.conclusion.subject, Bind(Unit(ID_LAM), ID_LAM))
         assert got.conclusion.tipo == parse_type("T Wv")
-
-
-class TestBasisHelpers:
-    def test_meet_is_pointwise(self):
-        a = make_basis([("x", V_OMEGA), ("y", parse_type("Wv -> T Wv"))])
-        b = make_basis([("y", V_OMEGA), ("z", V_OMEGA)])
-        m = dict(basis_meet(a, b))
-        assert set(m) == {"x", "y", "z"}
-        from ubcalc.typesys import eq_v
-
-        assert eq_v(m["y"], parse_type("(Wv -> T Wv) & Wv"))
 
 
 class TestDerivationFiles:

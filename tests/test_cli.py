@@ -207,6 +207,13 @@ def test_subtype_malformed_atoms_file_is_usage_error(capsys, tmp_path):
         assert "AtomSpecError" in err and err.count("\n") == 1
 
 
+def test_subtype_undeclared_order_atom_is_usage_error(capsys, tmp_path):
+    spec = tmp_path / "atoms.json"
+    spec.write_text('{"atoms": ["a"], "order": [["a", "z"]]}')
+    err = _usage_error(capsys, "subtype", "--atoms", str(spec), "@a", "<=", "@a")
+    assert "AtomSpecError" in err and "undeclared atoms: z" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

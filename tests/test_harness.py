@@ -19,8 +19,8 @@ from ubcalc.harness import (
 )
 from ubcalc.assignment import check_derivation
 from ubcalc.convergence import Status, big_step
-from ubcalc.reduction import enumerate_steps
-from ubcalc.terms import Bind, alpha_eq, is_comp, omega_c, parse_term, term_size
+from ubcalc.reduction import ALL_RULES, enumerate_steps, joinable
+from ubcalc.terms import Bind, alpha_eq, is_comp, omega_c, parse_term, print_term, term_size
 from ubcalc.typesys import eq_c, parse_type
 
 
@@ -70,6 +70,15 @@ class TestSuites:
         rep = run_suite(name, cfg)
         assert rep.ok, rep.failures[:3]
         assert rep.cases > 0
+
+    def test_confluence_fails_on_a_peak_without_a_common_reduct(self):
+        # with etac, (l * \y. unit w) * (\x. unit x * z) reduces by ass and
+        # by etac to two terms with distinct normal forms
+        t = parse_term(r"(unit q * f * (\y. unit w)) * (\x. unit x * z)")
+        cfg = GenConfig(rules=ALL_RULES, fuel=150)
+        a, b = enumerate_steps(t, ALL_RULES)
+        assert joinable(a.result, b.result, cfg.fuel, cfg.rules) is False
+        assert harness._confluence(cfg, t) == {"left": print_term(a.result), "right": print_term(b.result)}
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

@@ -241,6 +241,9 @@ class TestConvertibility:
         n = parse_term("unit (\\x. unit x)")
         assert convertible(m, n) is True
 
+    def test_ub_unrelated_normal_forms(self):
+        assert convertible(Unit(Variable("a")), Unit(Variable("b"))) is False
+
     @pytest.mark.parametrize(
         "a,b",
         [(MVar("a"), Unit(Variable("a"))), (Unit(Variable("a")), MVar("a"))],

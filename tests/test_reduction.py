@@ -1,4 +1,5 @@
 import itertools
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import CLOSED_COMPS, OPEN_COMPS
 
 from ubcalc.convergence import EvalOutcome, Status, small_step_converge
-from ubcalc.harness import GenConfig, gen_term
+from ubcalc.harness import GenConfig, gen_term, gen_terms
 from ubcalc.reduction import (
     ALL_RULES,
     DEFAULT_RULES,
@@ -24,11 +25,13 @@ from ubcalc.reduction import (
 )
 from ubcalc.terms import (
     Bind,
+    Comp,
     Lambda,
     Unit,
     Variable,
     alpha_eq,
     alpha_key,
+    is_comp,
     omega_c,
     parse_term,
     print_term,
@@ -340,7 +343,7 @@ class TestJoinable:
         a = [s for s in steps if s.rule is Rule.BETA_C][0].result
         b = [s for s in steps if s.rule is Rule.ASS][0].result
         got = joinable(a, b, fuel=60)
-        assert got is not None
+        assert is_comp(got)
 
     def test_divergent_peak_joins_by_breadth_first_search(self):
         # neither reduct normalises, so the join must come from the
@@ -363,24 +366,94 @@ class TestJoinable:
         want = Bind(l, Lambda("x", Bind(m, Lambda("y", Bind(n, Lambda("z", p))))))
         assert got is not None and alpha_eq(got, want)
 
-    def test_eta_counterexample_inconclusive(self):
-        # a stuck computation in the head position keeps both sides apart
+    def test_eta_counterexample_not_joinable(self):
+        # a stuck computation in the head position keeps both sides apart:
+        # both are distinct normal forms, so both searches are exhausted
         m = Bind(Unit(Variable("q")), Variable("f"))
         left = Bind(Bind(m, Variable("y")), Variable("z"))
         right = Bind(
             m,
             Lambda("x", Bind(Bind(Unit(Variable("x")), Variable("y")), Variable("z"))),
         )
-        assert joinable(left, right, fuel=150, rules=ALL_RULES) is None
+        assert joinable(left, right, fuel=150, rules=ALL_RULES) is False
 
     @given(CLOSED_COMPS)
     @settings(max_examples=50)
     def test_sampled_confluence(self, m):
         steps = enumerate_steps(m)
         for a, b in itertools.combinations(steps, 2):
-            assert joinable(a.result, b.result, fuel=150) is not None
+            assert is_comp(joinable(a.result, b.result, fuel=150))
 
     @given(CLOSED_COMPS)
     def test_reduction_preserves_closedness(self, m):
         for s in enumerate_steps(m):
             assert s.result.fv <= m.fv
+
+
+def _ref_joinable(
+    m: Comp,
+    n: Comp,
+    fuel: int = 200,
+    rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES,
+) -> Optional[Comp]:
+    """Search for a common reduct of m and n.
+
+    Fast path: leftmost-outermost normalization of both sides.  Fallback:
+    breadth-first expansion of both reachable sets (visited modulo alpha)
+    within the step budget.  None means inconclusive, not non-joinable.
+    """
+    if alpha_key(m) == alpha_key(n):
+        return m
+    fast = min(fuel, 80)
+    nm = normalize(m, rules, fast)
+    nn = normalize(n, rules, fast)
+    if nm.normal_form and nn.normal_form and alpha_key(nm.term) == alpha_key(nn.term):
+        return nm.term
+
+    seen_m: dict[tuple, Comp] = {alpha_key(m): m}
+    seen_n: dict[tuple, Comp] = {alpha_key(n): n}
+    frontier_m = [m]
+    frontier_n = [n]
+    budget = fuel
+    while budget > 0 and (frontier_m or frontier_n):
+        for seen, other, frontier in ((seen_m, seen_n, frontier_m), (seen_n, seen_m, frontier_n)):
+            nxt: list[Comp] = []
+            for term in frontier:
+                for step in enumerate_steps(term, rules):
+                    budget -= 1
+                    k = alpha_key(step.result)
+                    if k in other:
+                        return step.result
+                    if k not in seen:
+                        seen[k] = step.result
+                        nxt.append(step.result)
+                if budget <= 0:
+                    break
+            frontier[:] = nxt
+            if budget <= 0:
+                break
+    return None
+
+
+def _critical_pairs(rules):
+    """Every pair of one-step reducts of the harness terms, seeds 0-3 at
+    two sizes."""
+    for seed in range(4):
+        for max_size in (20, 40):
+            for m in gen_terms(GenConfig(seed=seed, max_size=max_size)):
+                for a, b in itertools.combinations(enumerate_steps(m, rules), 2):
+                    yield a.result, b.result
+
+
+class TestJoinableOracle:
+    @RULE_SETS
+    @pytest.mark.parametrize("fuel", [0, 5, 60, 200])
+    def test_never_contradicts_the_reference_search(self, rules, fuel):
+        # a join the reference finds is found; False only where it gave up
+        for a, b in _critical_pairs(rules):
+            want = _ref_joinable(a, b, fuel, rules)
+            got = joinable(a, b, fuel, rules)
+            if want is not None:
+                assert is_comp(got), (print_term(a), print_term(b))
+            else:
+                assert got is None or got is False or is_comp(got)

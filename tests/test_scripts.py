@@ -37,8 +37,9 @@ def test_bench_pairs_needs_two_pairs_before_any_run(monkeypatch, pairs):
         ("not json", "1", 2, ""),
         (None, "1", 2, ""),
         ('{"atoms": ["a"]}', "2", 3, ""),
+        ('{"atoms": ["a"], "order": [["a", "z"]]}', "1", 2, ""),
     ],
-    ids=["one-atom", "atoms-not-a-list", "not-json", "missing-file", "over-the-cap"],
+    ids=["one-atom", "atoms-not-a-list", "not-json", "missing-file", "over-the-cap", "undeclared-order-atom"],
 )
 def test_dump_domain_reads_atoms_like_the_cli(tmp_path, capsys, spec, rank, code, out):
     dump_domain = _load_script("dump_domain")
