@@ -301,11 +301,12 @@ def explore(start, successors, budget: int, seen: set, whole: bool = False):
 def meet(a, b, successors, fuel: int, whole: bool = False):
     """Search from a and from b for a common reduct.
 
-    The sides explore in turn, a level at a time and each with fuel, and
-    stop at the first state one reaches that the other has seen: a meet of
-    the two full searches shows when the later side reaches it.  Returns
-    that state; False when both reachable sets were exhausted without
-    meeting; None when a budget ran out first.
+    The sides explore in turn, a level at a time and each with fuel (and
+    whole, as for ``explore``), and stop at the first state one reaches
+    that the other has seen: a meet of the two full searches shows when
+    the later side reaches it.  Returns that state; False when both
+    reachable sets were exhausted without meeting; None when a budget ran
+    out first.
     """
     seen: tuple[set, set] = (set(), set())
     searches = {i: explore(t, successors, fuel, seen[i], whole) for i, t in enumerate((a, b))}

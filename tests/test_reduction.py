@@ -390,6 +390,9 @@ class TestJoinable:
             assert s.result.fv <= m.fv
 
 
+# reduction.joinable as it was before it ran on reduction.meet: one budget
+# shared by both sides, and never False.  Kept as the differential oracle
+# of the new search.
 def _ref_joinable(
     m: Comp,
     n: Comp,
