@@ -4,18 +4,19 @@ import argparse
 import json
 import time
 
+from ubcalc.cli import non_negative_int
 from ubcalc.harness import SUITES, GenConfig, run_suite
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--cases", type=int, default=100)
-    ap.add_argument("--max-size", type=int, default=20)
-    ap.add_argument("--fuel", type=int, default=200)
+    ap.add_argument("--cases", type=non_negative_int, default=100)
+    ap.add_argument("--max-size", type=non_negative_int, default=20)
+    ap.add_argument("--fuel", type=non_negative_int, default=200)
     ap.add_argument("--json", action="store_true")
     ap.add_argument("--only", nargs="*", choices=sorted(SUITES), default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     cfg = GenConfig(seed=args.seed, cases=args.cases, max_size=args.max_size, fuel=args.fuel)
     names = args.only if args.only else sorted(SUITES)

@@ -70,6 +70,22 @@ AX, ARROW_I, UNIT_I, ARROW_E, OMEGA, INTER_I, LEQ = (
     "Leq",
 )
 
+# The rule schema: for each premise, where its subject sits in the
+# conclusion's.  A child of the subject is named as terms declare it in
+# KIDS, (selector, field, whether the binder scopes over it); SAME is the
+# subject itself.  Ax and Omega take no premises.
+Site = tuple[Optional[str], Optional[str], bool]
+SAME: Site = (None, None, False)
+RULES: dict[str, tuple[Site, ...]] = {
+    AX: (),
+    ARROW_I: Lambda.KIDS,
+    UNIT_I: Unit.KIDS,
+    ARROW_E: Bind.KIDS,
+    OMEGA: (),
+    INTER_I: (SAME, SAME),
+    LEQ: (SAME,),
+}
+
 
 def make_basis(bindings: Iterable[tuple[str, ValType]] = ()) -> Basis:
     items = sorted(dict(bindings).items())

@@ -18,6 +18,7 @@ from .terms import ParseError, SortError, is_comp, parse_term, print_term
 from .typesys import (
     AtomTable,
     EMPTY_TABLE,
+    EnumerationError,
     UnknownAtomError,
     enumerate_types,
     is_vtype,
@@ -38,12 +39,19 @@ class AtomSpecError(ValueError):
     over those names."""
 
 
+class UsageError(ValueError):
+    """Options that leave the command nothing to do, such as translate
+    without a direction."""
+
+
 # Errors in what the user gave (typed text, files): exit 2, never 1, which
 # is a verdict.  ParseError covers the syntax errors of all four grammars:
 # terms, types, let-terms and derivation files.
 USAGE_ERRORS = (
     OSError,
     AtomSpecError,
+    UsageError,
+    EnumerationError,
     ParseError,
     SortError,
     UnknownAtomError,
@@ -125,8 +133,7 @@ def cmd_fmt(args) -> int:
 def cmd_reduce(args) -> int:
     t = _read_term_arg(args.term)
     if not is_comp(t):
-        print("reduce expects a computation", file=sys.stderr)
-        return USAGE
+        raise SortError("reduce expects a computation")
     out = reduction.normalize(t, args.rules, args.fuel, keep_trace=True)
     records = [
         {"rule": s.rule.value, "path": s.position_str(), "term": print_term(s.result)}
@@ -147,15 +154,13 @@ def cmd_reduce(args) -> int:
 def cmd_eval(args) -> int:
     t = _read_term_arg(args.term)
     if not is_comp(t):
-        print("eval expects a computation", file=sys.stderr)
-        return USAGE
+        raise SortError("eval expects a computation")
     out = convergence.big_step(t, args.fuel)
     if out.status is convergence.Status.CONVERGES:
         print(f"converges: {print_term(out.value)}")
         return OK
     if out.status is convergence.Status.OPEN_TERM:
-        print("open term", file=sys.stderr)
-        return USAGE
+        raise filters.OpenVariableError("eval expects a closed computation")
     print(f"fuel-exhausted after {args.fuel}")
     return INCONCLUSIVE
 
@@ -164,8 +169,7 @@ def cmd_subtype(args) -> int:
     table = _table_from(args)
     a, b = parse_type(args.left), parse_type(args.right)
     if is_vtype(a) != is_vtype(b):
-        print("types of different sorts", file=sys.stderr)
-        return USAGE
+        raise SortError("types of different sorts")
     verdict = leq_v(a, b, table) if is_vtype(a) else leq_c(a, b, table)
     print("true" if verdict else "false")
     return OK if verdict else FALSE
@@ -205,15 +209,13 @@ def cmd_infer(args) -> int:
 
 def cmd_translate(args) -> int:
     if args.to_moggi:
-        t = _read_term_arg(args.term)
-        print(moggi.m_print(moggi.to_moggi(t)))
-        return OK
-    if args.from_moggi:
+        print(moggi.m_print(moggi.to_moggi(_read_term_arg(args.term))))
+    elif args.from_moggi:
         e = moggi.m_parse(args.term if args.term != "-" else sys.stdin.read())
         print(print_term(moggi.from_moggi(e)))
-        return OK
-    print("choose --to-moggi or --from-moggi", file=sys.stderr)
-    return USAGE
+    else:
+        raise UsageError("choose --to-moggi or --from-moggi")
+    return OK
 
 
 def cmd_interp(args) -> int:
@@ -224,8 +226,7 @@ def cmd_interp(args) -> int:
         return OK
     t = _read_term_arg(args.term)
     if not is_comp(t):
-        print("interp expects a computation", file=sys.stderr)
-        return USAGE
+        raise SortError("interp expects a computation")
     e = filters.interp_closed(t, args.rank, table)
     print(print_type(to_ctype(e.gen)))
     return OK
@@ -291,16 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ubcalc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, fuel=True, rank=False, atoms=True):
+    def common(sp, fuel=True, rank=False, width=False, atoms=True, as_json=True):
         if fuel:
             sp.add_argument("--fuel", type=non_negative_int, default=200)
         if rank:
             sp.add_argument("--rank", type=non_negative_int, default=2)
+        if width:
             sp.add_argument("--width", type=non_negative_int, default=2)
         if atoms:
             sp.add_argument("--atoms", help="JSON file with atoms and order pairs")
             sp.add_argument("--eta", choices=("none", "scott", "park"), default="none")
-        sp.add_argument("--json", action="store_true")
+        if as_json:
+            sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("fmt", help="parse and pretty print a term")
     sp.add_argument("term")
@@ -315,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="big-step evaluate a closed computation")
     sp.add_argument("term")
-    common(sp, atoms=False)
+    common(sp, atoms=False, as_json=False)
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("subtype", help="decide a subtyping judgment")
     sp.add_argument("left")
     sp.add_argument("op", choices=("<=",))
     sp.add_argument("right")
-    common(sp, fuel=False, rank=True)
+    common(sp, fuel=False, rank=True, as_json=False)
     sp.set_defaults(fn=cmd_subtype)
 
     sp = sub.add_parser("typecheck", help="check a derivation file")
@@ -332,20 +335,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("infer", help="bounded type inference")
     sp.add_argument("term")
-    common(sp, fuel=False, rank=True)
+    common(sp, fuel=False, rank=True, width=True)
     sp.set_defaults(fn=cmd_infer)
 
     sp = sub.add_parser("translate", help="translate to or from the let calculus")
     sp.add_argument("term")
     sp.add_argument("--to-moggi", action="store_true")
     sp.add_argument("--from-moggi", action="store_true")
-    sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_translate)
 
     sp = sub.add_parser("interp", help="finite-rank interpretation")
     sp.add_argument("term", nargs="?", default="")
     sp.add_argument("--table", action="store_true", help="dump the value lattice as DOT")
-    common(sp, fuel=False, rank=True)
+    common(sp, fuel=False, rank=True, as_json=False)
     sp.set_defaults(fn=cmd_interp)
 
     sp = sub.add_parser("prop", help="run a property suite")
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--cases", type=non_negative_int, default=100)
     sp.add_argument("--max-size", type=non_negative_int, default=25)
-    common(sp, rank=True)
+    common(sp, rank=True, width=True)
     sp.set_defaults(fn=cmd_prop)
 
     return p

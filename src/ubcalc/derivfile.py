@@ -16,11 +16,9 @@ from __future__ import annotations
 import re
 from typing import Any, Callable
 
-from .assignment import Basis, Derivation, Judgment, make_basis
+from .assignment import RULES, Basis, Derivation, Judgment, make_basis
 from .terms import ParseError, TokenCursor, parse_term, print_term
 from .typesys import ValType, is_vtype, parse_type, print_type
-
-_RULES = {"Ax", "ArrowI", "UnitI", "ArrowE", "Omega", "InterI", "Leq"}
 
 _TOKEN_RE = re.compile(
     r"""(?P<lpar>\() | (?P<rpar>\))
@@ -73,7 +71,7 @@ class _Reader(TokenCursor):
         self.expect("word", "rule")
         at = self.peek()
         rule = self.expect("word")
-        if rule not in _RULES:
+        if rule not in RULES:
             raise self.error(f"unknown rule {rule!r}", at)
         self.expect("lpar", "(")
         self.expect("word", "concl")

@@ -309,8 +309,13 @@ def replace_at(t: Node, path: Position, new: Node) -> Node:
         spine.append((t, field))
         t = getattr(t, field)
     for node, field in reversed(spine):
-        new = type(node)(*[new if f == field else getattr(node, f) for f in node.__match_args__])
+        new = with_child(node, field, new)
     return new
+
+
+def with_child(t: Node, field: str, new: Node) -> Node:
+    """t with the child in field replaced by new."""
+    return type(t)(*[new if f == field else getattr(t, f) for f in t.__match_args__])
 
 
 # ------------------------------------------------------------------ printing

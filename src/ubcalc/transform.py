@@ -9,7 +9,9 @@ binding narrowing (which also fixes a binding that was left at Wv),
 substitution, and one alignment walk that retargets a derivation to an
 alpha-variant of its subject under a rename map.  That walk does all of
 the renaming: alignment with an alpha-equivalent term, binder
-freshening, and renaming a free variable.
+freshening, and renaming a free variable.  It, the expansion's rebuild
+and the walk down to a redex read which part of the subject each
+premise types from the rule schema, ``assignment.RULES``.
 
 Each step fixes one term to place at the redex.  Reduction places a
 shadow-free contractum and aligns each piece it builds there to it once.
@@ -29,10 +31,6 @@ from typing import Callable, Iterable, Sequence
 
 from .reduction import Rule, Step, root_step
 from .terms import (
-    BIND_LEFT,
-    BIND_RIGHT,
-    LAMBDA_BODY,
-    UNIT_ARG,
     Bind,
     Comp,
     Lambda,
@@ -47,6 +45,7 @@ from .terms import (
     subst,
     subterm_at,
     unshadow,
+    with_child,
 )
 from .typesys import (
     AnyType,
@@ -74,6 +73,8 @@ from .assignment import (
     Judgment,
     LEQ,
     OMEGA,
+    RULES,
+    Site,
     UNIT_I,
     arrow_e_node,
     arrow_i_node,
@@ -84,6 +85,7 @@ from .assignment import (
     basis_remove,
     inter_fold,
     leq_node,
+    make_basis,
     omega_node,
     unit_node,
 )
@@ -91,6 +93,18 @@ from .assignment import (
 
 class TransformError(ValueError):
     pass
+
+
+def _sites(d: Derivation) -> tuple[Site, ...]:
+    """Where d's premises sit in its subject, from the rule schema."""
+    if d.rule not in RULES:
+        raise TransformError(f"unknown rule {d.rule!r}")
+    return RULES[d.rule]
+
+
+def _with(d: Derivation, basis: Basis, subject: Term, premises: tuple[Derivation, ...]) -> Derivation:
+    """d's rule, type and side condition over a new basis, subject and premises."""
+    return Derivation(d.rule, Judgment(basis, subject, d.conclusion.tipo), premises, d.side)
 
 
 # ------------------------------------------------------------ name plumbing
@@ -108,21 +122,12 @@ def _align(d: Derivation, target: Term, ren: dict[str, str]) -> Derivation:
     variables.  Every subject becomes the matching part of target and
     every basis key follows the renaming, binders included."""
     J = d.conclusion
-    basis = tuple(sorted(((ren.get(n, n), ty) for n, ty in J.basis), key=lambda it: it[0])) if ren else J.basis
-    match d.rule:
-        case "Ax" | "Omega":
-            premises: tuple[Derivation, ...] = ()
-        case "InterI" | "Leq":
-            premises = tuple(_align(p, target, ren) for p in d.premises)
-        case "ArrowI":
-            premises = (_align(d.premises[0], target.body, {**ren, J.subject.binder: target.binder}),)
-        case "UnitI":
-            premises = (_align(d.premises[0], target.value, ren),)
-        case "ArrowE":
-            premises = (_align(d.premises[0], target.left, ren), _align(d.premises[1], target.right, ren))
-        case _:
-            raise TransformError(f"unknown rule {d.rule!r}")
-    return Derivation(d.rule, Judgment(basis, target, J.tipo), premises, d.side)
+    basis = make_basis((ren.get(n, n), ty) for n, ty in J.basis) if ren else J.basis
+    premises = []
+    for p, (_, field, scoped) in zip(d.premises, _sites(d)):
+        part = target if field is None else getattr(target, field)
+        premises.append(_align(p, part, {**ren, J.subject.binder: target.binder} if scoped else ren))
+    return _with(d, basis, target, tuple(premises))
 
 
 def align_derivation(d: Derivation, target: Term) -> Derivation:
@@ -150,13 +155,8 @@ def weaken_derivation(d: Derivation, extra: Basis) -> Derivation:
         J = node.conclusion
         if node.rule == ARROW_I and J.subject.binder in extra_names:
             raise TransformError(f"weakening clashes with binder {J.subject.binder}")
-        basis = tuple(sorted(dict(list(extra) + list(J.basis)).items(), key=lambda it: it[0]))
-        return Derivation(
-            node.rule,
-            Judgment(basis, J.subject, J.tipo),
-            tuple(walk(p) for p in node.premises),
-            node.side,
-        )
+        basis = make_basis(list(extra) + list(J.basis))
+        return _with(node, basis, J.subject, tuple(walk(p) for p in node.premises))
 
     return walk(d)
 
@@ -172,12 +172,7 @@ def strengthen_derivation(d: Derivation, drop: frozenset[str]) -> Derivation:
         inner = dropped
         if node.rule == ARROW_I and J.subject.binder in dropped:
             inner = dropped - {J.subject.binder}
-        return Derivation(
-            node.rule,
-            Judgment(basis, J.subject, J.tipo),
-            tuple(walk(p, inner) for p in node.premises),
-            node.side,
-        )
+        return _with(node, basis, J.subject, tuple(walk(p, inner) for p in node.premises))
 
     return walk(d, drop)
 
@@ -192,18 +187,13 @@ def narrow_basis(d: Derivation, x: str, stronger: ValType, table: AtomTable) -> 
 
     def walk(node: Derivation) -> Derivation:
         J = node.conclusion
-        basis = tuple(sorted(((n, stronger if n == x else t) for n, t in J.basis), key=lambda it: it[0]))
+        basis = make_basis((n, stronger if n == x else t) for n, t in J.basis)
         if node.rule == ARROW_I and J.subject.binder == x:
             # rebinding shadows x below; only this node's basis changes
-            return Derivation(node.rule, Judgment(basis, J.subject, J.tipo), node.premises, node.side)
+            return _with(node, basis, J.subject, node.premises)
         if node.rule == AX and J.subject == Variable(x):
             return leq_node(Derivation(AX, Judgment(basis, J.subject, stronger)), J.tipo)
-        return Derivation(
-            node.rule,
-            Judgment(basis, J.subject, J.tipo),
-            tuple(walk(p) for p in node.premises),
-            node.side,
-        )
+        return _with(node, basis, J.subject, tuple(walk(p) for p in node.premises))
 
     return walk(d)
 
@@ -225,13 +215,7 @@ def subst_derivation(d: Derivation, x: str, dv: Derivation, table: AtomTable = E
         if node.rule == AX and J.subject == Variable(x):
             extra = tuple((n, t) for n, t in basis if n not in basis_dom(dv.conclusion.basis))
             return weaken_derivation(dv, extra)
-        subject = subst(J.subject, x, v)
-        return Derivation(
-            node.rule,
-            Judgment(basis, subject, J.tipo),
-            tuple(walk(p) for p in node.premises),
-            node.side,
-        )
+        return _with(node, basis, subst(J.subject, x, v), tuple(walk(p) for p in node.premises))
 
     return walk(d)
 
@@ -406,20 +390,8 @@ def _expand_betac(source_sub: Comp, d: Derivation, table: AtomTable) -> Derivati
         if t == x:
             collected.append(node)
             return Derivation(AX, Judgment(basis, x, Jn.tipo))
-        match node.rule:
-            case "Omega" | "Ax":
-                premises: tuple[Derivation, ...] = ()
-            case "InterI" | "Leq":
-                premises = tuple(rebuild(p, t) for p in node.premises)
-            case "ArrowI":
-                premises = (rebuild(node.premises[0], t.body),)
-            case "UnitI":
-                premises = (rebuild(node.premises[0], t.value),)
-            case "ArrowE":
-                premises = (rebuild(node.premises[0], t.left), rebuild(node.premises[1], t.right))
-            case _:
-                raise TransformError(f"unknown rule {node.rule!r}")
-        return Derivation(node.rule, Judgment(basis, t, Jn.tipo), premises, node.side)
+        parts = (t if field is None else getattr(t, field) for _, field, _ in _sites(node))
+        return _with(node, basis, t, tuple(rebuild(p, part) for p, part in zip(node.premises, parts)))
 
     body_deriv = rebuild(d, lam.body)
     # a copy of V types it under the binders of B above the copy, which V does not use
@@ -485,32 +457,20 @@ def _descend(
     keep sharing their subject."""
     if not path:
         return at_redex(d)
-    sel, rest = path[0], path[1:]
     J = d.conclusion
-    match d.rule:
-        case "Omega":
-            return Derivation(OMEGA, Judgment(J.basis, replace_at(J.subject, path, placed), J.tipo))
-        case "InterI" | "Leq":
-            prems = tuple(_descend(p, path, placed, at_redex) for p in d.premises)
-            return Derivation(d.rule, Judgment(J.basis, prems[0].conclusion.subject, J.tipo), prems, d.side)
-        case "ArrowI" if sel == LAMBDA_BODY:
-            prem = _descend(d.premises[0], rest, placed, at_redex)
-            subj = Lambda(J.subject.binder, prem.conclusion.subject)
-            return Derivation(ARROW_I, Judgment(J.basis, subj, J.tipo), (prem,), d.side)
-        case "UnitI" if sel == UNIT_ARG:
-            prem = _descend(d.premises[0], rest, placed, at_redex)
-            return Derivation(
-                UNIT_I, Judgment(J.basis, Unit(prem.conclusion.subject), J.tipo), (prem,), d.side
-            )
-        case "ArrowE" if sel == BIND_LEFT:
-            pm = _descend(d.premises[0], rest, placed, at_redex)
-            subj = Bind(pm.conclusion.subject, J.subject.right)
-            return Derivation(ARROW_E, Judgment(J.basis, subj, J.tipo), (pm, d.premises[1]), d.side)
-        case "ArrowE" if sel == BIND_RIGHT:
-            pv = _descend(d.premises[1], rest, placed, at_redex)
-            subj = Bind(J.subject.left, pv.conclusion.subject)
-            return Derivation(ARROW_E, Judgment(J.basis, subj, J.tipo), (d.premises[0], pv), d.side)
-    raise TransformError(f"path {path} does not match rule {d.rule}")
+    if d.rule == OMEGA:
+        return Derivation(OMEGA, Judgment(J.basis, replace_at(J.subject, path, placed), J.tipo))
+    sites = _sites(d)
+    hits = [i for i, site in enumerate(sites) if site[0] in (None, path[0])]
+    if not hits:
+        raise TransformError(f"path {path} does not match rule {d.rule}")
+    subject, premises = J.subject, list(d.premises)
+    for i in hits:
+        sel, field, _ = sites[i]
+        premises[i] = _descend(premises[i], path if sel is None else path[1:], placed, at_redex)
+        sub = premises[i].conclusion.subject
+        subject = sub if sel is None else with_child(subject, field, sub)
+    return _with(d, J.basis, subject, tuple(premises))
 
 
 _REDUCE = {Rule.BETA_C: _reduce_betac, Rule.ID: _reduce_id, Rule.ASS: _reduce_ass}

@@ -150,6 +150,10 @@ class UnknownAtomError(KeyError):
     pass
 
 
+class EnumerationError(ValueError):
+    """enumerate_types cannot enumerate the classes of this atom table."""
+
+
 @dataclass(frozen=True)
 class AtomTable:
     """Finite atom namespace with a preorder, plus the extensionality mode.
@@ -689,7 +693,7 @@ def enumerate_types(
     if rank_bound < 0 or width_bound < 0:
         raise ValueError("bounds must be non-negative")
     if table.eta_mode != "none" and table.atoms:
-        raise ValueError("enumeration over eta-equated atoms is not supported")
+        raise EnumerationError("enumeration over eta-equated atoms is not supported")
     atom_parts = [CanonV((a,), ()) for a in table.atoms]
     values = _dedup_semantic_v(
         itertools.chain(

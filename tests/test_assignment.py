@@ -330,6 +330,43 @@ class TestTransformations:
         assert got.conclusion.tipo == parse_type("T Wv")
 
 
+def _one_node_per_constructor():
+    """One valid node from each node constructor, keyed by its rule."""
+    arrow = parse_type("Wv -> T Wv")
+    basis = make_basis([("y", arrow)])
+    on_y = assignment.ax(basis, "y")
+    on_x = assignment.ax(assignment.basis_extend(basis, "x", V_OMEGA), "x")
+    lam = assignment.arrow_i_node(assignment.unit_node(on_x), "x")
+    nodes = [
+        on_y,
+        assignment.omega_node(basis, Unit(Variable("y"))),
+        assignment.unit_node(on_y),
+        lam,
+        assignment.arrow_e_node(assignment.unit_node(on_y), lam),
+        assignment.inter_fold([on_y, assignment.omega_node(basis, Variable("y"))]),
+        assignment.leq_node(on_y, V_OMEGA),
+    ]
+    return {d.rule: d for d in nodes}
+
+
+class TestRuleSchema:
+    def test_every_rule_has_a_constructor(self):
+        assert set(_one_node_per_constructor()) == set(assignment.RULES)
+
+    @pytest.mark.parametrize("rule", sorted(assignment.RULES))
+    def test_constructor_premises_sit_where_the_schema_says(self, rule):
+        d = _one_node_per_constructor()[rule]
+        assert check_derivation(d).valid
+        J = d.conclusion
+        sites = assignment.RULES[rule]
+        assert len(d.premises) == len(sites)
+        for p, (_, field, scoped) in zip(d.premises, sites):
+            assert p.conclusion.subject == (J.subject if field is None else getattr(J.subject, field))
+            # the basis grows by the binder exactly where the binder scopes
+            scope = {J.subject.binder} if scoped else set()
+            assert assignment.basis_dom(p.conclusion.basis) == assignment.basis_dom(J.basis) | scope
+
+
 class TestDerivationFiles:
     def test_round_trip(self):
         d = synth_derivation((), Unit(ID_LAM), parse_type("T Wv"), UVALS)

@@ -215,6 +215,53 @@ def test_subtype_undeclared_order_atom_is_usage_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("reduce", "\\x. unit x"), "SortError: reduce expects a computation"),
+        (("eval", "\\x. unit x"), "SortError: eval expects a computation"),
+        (("eval", "unit x * (\\y. unit y)"), "OpenVariableError: eval expects a closed computation"),
+        (("interp", "\\x. unit x"), "SortError: interp expects a computation"),
+        (("subtype", "Wv", "<=", "Wc"), "SortError: types of different sorts"),
+        (("translate", "unit m"), "UsageError: choose --to-moggi or --from-moggi"),
+    ],
+)
+def test_command_usage_errors_print_one_error_line(capsys, argv, message):
+    err = _usage_error(capsys, *argv)
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("infer", "unit (\\x. unit x)"),
+        ("prop", "subject-expansion", "--cases", "1"),
+    ],
+)
+def test_enumeration_over_eta_atoms_is_usage_error(tmp_path, capsys, argv):
+    spec = tmp_path / "atoms.json"
+    spec.write_text('{"atoms": ["a"]}')
+    err = _usage_error(capsys, *argv, "--atoms", str(spec), "--eta", "scott")
+    assert err == "error: EnumerationError: enumeration over eta-equated atoms is not supported\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "unit (\\x. unit x)", "--json"),
+        ("subtype", "Wv", "<=", "Wv", "--json"),
+        ("interp", "unit (\\x. unit x)", "--json"),
+        ("translate", "--to-moggi", "unit m", "--json"),
+        ("subtype", "Wv", "<=", "Wv", "--width", "1"),
+        ("interp", "unit (\\x. unit x)", "--width", "1"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("infer", "--rank", "-1", "\\x. unit x"),

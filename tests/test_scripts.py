@@ -62,3 +62,17 @@ def test_dump_domain_rejects_a_negative_rank(capsys):
         dump_domain.main(["--rank", "-1"])
     assert exit_info.value.code == 2
     assert "must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--cases", "--max-size", "--fuel"])
+def test_run_suites_rejects_a_negative_number_before_any_suite(monkeypatch, capsys, flag):
+    run_suites = _load_script("run_suites")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite was run")
+
+    monkeypatch.setattr(run_suites, "run_suite", no_run)
+    with pytest.raises(SystemExit) as exit_info:
+        run_suites.main([flag, "-1", "--only", "confluence"])
+    assert exit_info.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err

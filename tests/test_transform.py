@@ -30,7 +30,18 @@ from ubcalc.assignment import (
 )
 from ubcalc.harness import GenConfig, _universe, gen_term, gen_typed_term, run_suite
 from ubcalc.reduction import DEFAULT_RULES, enumerate_steps
-from ubcalc.terms import Lambda, Unit, Variable, alpha_eq, parse_term, subterms
+from ubcalc.terms import (
+    BIND_LEFT,
+    BIND_RIGHT,
+    LAMBDA_BODY,
+    UNIT_ARG,
+    Lambda,
+    Unit,
+    Variable,
+    alpha_eq,
+    parse_term,
+    subterms,
+)
 from ubcalc.transform import (
     TransformError,
     align_derivation,
@@ -110,6 +121,26 @@ def test_expansion_keeps_source_binders_clear_of_the_basis(source):
         got = expand_derivation(m, step, d)
         assert check_derivation(got).valid
         assert alpha_eq(got.conclusion.subject, m) and got.conclusion.basis == basis
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        (UNIT_ARG,),
+        (BIND_LEFT,),
+        (LAMBDA_BODY, BIND_RIGHT),
+        (LAMBDA_BODY, UNIT_ARG, LAMBDA_BODY),
+    ],
+    ids=["arrow-i-lacks-unit-arg", "arrow-i-lacks-bind-left", "unit-i-lacks-bind-right", "ax-has-no-premise"],
+)
+def test_descend_on_a_path_no_premise_takes(path):
+    d = two_node_identity_derivation()
+
+    def at_redex(node):
+        raise AssertionError("the path reached a redex")
+
+    with pytest.raises(TransformError, match="does not match rule"):
+        transform._descend(d, path, Variable("z"), at_redex)
 
 
 def _shape(d: Derivation) -> tuple:
