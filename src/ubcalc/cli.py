@@ -40,8 +40,8 @@ class AtomSpecError(ValueError):
 
 
 class UsageError(ValueError):
-    """Options that leave the command nothing to do, such as translate
-    without a direction."""
+    """Options that leave the command no one thing to do, such as
+    translate without exactly one direction."""
 
 
 # Errors in what the user gave (typed text, files): exit 2, never 1, which
@@ -208,13 +208,13 @@ def cmd_infer(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    if args.to_moggi == args.from_moggi:
+        raise UsageError("choose --to-moggi or --from-moggi")
     if args.to_moggi:
         print(moggi.m_print(moggi.to_moggi(_read_term_arg(args.term))))
-    elif args.from_moggi:
+    else:
         e = moggi.m_parse(args.term if args.term != "-" else sys.stdin.read())
         print(print_term(moggi.from_moggi(e)))
-    else:
-        raise UsageError("choose --to-moggi or --from-moggi")
     return OK
 
 

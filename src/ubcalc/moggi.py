@@ -35,7 +35,7 @@ from .terms import (
     fresh_var,
     is_comp,
     positions,
-    replace_at,
+    replace_keyed,
     subst,
 )
 
@@ -131,16 +131,19 @@ def m_root_steps(e: MTerm) -> list[MStep]:
     return out
 
 
-def m_enumerate_steps(e: MTerm) -> list[MStep]:
+def m_enumerate_steps(e: MTerm, key: Optional[tuple] = None) -> list[MStep]:
     """One-step reducts under the full compatible closure (under lambda,
     both application operands, both let positions), one per rule and alpha
-    class, each with its key.  Contexts keep distinct keys distinct, so one
-    deduplication at the root removes what one at every position would."""
+    class, each with its key, derived from e's key (computed when not
+    given) along the step's path.  Contexts keep distinct keys distinct,
+    so one deduplication at the root removes what one at every position
+    would."""
+    if key is None:
+        key = alpha_key(e)
     out: dict[tuple, MStep] = {}
     for path, sub in positions(e):
         for s in m_root_steps(sub):
-            result = replace_at(e, path, s.result)
-            k = alpha_key(result)
+            result, k = replace_keyed(e, key, path, s.result)
             if (s.rule, k) not in out:
                 out[s.rule, k] = MStep(s.rule, result, k)
     return list(out.values())
@@ -290,10 +293,6 @@ def from_moggi(e: MTerm) -> Comp:
 # ------------------------------------------------------------- conversion
 
 
-def _m_successors(e: MTerm):
-    return ((s.key, s.result) for s in m_enumerate_steps(e))
-
-
 def convertible(a, b, fuel: int = 300) -> Optional[bool]:
     """Bounded bidirectional joinability on either calculus.
 
@@ -305,7 +304,7 @@ def convertible(a, b, fuel: int = 300) -> Optional[bool]:
     """
     let_terms = (MVar, MLam, MApp, MLet)
     if isinstance(a, let_terms) and isinstance(b, let_terms):
-        found = ub_reduction.meet(a, b, _m_successors, fuel)
+        found = ub_reduction.meet(a, b, m_enumerate_steps, fuel)
     elif is_comp(a) and is_comp(b):
         found = ub_reduction.joinable(a, b, fuel)
     else:
@@ -334,11 +333,7 @@ def image_reaches(src: Comp, dst: Comp, fuel: int, allow_eta: bool) -> tuple[boo
     """Breadth-first check that src reduces to dst (up to alpha)."""
     rules = ub_reduction.DEFAULT_RULES | ({ub_reduction.Rule.ETA_C} if allow_eta else set())
     target = alpha_key(dst)
-
-    def successors(t: Comp):
-        return ((alpha_key(s.result), s.result) for s in ub_reduction.enumerate_steps(t, rules))
-
-    found = ub_reduction.explore(src, successors, fuel, set())
+    found = ub_reduction.explore(src, ub_reduction.step_successors(rules), fuel, set())
     depth = next((d for k, _, d in found if k == target), -1)
     return depth >= 0, depth
 

@@ -37,6 +37,7 @@ from .terms import (
     fresh_var,
     positions,
     replace_at,
+    replace_keyed,
     subst,
 )
 
@@ -56,6 +57,7 @@ class Step:
     rule: Rule
     position: Position
     result: Comp
+    key: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def position_str(self) -> str:
         return ".".join(self.position) if self.position else "root"
@@ -112,9 +114,15 @@ def _redexes(m: Comp, rules: frozenset[Rule] | set[Rule]) -> Iterator[tuple[Rule
                 yield rule, path, contractum
 
 
-def enumerate_steps(m: Comp, rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES) -> list[Step]:
-    """All one-step reducts of m, leftmost-outermost first."""
-    return [Step(rule, path, replace_at(m, path, c)) for rule, path, c in _redexes(m, rules)]
+def enumerate_steps(
+    m: Comp, rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES, key: Optional[tuple] = None
+) -> list[Step]:
+    """All one-step reducts of m, leftmost-outermost first.  Given m's
+    alpha key, each step carries its result's key, derived from m's along
+    the step's path (``terms.replace_keyed``); otherwise none."""
+    if key is None:
+        return [Step(rule, path, replace_at(m, path, c)) for rule, path, c in _redexes(m, rules)]
+    return [Step(rule, path, *replace_keyed(m, key, path, c)) for rule, path, c in _redexes(m, rules)]
 
 
 def first_step(m: Comp, rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES) -> Optional[Step]:
@@ -270,26 +278,28 @@ def ass_measure(m: Comp) -> int:
 def explore(start, successors, budget: int, seen: set, whole: bool = False):
     """Bounded breadth-first search up to alpha.  Yields (key, state, depth)
     for start, then for each state first reached, after adding its key to
-    seen.  successors(t) gives (key, state) pairs, each costing one unit of
-    budget.  The search stops once the budget is spent: after the pair
-    that spent it or, with whole, after the rest of t's pairs.  Returns
-    True when the reachable set was exhausted within the budget."""
+    seen.  successors(t, key) receives a state and the state's key and
+    gives its steps, each with a result and the result's key; each step
+    costs one unit of budget.  Only start's key is computed here.  The
+    search stops once the budget is spent: after the step that spent it
+    or, with whole, after the rest of t's steps.  Returns True when the
+    reachable set was exhausted within the budget."""
     k = alpha_key(start)
     seen.add(k)
     yield k, start, 0
-    frontier, depth = [start], 0
+    frontier, depth = [(k, start)], 0
     while frontier:
         if budget <= 0:
             return False
         depth += 1
         nxt = []
-        for t in frontier:
-            for k, r in successors(t):
+        for key, t in frontier:
+            for s in successors(t, key):
                 budget -= 1
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(r)
-                    yield k, r, depth
+                if s.key not in seen:
+                    seen.add(s.key)
+                    nxt.append((s.key, s.result))
+                    yield s.key, s.result, depth
                 if budget <= 0 and not whole:
                     return False
             if budget <= 0:
@@ -348,7 +358,10 @@ def joinable(
     if nm.normal_form and nn.normal_form and alpha_key(nm.term) == alpha_key(nn.term):
         return nm.term
 
-    def successors(t: Comp):
-        return ((alpha_key(s.result), s.result) for s in enumerate_steps(t, rules))
+    return meet(m, n, step_successors(rules), fuel, whole=True)
 
-    return meet(m, n, successors, fuel, whole=True)
+
+def step_successors(rules: frozenset[Rule] | set[Rule]):
+    """successors for ``explore`` and ``meet`` on unit/bind terms: the
+    steps of a state under rules, keyed from the state's key."""
+    return lambda t, key: enumerate_steps(t, rules, key)

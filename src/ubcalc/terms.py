@@ -42,10 +42,12 @@ class Node:
     constructor.
 
     ``fv``, the free variables, is computed once at construction from the
-    children's; equality, hashing and repr see the declared fields only.
+    children's.  A closed node keeps its alpha key in ``closed_key`` once
+    ``debruijn`` has walked it, so the key lives and dies with the node.
+    Equality, hashing and repr see the declared fields only.
     """
 
-    __slots__ = ("fv",)
+    __slots__ = ("fv", "closed_key")
     KIDS: tuple[tuple[str, str, bool], ...] = ()
     TAG = ""
     VAR: type
@@ -257,9 +259,18 @@ def debruijn(t: Node, env: tuple[str, ...] = ()) -> tuple:
         if t.name in env:
             return ("b", env[::-1].index(t.name))
         return ("f", t.name)
+    if not t.fv:
+        # no binder above a closed node changes its key: walk it once
+        try:
+            return t.closed_key
+        except AttributeError:
+            pass
     binder = getattr(t, "binder", None)
     inner = env if binder is None else env + (binder,)
-    return (t.TAG, *[debruijn(getattr(t, field), inner if scoped else env) for _, field, scoped in t.KIDS])
+    key = (t.TAG, *[debruijn(getattr(t, field), inner if scoped else env) for _, field, scoped in t.KIDS])
+    if not t.fv:
+        object.__setattr__(t, "closed_key", key)
+    return key
 
 
 def alpha_eq(t1: Node, t2: Node) -> bool:
@@ -287,16 +298,18 @@ def positions(t: Node) -> Iterator[tuple[Position, Node]]:
             stack.append((path + (sel,), getattr(s, field)))
 
 
-def _field(t: Node, sel: str) -> str:
-    for s, field, _ in t.KIDS:
+def _kid(t: Node, sel: str) -> tuple[int, str, bool]:
+    """The child of t that sel selects: its index in t's alpha key (its
+    KIDS entry's, from 1), its field and whether t's binder scopes over it."""
+    for i, (s, field, scoped) in enumerate(t.KIDS, 1):
         if s == sel:
-            return field
+            return i, field, scoped
     raise ValueError(f"selector {sel!r} does not address {t!r}")
 
 
 def subterm_at(t: Node, path: Position) -> Node:
     for sel in path:
-        t = getattr(t, _field(t, sel))
+        t = getattr(t, _kid(t, sel)[1])
     return t
 
 
@@ -305,12 +318,33 @@ def replace_at(t: Node, path: Position, new: Node) -> Node:
     the path is rebuilt."""
     spine = []
     for sel in path:
-        field = _field(t, sel)
+        field = _kid(t, sel)[1]
         spine.append((t, field))
         t = getattr(t, field)
     for node, field in reversed(spine):
         new = with_child(node, field, new)
     return new
+
+
+def replace_keyed(t: Node, key: tuple, path: Position, new: Node) -> tuple[Node, tuple]:
+    """``replace_at(t, path, new)`` and its alpha key, given t's key.
+
+    Only the spine above the path is rebuilt, in the key as in the term:
+    an off-spine child keeps its subkey, ``key[i]`` for the i-th KIDS
+    entry, and new gets its key under the binders above the path."""
+    spine = []
+    env: tuple[str, ...] = ()
+    for sel in path:
+        i, field, scoped = _kid(t, sel)
+        spine.append((t, field, key, i))
+        if scoped:
+            env += (t.binder,)
+        t, key = getattr(t, field), key[i]
+    new_key = debruijn(new, env)
+    for node, field, key, i in reversed(spine):
+        new = with_child(node, field, new)
+        new_key = (*key[:i], new_key, *key[i + 1:])
+    return new, new_key
 
 
 def with_child(t: Node, field: str, new: Node) -> Node:

@@ -223,6 +223,10 @@ def test_subtype_undeclared_order_atom_is_usage_error(capsys, tmp_path):
         (("interp", "\\x. unit x"), "SortError: interp expects a computation"),
         (("subtype", "Wv", "<=", "Wc"), "SortError: types of different sorts"),
         (("translate", "unit m"), "UsageError: choose --to-moggi or --from-moggi"),
+        (
+            ("translate", "--from-moggi", "--to-moggi", "let x = m in v x"),
+            "UsageError: choose --to-moggi or --from-moggi",
+        ),
     ],
 )
 def test_command_usage_errors_print_one_error_line(capsys, argv, message):

@@ -26,7 +26,7 @@ from ubcalc.moggi import (
     m_enumerate_steps,
     to_moggi,
 )
-from ubcalc.reduction import ALL_RULES, Rule, Step, enumerate_steps
+from ubcalc.reduction import ALL_RULES, DEFAULT_RULES, Rule, Step, enumerate_steps
 from ubcalc.terms import (
     BIND_LEFT,
     BIND_RIGHT,
@@ -41,6 +41,7 @@ from ubcalc.terms import (
     fresh_var,
     positions,
     replace_at,
+    replace_keyed,
     subst,
     subterm_at,
 )
@@ -404,6 +405,84 @@ def test_m_enumerate_steps_match_reference():
         want = ref_m_enumerate_steps(e)
         assert [(s.rule, s.key) for s in got] == [(s.rule, ref_m_debruijn(s.result)) for s in want]
         assert [s.result for s in got] == [s.result for s in want]
+
+
+# ----------------------------------------------------- derived step keys
+
+
+def _keyed_sources(seed):
+    """Generated unit/bind terms and let-terms at seed, and the to_moggi
+    images of the unit/bind terms."""
+    cfg = GenConfig(seed=seed, cases=60, max_size=20)
+    ub = list(gen_terms(cfg))
+    return ub, [gen_mterm(cfg, i) for i in range(cfg.cases)] + [to_moggi(m) for m in ub]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_step_keys_derived_from_the_parent_match_from_scratch_keys(seed):
+    """A step's key is its parent's with the subkey along its path
+    replaced.  Over two levels of steps, the second keyed from the first's
+    derived keys as a search keys them, it must equal the from-scratch
+    debruijn walk of the result, and keying must leave the step list
+    (rule, position, result, in order) as it is."""
+    ub, let_terms = _keyed_sources(seed)
+    seen = set()
+    for m in ub:
+        for rules in (DEFAULT_RULES, ALL_RULES):
+            level = [(m, alpha_key(m))]
+            for _ in range(2):
+                nxt = []
+                for t, key in level:
+                    steps = enumerate_steps(t, rules, key)
+                    assert steps == enumerate_steps(t, rules) == ref_enumerate_steps(t, rules)
+                    for s in steps:
+                        assert s.key == alpha_key(s.result) == ref_debruijn(s.result)
+                        seen.add((s.rule, bool(s.position)))
+                        nxt.append((s.result, s.key))
+                level = nxt
+    assert seen >= {(rule, True) for rule in Rule}
+    for e in let_terms:
+        level = [(e, alpha_key(e))]
+        for _ in range(2):
+            nxt = []
+            for t, key in level:
+                steps = m_enumerate_steps(t, key)
+                assert steps == m_enumerate_steps(t)
+                want = ref_m_enumerate_steps(t)
+                assert [(s.rule, s.result) for s in steps] == [(s.rule, s.result) for s in want]
+                for s in steps:
+                    assert s.key == alpha_key(s.result) == ref_m_debruijn(s.result)
+                    seen.add((s.rule, True))
+                    nxt.append((s.result, s.key))
+            level = nxt
+    assert seen >= {(rule, True) for rule in MRule}
+
+
+@pytest.mark.parametrize("calculus", sorted(CALCULI))
+def test_replace_keyed_at_every_position(calculus):
+    """Put, at every position, each variable named in the term (so the
+    binders above the position capture it) and a closed term."""
+    terms, _, _, _, debruijn, var, closed = CALCULI[calculus]
+    for t in terms:
+        key = alpha_key(t)
+        for path, s in positions(t):
+            for probe in [var(x) for x in sorted(all_vars(t))] + [closed]:
+                if calculus == "unit/bind" and isinstance(s, (Unit, Bind)):
+                    probe = Unit(probe)
+                got, got_key = replace_keyed(t, key, path, probe)
+                assert got == replace_at(t, path, probe)
+                assert got_key == debruijn(got)
+
+
+def test_closed_nodes_keep_their_key_and_open_ones_none():
+    inner = Lambda("y", Unit(Variable("y")))
+    t = Bind(Unit(Variable("u")), Lambda("x", Bind(Unit(Variable("x")), inner)))
+    key = alpha_key(t)
+    assert inner.closed_key == ref_debruijn(inner)
+    assert t.right.closed_key == ref_debruijn(t.right)
+    for open_node in (t, t.left, t.right.body):
+        assert not hasattr(open_node, "closed_key")
+    assert alpha_key(t) == key == ref_debruijn(t)
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])

@@ -408,8 +408,8 @@ class TestSearchOracles:
         built = []
         real = moggi.m_enumerate_steps
 
-        def counted(e):
-            steps = real(e)
+        def counted(*args, **kwargs):
+            steps = real(*args, **kwargs)
             built.append(len(steps))
             return steps
 
