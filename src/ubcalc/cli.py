@@ -59,15 +59,15 @@ USAGE_ERRORS = (
 )
 
 
-def _read_term_arg(arg: str):
+def _read_arg(arg: str, parse):
     if arg == "-":
-        return parse_term(sys.stdin.read())
+        return parse(sys.stdin.read())
     # the text is read as a term only when no file of that name exists, so
     # a file that does not parse reports its own error
     if os.path.isfile(arg):
         with open(arg) as fh:
-            return parse_term(fh.read())
-    return parse_term(arg)
+            return parse(fh.read())
+    return parse(arg)
 
 
 def rule_set(spec: str) -> frozenset[Rule]:
@@ -92,7 +92,7 @@ def _table_from(args) -> AtomTable:
         table = AtomTable(atoms, order)
     eta = getattr(args, "eta", "none")
     if eta != "none":
-        table = AtomTable(table.atoms, table.order, eta, getattr(args, "rank", 2) or 2)
+        table = AtomTable(table.atoms, table.order, eta, getattr(args, "rank", 2))
     return table
 
 
@@ -124,14 +124,14 @@ def _atom_spec(path: str) -> tuple[tuple[str, ...], frozenset[tuple[str, str]]]:
 
 def cmd_fmt(args) -> int:
     if args.moggi:
-        print(moggi.m_print(moggi.m_parse(args.term if args.term != "-" else sys.stdin.read())))
+        print(moggi.m_print(_read_arg(args.term, moggi.m_parse)))
     else:
-        print(print_term(_read_term_arg(args.term)))
+        print(print_term(_read_arg(args.term, parse_term)))
     return OK
 
 
 def cmd_reduce(args) -> int:
-    t = _read_term_arg(args.term)
+    t = _read_arg(args.term, parse_term)
     if not is_comp(t):
         raise SortError("reduce expects a computation")
     out = reduction.normalize(t, args.rules, args.fuel, keep_trace=True)
@@ -152,7 +152,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    t = _read_term_arg(args.term)
+    t = _read_arg(args.term, parse_term)
     if not is_comp(t):
         raise SortError("eval expects a computation")
     out = convergence.big_step(t, args.fuel)
@@ -191,7 +191,7 @@ def cmd_typecheck(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    t = _read_term_arg(args.term)
+    t = _read_arg(args.term, parse_term)
     table = _table_from(args)
     universe = enumerate_types(args.rank, args.width, table)
     found = infer_bounded((), t, universe, table)
@@ -211,10 +211,9 @@ def cmd_translate(args) -> int:
     if args.to_moggi == args.from_moggi:
         raise UsageError("choose --to-moggi or --from-moggi")
     if args.to_moggi:
-        print(moggi.m_print(moggi.to_moggi(_read_term_arg(args.term))))
+        print(moggi.m_print(moggi.to_moggi(_read_arg(args.term, parse_term))))
     else:
-        e = moggi.m_parse(args.term if args.term != "-" else sys.stdin.read())
-        print(print_term(moggi.from_moggi(e)))
+        print(print_term(moggi.from_moggi(_read_arg(args.term, moggi.m_parse))))
     return OK
 
 
@@ -224,7 +223,7 @@ def cmd_interp(args) -> int:
         dom = filters.build_domain(args.rank, table)
         print(_dot_order(dom))
         return OK
-    t = _read_term_arg(args.term)
+    t = _read_arg(args.term, parse_term)
     if not is_comp(t):
         raise SortError("interp expects a computation")
     e = filters.interp_closed(t, args.rank, table)

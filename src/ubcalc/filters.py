@@ -144,9 +144,6 @@ class RankDomain:
     def value_elems(self) -> list[ValFilt]:
         return [ValFilt(v) for v in self.values]
 
-    def comp_elems(self) -> list[ComFilt]:
-        return [ComFilt(c) for c in self.comps]
-
 
 def build_domain(n: int, table: AtomTable = EMPTY_TABLE) -> RankDomain:
     return RankDomain(n, table, value_lattice(n, table), comp_lattice(n, table))

@@ -317,6 +317,10 @@ def convertible(a, b, fuel: int = 300) -> Optional[bool]:
 
 @dataclass(frozen=True, slots=True)
 class PreservationResult:
+    """One step's verdict: ``reached`` when the source image reduces to
+    the target image, in ``steps`` steps (-1 when it does not);
+    ``eta_join`` when it does not but the two images join with eta."""
+
     rule: MRule
     source_image: Comp
     target_image: Comp
@@ -353,12 +357,6 @@ def check_preservation(e: MTerm, fuel: int = 400) -> list[PreservationResult]:
     for s in m_enumerate_steps(e):
         dst = from_moggi(s.result)
         ok, n = image_reaches(src, dst, fuel, allow_eta=s.rule is MRule.ETA_V)
-        eta_join = False
-        if not ok:
-            back, nb = image_reaches(dst, src, fuel, allow_eta=True)
-            if back:
-                eta_join, n = True, nb
-            else:
-                eta_join = is_comp(ub_reduction.joinable(src, dst, fuel, ub_reduction.ALL_RULES))
+        eta_join = not ok and is_comp(ub_reduction.joinable(src, dst, fuel, ub_reduction.ALL_RULES))
         out.append(PreservationResult(s.rule, src, dst, ok, n, eta_join))
     return out

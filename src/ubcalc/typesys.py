@@ -29,7 +29,7 @@ from .terms import ParseError, TokenCursor
 # --------------------------------------------------------------- type ASTs
 
 # Types, raw and canonical, are hash-consed (Filliatre & Conchon,
-# "Type-safe modular hash-consing", 2006).  Every node is built through a
+# "Type-safe modular hash-consing", 2006).  Every node is built through one
 # weak intern table keyed by its class and fields, so structurally equal
 # live nodes are one object and equality and hashing are by identity.  The
 # children of a node are interned first, so a lookup hashes only one
@@ -42,11 +42,14 @@ _INTERNED_TYPES: "weakref.WeakValueDictionary[tuple, _TypeNode]" = weakref.WeakV
 
 
 class _TypeNode:
-    """Base of the raw type syntax: positional fields named by
-    ``__match_args__``, built through ``_INTERNED_TYPES``."""
+    """Base of every type node: positional fields named by
+    ``__match_args__``, built through ``_INTERNED_TYPES``.  A class that
+    derives more slots from its fields sets ``_derive``, which a new node
+    runs once, before it enters the table."""
 
     __slots__ = ("__weakref__",)
     __match_args__: tuple[str, ...] = ()
+    _derive = None
 
     def __new__(cls, *args, **kwargs):
         if kwargs:
@@ -64,6 +67,8 @@ class _TypeNode:
             node = object.__new__(cls)
             for name, value in zip(cls.__match_args__, args):
                 object.__setattr__(node, name, value)
+            if cls._derive is not None:
+                node._derive()
             _INTERNED_TYPES[key] = node
         return node
 
@@ -198,28 +203,8 @@ class AtomTable:
             raise UnknownAtomError(a if a not in self.atoms else b)
         return (a, b) in self.order
 
-    def check_known(self, t: AnyType) -> None:
-        for name in atom_names(t):
-            if name not in self.atoms:
-                raise UnknownAtomError(name)
-
 
 EMPTY_TABLE = AtomTable()
-
-
-def atom_names(t: AnyType) -> frozenset[str]:
-    match t:
-        case VAtom(name):
-            return frozenset((name,))
-        case VArrow(d, c):
-            return atom_names(d) | atom_names(c)
-        case VInter(l, r) | CInter(l, r):
-            return atom_names(l) | atom_names(r)
-        case CTf(a):
-            return atom_names(a)
-        case VOmega() | COmega():
-            return frozenset()
-    raise TypeError(f"not a type: {t!r}")
 
 
 # ---------------------------------------------------------------- rank map
@@ -241,79 +226,45 @@ def rank(t: AnyType) -> int:
 # ----------------------------------------------------------- canonical forms
 
 
-# Canonical types are hash-consed in the same way, with a table per class.
-# Each node also carries ``key``, a structural sort key fixing the order
-# of canonical forms, and ``rank``, both computed once from its children.
-
-_INTERNED_V: "weakref.WeakValueDictionary[tuple, CanonV]" = weakref.WeakValueDictionary()
-_INTERNED_C: "weakref.WeakValueDictionary[Optional[CanonV], CanonC]" = weakref.WeakValueDictionary()
+# Canonical types are type nodes too, interned in the same table.  Each
+# also carries ``key``, a structural sort key fixing the order of
+# canonical forms, and ``rank``, both derived once from its children when
+# it is built.
 
 
-class CanonV:
+class CanonV(_TypeNode):
     """Meet of atoms and arrows; empty meet is the top (omega) class."""
 
-    __slots__ = ("atoms", "arrows", "key", "rank", "__weakref__")
+    __slots__ = ("atoms", "arrows", "key", "rank")
+    __match_args__ = ("atoms", "arrows")
     atoms: tuple[str, ...]
     arrows: tuple[tuple["CanonV", "CanonC"], ...]
     key: tuple
     rank: int
 
-    def __new__(cls, atoms: Iterable[str], arrows: Iterable[tuple["CanonV", "CanonC"]]) -> "CanonV":
-        atoms = tuple(atoms)
-        arrows = tuple(arrows)
-        fields = (atoms, arrows)
-        node = _INTERNED_V.get(fields)
-        if node is None:
-            node = object.__new__(cls)
-            init = object.__setattr__
-            init(node, "atoms", atoms)
-            init(node, "arrows", arrows)
-            init(node, "key", ("m", atoms, tuple((d.key, t.key) for d, t in arrows)))
-            init(node, "rank", max((max(d.rank + 1, t.rank) for d, t in arrows), default=0))
-            _INTERNED_V[fields] = node
-        return node
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return CanonV, (self.atoms, self.arrows)
-
-    def __repr__(self) -> str:
-        return f"CanonV(atoms={self.atoms!r}, arrows={self.arrows!r})"
+    def _derive(self) -> None:
+        init = object.__setattr__
+        init(self, "key", ("m", self.atoms, tuple((d.key, t.key) for d, t in self.arrows)))
+        init(self, "rank", max((max(d.rank + 1, t.rank) for d, t in self.arrows), default=0))
 
     @property
     def is_top(self) -> bool:
         return not self.atoms and not self.arrows
 
 
-class CanonC:
+class CanonC(_TypeNode):
     """Either the top (omega) class or the class of T applied to a value."""
 
-    __slots__ = ("arg", "key", "rank", "__weakref__")
+    __slots__ = ("arg", "key", "rank")
+    __match_args__ = ("arg",)
     arg: Optional[CanonV]
     key: tuple
     rank: int
 
-    def __new__(cls, arg: Optional[CanonV]) -> "CanonC":
-        node = _INTERNED_C.get(arg)
-        if node is None:
-            node = object.__new__(cls)
-            init = object.__setattr__
-            init(node, "arg", arg)
-            init(node, "key", ("tc",) if arg is None else ("t", arg.key))
-            init(node, "rank", 0 if arg is None else arg.rank + 1)
-            _INTERNED_C[arg] = node
-        return node
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return CanonC, (self.arg,)
-
-    def __repr__(self) -> str:
-        return f"CanonC(arg={self.arg!r})"
+    def _derive(self) -> None:
+        init, arg = object.__setattr__, self.arg
+        init(self, "key", ("tc",) if arg is None else ("t", arg.key))
+        init(self, "rank", 0 if arg is None else arg.rank + 1)
 
     @property
     def is_top(self) -> bool:

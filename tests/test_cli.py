@@ -67,6 +67,15 @@ def test_translate_from_moggi(capsys):
     assert code == 0
 
 
+def test_let_term_arguments_can_be_files(tmp_path, capsys):
+    path = tmp_path / "let.txt"
+    path.write_text("let x = m in v x")
+    code, out, _ = run(capsys, "fmt", "--moggi", str(path))
+    assert code == 0 and out.strip() == "let x = m in v x"
+    code, out, _ = run(capsys, "translate", "--from-moggi", str(path))
+    assert code == 0 and out.strip() == "unit m * (\\x. unit x * v)"
+
+
 def test_infer_identity(capsys):
     code, out, _ = run(capsys, "infer", "--rank", "2", "--width", "2", "unit (\\x. unit x)")
     assert code == 0
@@ -148,6 +157,11 @@ def test_eta_flag(tmp_path, capsys):
         capsys, "subtype", "--atoms", str(spec), "--eta", "scott", "@a", "<=", "Wv -> T @a"
     )
     assert code == 0 and out.strip() == "true"
+    # under --eta, --rank is the unfolding depth, and 0 unfolds nothing
+    code, out, _ = run(
+        capsys, "subtype", "--atoms", str(spec), "--eta", "scott", "--rank", "0", "@a", "<=", "Wv -> T @a"
+    )
+    assert code == 1 and out.strip() == "false"
 
 
 def test_usage_error(capsys):

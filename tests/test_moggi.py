@@ -345,6 +345,25 @@ def _ref_image_reaches(src, dst, fuel, allow_eta):
     return False, -1
 
 
+def _ref_check_preservation(e, fuel):
+    """check_preservation as it was before the backward image search was
+    dropped: forward, then backward with eta, then a join with eta."""
+    out = []
+    src = from_moggi(e)
+    for s in m_enumerate_steps(e):
+        dst = from_moggi(s.result)
+        ok, n = image_reaches(src, dst, fuel, allow_eta=s.rule is MRule.ETA_V)
+        eta_join = False
+        if not ok:
+            back, nb = image_reaches(dst, src, fuel, allow_eta=True)
+            if back:
+                eta_join, n = True, nb
+            else:
+                eta_join = is_comp(ub_reduction.joinable(src, dst, fuel, ub_reduction.ALL_RULES))
+        out.append((s.rule, ok, n if ok else -1, eta_join))
+    return out
+
+
 ORACLE_CFG = GenConfig(seed=0, max_size=12, cases=10)
 ORACLE_FUELS = (0, 1, 5, 40, 300)
 
@@ -397,6 +416,16 @@ class TestSearchOracles:
                             assert image_reaches(x, y, fuel, allow_eta) == want
                             results.add(want[0])
         assert results == {True, False}
+
+    def test_check_preservation_matches_forward_then_backward(self):
+        terms = {alpha_key(e): e for pair in _oracle_pairs() for e in pair}
+        joins = 0
+        for fuel in (10, 60, 300):
+            for e in terms.values():
+                got = [(r.rule, r.reached, r.steps, r.eta_join) for r in check_preservation(e, fuel)]
+                assert got == _ref_check_preservation(e, fuel), (m_print(e), fuel)
+                joins += sum(r[3] for r in got)
+        assert joins > 0
 
     def test_convertible_stops_at_the_first_meet(self, monkeypatch):
         m = parse_term("(unit (\\z. unit z) * (\\x. unit x * q)) * (\\y. unit y)")

@@ -213,19 +213,22 @@ class TestInterning:
         assert pickle.loads(pickle.dumps(c)) is c
 
     def test_dropped_nodes_leave_the_table(self):
+        def interned(cls):
+            return sum(isinstance(n, cls) for n in list(typesys._INTERNED_TYPES.values()))
+
         gc.collect()
-        before = len(typesys._INTERNED_V), len(typesys._INTERNED_C)
+        before = interned(CanonV), interned(CanonC)
         c = TOP_V
         for _ in range(50):
             c = meet_canon_v(CanonV((), ((c, tcan(c)),)), CanonV(("a",), ()), T1)
-        assert len(typesys._INTERNED_V) > before[0] + 50
+        assert interned(CanonV) > before[0] + 50
         del c
         # the memos hold strong references; dropping them frees the nodes
         typesys._meet_canon_v_cached.cache_clear()
         typesys._leq_canon_v_cached.cache_clear()
         gc.collect()
-        assert len(typesys._INTERNED_V) <= before[0]
-        assert len(typesys._INTERNED_C) <= before[1]
+        assert interned(CanonV) <= before[0]
+        assert interned(CanonC) <= before[1]
 
     def test_memos_are_bounded(self):
         for memo in (typesys._meet_canon_v_cached, typesys._leq_canon_v_cached):
@@ -267,7 +270,7 @@ def ref_normalize_ctype(t, table=EMPTY_TABLE, eta_depth=None):
     raise TypeError(f"not a computation type: {t!r}")
 
 
-TYPE_NAMES = {cls.__name__: cls for cls in (VAtom, VArrow, VInter, VOmega, CTf, CInter, COmega)}
+TYPE_NAMES = {cls.__name__: cls for cls in (VAtom, VArrow, VInter, VOmega, CTf, CInter, COmega, CanonV, CanonC)}
 RAW_MEMOS = ("_normalize_v", "_normalize_c", "to_vtype", "parse_type")
 NORMALIZE_TABLES = [EMPTY_TABLE, T1] + [
     AtomTable(("a",), eta_mode=mode, eta_depth=depth) for mode in ("scott", "park") for depth in (0, 1, 2)
@@ -310,6 +313,14 @@ class TestRawInterning:
             del t.cod
         with pytest.raises(AttributeError):
             V_OMEGA.extra = 1
+        c = CanonV(("q",), ())
+        for node, field in ((c, "atoms"), (c, "key"), (tcan(c), "arg"), (tcan(c), "rank")):
+            with pytest.raises(AttributeError):
+                setattr(node, field, ())
+            with pytest.raises(AttributeError):
+                delattr(node, field)
+        # a failed delete leaves the interned node whole
+        assert eval(repr(tcan(c)), TYPE_NAMES) is tcan(CanonV(("q",), ()))
 
     @pytest.mark.parametrize(
         "src,want",
@@ -317,10 +328,17 @@ class TestRawInterning:
             ("Wv -> T Wv", "VArrow(dom=VOmega(), cod=CTf(arg=VOmega()))"),
             ("@a & Wv", "VInter(left=VAtom(name='a'), right=VOmega())"),
             ("Wc & T @b", "CInter(left=COmega(), right=CTf(arg=VAtom(name='b')))"),
+            pytest.param(TOP_C, "CanonC(arg=None)", id="TOP_C"),
+            pytest.param(
+                normalize_vtype(parse_type("@a & (Wv -> T @a)"), T1),
+                "CanonV(atoms=('a',), arrows=((CanonV(atoms=(), arrows=()), CanonC(arg=CanonV(atoms=('a',), arrows=()))),))",
+                id="canonical-meet",
+            ),
         ],
     )
     def test_repr_is_dataclass_style(self, src, want):
-        assert repr(parse_type(src)) == want
+        node = parse_type(src) if isinstance(src, str) else src
+        assert repr(node) == want
 
     def test_construction_by_field_name(self):
         assert VArrow(dom=V_OMEGA, cod=C_OMEGA) is VArrow(V_OMEGA, C_OMEGA) is VArrow(V_OMEGA, cod=C_OMEGA)
@@ -328,6 +346,12 @@ class TestRawInterning:
             VArrow(V_OMEGA)
         with pytest.raises(TypeError):
             VArrow(V_OMEGA, dom=V_OMEGA)
+        assert CanonV(atoms=("a",), arrows=()) is CanonV(("a",), ()) is CanonV(("a",), arrows=())
+        assert CanonC(arg=None) is TOP_C
+        with pytest.raises(TypeError):
+            CanonV(("a",))
+        with pytest.raises(TypeError):
+            CanonC(None, arg=None)
 
     def test_rebuilt_by_copy_and_pickle_as_the_same_node(self):
         import copy
