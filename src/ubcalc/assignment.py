@@ -148,118 +148,98 @@ def _basis_errors(basis: Basis) -> list[str]:
     return errs
 
 
+# What each rule concludes: the subject's and the type's constructors
+# (object where any will do), and how to say it.
+_CONCLUDES: dict[str, tuple[type | tuple[type, ...], type | tuple[type, ...], str]] = {
+    AX: (Variable, object, "a variable"),
+    ARROW_I: (Lambda, VArrow, "an abstraction at an arrow type"),
+    UNIT_I: (Unit, CTf, "a unit at a T type"),
+    ARROW_E: (Bind, object, "a bind"),
+    OMEGA: (object, (VOmega, COmega), "the top type"),
+    INTER_I: (object, (VInter, CInter), "an intersection"),
+    LEQ: (object, object, "any judgment"),
+}
+
+
 def _node_errors(d: Derivation, table: AtomTable) -> list[str]:
+    """The errors of one node, given that its conclusion's basis is valid.
+    The rule schema gives each premise's subject and basis; only the type
+    relation is checked rule by rule."""
     J = d.conclusion
     subj, t = J.subject, J.tipo
-    errs = _basis_errors(J.basis)
+    if d.rule not in RULES:
+        return [f"unknown rule {d.rule!r}"]
     if is_value(subj) != is_vtype(t):
-        return errs + [f"sort mismatch between subject and type in {d.rule}"]
-    prem = d.premises
+        return [f"sort mismatch between subject and type in {d.rule}"]
+    subj_cls, type_cls, shape = _CONCLUDES[d.rule]
+    if not (isinstance(subj, subj_cls) and isinstance(t, type_cls)):
+        return [f"{d.rule} concludes {shape}"]
+    sites = RULES[d.rule]
+    if len(d.premises) != len(sites):
+        return [f"{d.rule} takes {len(sites)} premise(s), not {len(d.premises)}"]
+    errs = []
+    for i, (_, field, scoped) in enumerate(sites):
+        pj = d.premises[i].conclusion
+        part = subj if field is None else getattr(subj, field)
+        # built derivations share their subterms: identity settles most
+        if pj.subject is not part and pj.subject != part:
+            errs.append(f"premise {i} does not type the subject" + (f"'s {field}" if field else ""))
+        if pj.basis != (basis_extend(J.basis, subj.binder, t.dom) if scoped else J.basis):
+            errs.append(f"premise {i} basis is not the conclusion's" + (" plus the binder" if scoped else ""))
+    prem = [p.conclusion.tipo for p in d.premises]
     match d.rule:
         case "Ax":
-            if prem:
-                errs.append("Ax takes no premises")
-            if not isinstance(subj, Variable):
-                errs.append("Ax subject must be a variable")
-            elif (subj.name, t) not in J.basis:
+            if (subj.name, t) not in J.basis:
                 errs.append(f"binding {subj.name}:{print_type(t)} not in basis")
-        case "Omega":
-            if prem:
-                errs.append("Omega takes no premises")
-            if not isinstance(t, (VOmega, COmega)):
-                errs.append("Omega concludes the top type")
         case "ArrowI":
-            if not (isinstance(subj, Lambda) and isinstance(t, VArrow)):
-                errs.append("ArrowI needs an abstraction subject and arrow type")
-            elif len(prem) != 1:
-                errs.append("ArrowI takes one premise")
-            else:
-                p = prem[0].conclusion
-                if subj.binder in basis_dom(J.basis):
-                    errs.append(f"basis clash on {subj.binder}")
-                if p.basis != basis_extend(J.basis, subj.binder, t.dom):
-                    errs.append("premise basis is not the conclusion basis extended with the binder")
-                if p.subject != subj.body:
-                    errs.append("premise subject is not the abstraction body")
-                if p.tipo != t.cod:
-                    errs.append("premise type is not the arrow codomain")
+            if subj.binder in basis_dom(J.basis):
+                errs.append(f"basis clash on {subj.binder}")
+            if not is_vtype(t.dom):
+                errs.append("arrow domain is not a value type")
+            if prem[0] != t.cod:
+                errs.append("premise type is not the arrow codomain")
         case "UnitI":
-            if not (isinstance(subj, Unit) and isinstance(t, CTf)):
-                errs.append("UnitI needs a unit subject and a T type")
-            elif len(prem) != 1:
-                errs.append("UnitI takes one premise")
-            else:
-                p = prem[0].conclusion
-                if p.basis != J.basis or p.subject != subj.value or p.tipo != t.arg:
-                    errs.append("UnitI premise must type the wrapped value at the T argument")
+            if prem[0] != t.arg:
+                errs.append("premise type is not the T argument")
         case "ArrowE":
-            if not isinstance(subj, Bind):
-                errs.append("ArrowE subject must be a bind")
-            elif len(prem) != 2:
-                errs.append("ArrowE takes two premises")
+            tm, tv = prem
+            if not isinstance(tm, CTf) or not isinstance(tv, VArrow):
+                errs.append("ArrowE premises need a T type and an arrow type")
             else:
-                pm, pv = prem[0].conclusion, prem[1].conclusion
-                if pm.basis != J.basis or pv.basis != J.basis:
-                    errs.append("ArrowE premises must share the conclusion basis")
-                if pm.subject != subj.left or pv.subject != subj.right:
-                    errs.append("ArrowE premises must type the bind operands")
-                if not isinstance(pm.tipo, CTf) or not isinstance(pv.tipo, VArrow):
-                    errs.append("ArrowE premises need a T type and an arrow type")
-                else:
-                    if pv.tipo.cod != t:
-                        errs.append("conclusion type is not the arrow codomain")
-                    if not leq_v(pm.tipo.arg, pv.tipo.dom, table):
-                        errs.append(
-                            f"content {print_type(pm.tipo.arg)} does not entail the "
-                            f"argument type {print_type(pv.tipo.dom)}"
-                        )
+                if tv.cod != t:
+                    errs.append("conclusion type is not the arrow codomain")
+                if not leq_v(tm.arg, tv.dom, table):
+                    arg, dom = print_type(tm.arg), print_type(tv.dom)
+                    errs.append(f"content {arg} does not entail the argument type {dom}")
         case "InterI":
-            if not isinstance(t, (VInter, CInter)):
-                errs.append("InterI concludes an intersection")
-            elif len(prem) != 2:
-                errs.append("InterI takes two premises")
-            else:
-                pl, pr = prem[0].conclusion, prem[1].conclusion
-                if pl.basis != J.basis or pr.basis != J.basis or pl.subject != subj or pr.subject != subj:
-                    errs.append("InterI premises must share basis and subject")
-                if pl.tipo != t.left or pr.tipo != t.right:
-                    errs.append("InterI premises must match the intersection components")
+            if prem != [t.left, t.right]:
+                errs.append("InterI premises must match the intersection components")
         case "Leq":
-            if len(prem) != 1:
-                errs.append("Leq takes one premise")
-            elif d.side is None:
+            if d.side is None:
                 errs.append("Leq needs a subtyping witness")
-            else:
-                p = prem[0].conclusion
-                lo, hi = d.side
-                if p.basis != J.basis or p.subject != subj:
-                    errs.append("Leq premise must share basis and subject")
-                if p.tipo != lo or t != hi:
-                    errs.append("Leq witness must connect premise and conclusion types")
-                else:
-                    ok = leq_v(lo, hi, table) if is_vtype(lo) else leq_c(lo, hi, table)
-                    if not ok:
-                        errs.append(
-                            f"subtyping side condition fails: "
-                            f"{print_type(lo)} <= {print_type(hi)}"
-                        )
-        case _:
-            errs.append(f"unknown rule {d.rule!r}")
+            elif prem[0] != d.side[0] or t != d.side[1]:
+                errs.append("Leq witness must connect premise and conclusion types")
+            elif is_vtype(d.side[0]) != is_vtype(t):
+                errs.append("Leq witness relates types of different sorts")
+            elif not (leq_v if is_vtype(t) else leq_c)(*d.side, table):
+                lo, hi = map(print_type, d.side)
+                errs.append(f"subtyping side condition fails: {lo} <= {hi}")
     return errs
 
 
 def check_derivation(d: Derivation, table: AtomTable = EMPTY_TABLE) -> CheckReport:
-    report = CheckReport(True)
+    """Check every node.  Only the root's basis is checked as such: every
+    premise's is compared with the one its node expects."""
+    errors = [((), msg) for msg in _basis_errors(d.conclusion.basis)]
 
     def walk(node: Derivation, path: tuple[int, ...]) -> None:
         for msg in _node_errors(node, table):
-            report.valid = False
-            report.errors.append((path, msg))
+            errors.append((path, msg))
         for i, p in enumerate(node.premises):
             walk(p, path + (i,))
 
     walk(d, ())
-    return report
+    return CheckReport(not errors, errors)
 
 
 # --------------------------------------------------------- node constructors

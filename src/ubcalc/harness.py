@@ -359,57 +359,25 @@ def critical_pair_diagrams() -> list[dict]:
     """The three one-step overlap diagrams and the double-step
     reassociation join, with redex-free building blocks so each diagram
     has exactly the arrows it names."""
-    out = []
     # outer reassociation vs inner beta; the joins coincide syntactically
     mm = Bind(Unit(Variable("x")), Variable("q"))  # mentions the bound x
     nn = Unit(Variable("y"))
     t1 = Bind(Bind(Unit(Variable("v")), Lambda("x", mm)), Lambda("y2", nn))
     a, b = _reduct(t1, Rule.BETA_C), _reduct(t1, Rule.ASS, at_root=True)
-    b2 = _reduct(b, Rule.BETA_C)
-    out.append(
-        {
-            "name": "outer-ass-inner-beta",
-            "term": t1,
-            "left": a,
-            "right": b,
-            "join_left": a,
-            "join_right": b2,
-            "identical": a == b2,
-        }
-    )
+    out = [{"name": "outer-ass-inner-beta", "term": t1, "identical": a == _reduct(b, Rule.BETA_C)}]
     # outer reassociation vs outer id, closed by one id inside
     M, N = Unit(Variable("m")), Unit(Variable("n"))
     t2 = Bind(Bind(M, Lambda("y", N)), Lambda("x", Unit(Variable("x"))))
     a, b = _reduct(t2, Rule.ID, at_root=True), _reduct(t2, Rule.ASS, at_root=True)
-    inner = _reduct(b, Rule.ID, at_root=False)
-    out.append(
-        {
-            "name": "outer-ass-outer-id",
-            "term": t2,
-            "left": a,
-            "right": b,
-            "join_left": a,
-            "join_right": inner or b,
-            "identical": a == inner,
-        }
-    )
+    out.append({"name": "outer-ass-outer-id", "term": t2, "identical": a == _reduct(b, Rule.ID, at_root=False)})
     # outer reassociation vs inner id, closed by one beta inside up to
     # renaming of the bound variable
     Ny = Bind(Unit(Variable("y")), Variable("q"))  # mentions the bound y
     t3 = Bind(Bind(M, Lambda("x", Unit(Variable("x")))), Lambda("y", Ny))
     a, b = _reduct(t3, Rule.ID), _reduct(t3, Rule.ASS, at_root=True)
     inner = _reduct(b, Rule.BETA_C, at_root=False)
-    out.append(
-        {
-            "name": "outer-ass-inner-id",
-            "term": t3,
-            "left": a,
-            "right": b,
-            "join_left": a,
-            "join_right": inner or b,
-            "identical": inner is not None and alpha_key(a) == alpha_key(inner),
-        }
-    )
+    identical = inner is not None and alpha_key(a) == alpha_key(inner)
+    out.append({"name": "outer-ass-inner-id", "term": t3, "identical": identical})
     # pure reassociation peak needing two steps on one side
     L, M, N, P = (Unit(Variable(ch)) for ch in "lmnp")
     m1 = Bind(Bind(Bind(L, Lambda("x", M)), Lambda("y", N)), Lambda("z", P))
@@ -418,19 +386,12 @@ def critical_pair_diagrams() -> list[dict]:
     m2_next = [s.result for s in enumerate_steps(m2, {Rule.ASS})]
     m3_next = [s.result for s in enumerate_steps(m3, {Rule.ASS})]
     m3_two = [s2.result for t in m3_next for s2 in enumerate_steps(t, {Rule.ASS})]
-    out.append(
-        {
-            "name": "reassociation-peak",
-            "term": m1,
-            "left": m2,
-            "right": m3,
-            "join_left": m4,
-            "join_right": m4,
-            "identical": any(alpha_key(t) == alpha_key(m4) for t in m2_next)
-            and all(alpha_key(t) != alpha_key(m4) for t in m3_next)
-            and any(alpha_key(t) == alpha_key(m4) for t in m3_two),
-        }
+    identical = (
+        any(alpha_key(t) == alpha_key(m4) for t in m2_next)
+        and all(alpha_key(t) != alpha_key(m4) for t in m3_next)
+        and any(alpha_key(t) == alpha_key(m4) for t in m3_two)
     )
+    out.append({"name": "reassociation-peak", "term": m1, "identical": identical})
     return out
 
 

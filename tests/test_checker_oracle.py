@@ -1,0 +1,143 @@
+"""The derivation checker against the one it replaced.
+
+``reference_checker.py`` is the checker as it stood before it read the
+rule schema.  Both must agree on whether a derivation is valid, and the
+new one may report an error only at a node where the old one reports
+one.  The corpus is every derivation of the typed generator at seeds 0
+and 7 with its subject-reduction reducts, and seeded single-node
+mutants of them.
+"""
+import random
+
+import pytest
+
+import reference_checker as reference
+from test_assignment import ID_LAM
+
+from ubcalc.assignment import (
+    RULES,
+    Derivation,
+    Judgment,
+    basis_extend,
+    check_derivation,
+)
+from ubcalc.harness import GenConfig, gen_typed_term
+from ubcalc.reduction import DEFAULT_RULES, enumerate_steps
+from ubcalc.terms import Lambda, Unit, all_vars
+from ubcalc.transform import TransformError, reduce_derivation
+from ubcalc.typesys import C_OMEGA, V_OMEGA, CTf, VArrow, is_vtype
+
+
+def _corpus(seed: int) -> list[Derivation]:
+    cfg = GenConfig(seed=seed, cases=20)
+    out = []
+    for i in range(cfg.cases):
+        m, d = gen_typed_term(cfg, i)
+        out.append(d)
+        for step in enumerate_steps(m, DEFAULT_RULES):
+            try:
+                out.append(reduce_derivation(d, step))
+            except TransformError:
+                pass
+    return out
+
+
+def _nodes(d: Derivation, path=()):
+    yield path, d
+    for i, p in enumerate(d.premises):
+        yield from _nodes(p, path + (i,))
+
+
+def _at(d: Derivation, path) -> Derivation:
+    for i in path:
+        d = d.premises[i]
+    return d
+
+
+def _replace(d: Derivation, path, new: Derivation) -> Derivation:
+    if not path:
+        return new
+    i = path[0]
+    premises = d.premises[:i] + (_replace(d.premises[i], path[1:], new),) + d.premises[i + 1 :]
+    return Derivation(d.rule, d.conclusion, premises, d.side)
+
+
+def _mutants(n: Derivation, rng: random.Random, types: list, subjects: list):
+    """Single-node changes of n, each named."""
+    J = n.conclusion
+
+    def with_judgment(basis, subject, tipo):
+        return Derivation(n.rule, Judgment(basis, subject, tipo), n.premises, n.side)
+
+    yield "rule", Derivation(rng.choice(sorted(set(RULES) - {n.rule}) + ["Bogus"]), J, n.premises, n.side)
+    yield "type", with_judgment(J.basis, J.subject, rng.choice(types))
+    yield "subject", with_judgment(J.basis, rng.choice(subjects), J.tipo)
+    if n.premises:
+        i = rng.randrange(len(n.premises))
+        yield "drop", Derivation(n.rule, J, n.premises[:i] + n.premises[i + 1 :], n.side)
+    if len(n.premises) > 1:
+        yield "reorder", Derivation(n.rule, J, n.premises[::-1], n.side)
+    name = rng.choice(sorted(all_vars(J.subject)) + ["fresh"])
+    bound = rng.choice([t for t in types if is_vtype(t)])
+    yield "basis", with_judgment(basis_extend(J.basis, name, bound), J.subject, J.tipo)
+    if n.side is not None:
+        lo, hi = n.side
+        changed = (rng.choice(types), hi) if rng.random() < 0.5 else (lo, rng.choice(types))
+        yield "side", Derivation(n.rule, J, n.premises, changed)
+        yield "no-side", Derivation(n.rule, J, n.premises, None)
+
+
+def _agree(d: Derivation) -> bool:
+    """Both checkers give d the same verdict; the new one reports errors
+    only at nodes the old one reports.  Returns the verdict."""
+    got = check_derivation(d)
+    try:
+        want = reference.check_derivation(d)
+    except TypeError:  # the old checker crashed on a witness of mixed sorts
+        assert not got.valid
+        return False
+    assert got.valid == want.valid, (got.errors, want.errors)
+    assert {p for p, _ in got.errors} <= {p for p, _ in want.errors}, (got.errors, want.errors)
+    return got.valid
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_checker_matches_the_reference(seed):
+    """Whole derivations first, then mutants.  A node's errors depend only
+    on its own conclusion and its premises' conclusions, so a mutant is
+    checked from the parent of the changed node: every node outside that
+    subtree reports the same on both sides."""
+    rng = random.Random(seed)
+    mutants = invalid = 0
+    kinds = set()
+    for d in _corpus(seed):
+        assert _agree(d)
+        nodes = list(_nodes(d))
+        types = sorted({n.conclusion.tipo for _, n in nodes}, key=repr)
+        subjects = sorted({n.conclusion.subject for _, n in nodes}, key=repr)
+        for path, n in rng.sample(nodes, min(12, len(nodes))):
+            top = path[:-1]
+            for kind, mutant in _mutants(n, rng, types, subjects):
+                kinds.add(kind)
+                mutants += 1
+                invalid += not _agree(_replace(_at(d, top), path[len(top) :], mutant))
+    assert kinds == {"rule", "type", "subject", "drop", "reorder", "basis", "side", "no-side"}
+    assert invalid > mutants // 3 and mutants > 2000
+
+
+def test_arrow_i_premise_missing_an_unused_binder():
+    # \x. unit (\y. unit y): x is unused, but the premise basis must still bind it
+    inner = Derivation("Omega", Judgment((), Unit(ID_LAM), C_OMEGA))
+    d = Derivation("ArrowI", Judgment((), Lambda("x", Unit(ID_LAM)), VArrow(V_OMEGA, C_OMEGA)), (inner,))
+    assert not _agree(d)
+    assert check_derivation(d).errors == [((), "premise 0 basis is not the conclusion's plus the binder")]
+
+
+def test_arrow_i_domain_of_the_wrong_sort():
+    # the premise basis is the conclusion's plus x, but x is bound to a
+    # computation type: the old checker reports it at the premise's basis
+    dom = CTf(V_OMEGA)
+    inner = Derivation("Omega", Judgment((("x", dom),), Unit(ID_LAM), C_OMEGA))
+    d = Derivation("ArrowI", Judgment((), Lambda("x", Unit(ID_LAM)), VArrow(dom, C_OMEGA)), (inner,))
+    assert check_derivation(d).errors == [((), "arrow domain is not a value type")]
+    assert not reference.check_derivation(d).valid

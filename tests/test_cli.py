@@ -1,6 +1,11 @@
+import contextlib
+import functools
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ubcalc.cli import main
 
@@ -111,6 +116,78 @@ def test_typecheck_invalid_file(tmp_path, capsys):
     path.write_text("(rule Omega (concl |- unit x : T Wv))")
     code, out, _ = run(capsys, "typecheck", str(path))
     assert code == 1 and "invalid" in out
+
+
+def test_typecheck_leq_witness_of_mixed_sorts(tmp_path, capsys):
+    path = tmp_path / "deriv.txt"
+    path.write_text(
+        "(rule Leq (concl |- \\x. unit x : Wv)\n"
+        "  (premises (rule Omega (concl |- \\x. unit x : Wc)))\n"
+        "  (side Wc <= Wv))"
+    )
+    code, out, err = run(capsys, "typecheck", str(path))
+    assert code == 1 and out.splitlines()[0] == "invalid" and err == ""
+    assert "  at root: Leq witness relates types of different sorts" in out
+
+
+@functools.cache
+def _printed_derivations() -> list[str]:
+    from ubcalc.assignment import make_basis, synth_derivation
+    from ubcalc.derivfile import print_derivation
+    from ubcalc.terms import parse_term
+    from ubcalc.typesys import enumerate_types, parse_type
+
+    uvals, _ = enumerate_types(2, 2)
+    cases = [
+        ([], "unit (\\x. unit x)"),
+        ([], "unit (\\x. unit x) * (\\y. unit y)"),
+        ([("x", parse_type("(Wv -> T Wv) & Wv"))], "unit x"),
+    ]
+    return [
+        print_derivation(synth_derivation(make_basis(basis), parse_term(m), parse_type("T Wv"), uvals))
+        for basis, m in cases
+    ]
+
+
+# Words that can stand for one another: replacing one keeps most files
+# readable, so the checker sees them, not only the reader.
+_FUZZ_WORDS = [
+    ("Ax", "ArrowI", "UnitI", "ArrowE", "Omega", "InterI", "Leq"),
+    ("Wv", "Wc", "@a", "T"),
+    ("x", "y", "z"),
+    ("->", "&", "<=", "|-", ":", ","),
+    ("(", ")", "premises", "side"),
+]
+
+
+@given(
+    st.integers(0, 2),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["put", "put", "put", "drop", "copy"]),  # puts most often: they keep files readable
+            st.integers(0, 10**6),
+            st.sampled_from(_FUZZ_WORDS),
+            st.integers(0, 6),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_typecheck_fuzz_never_raises(tmp_path_factory, which, edits):
+    """Edits of printed derivations, word by word: typecheck answers with
+    an exit code, never with an exception."""
+    tokens = re.findall(r"[()]|[^\s()]+", _printed_derivations()[which])
+    for op, at, words, pick in edits:
+        if op == "put":
+            spots = [i for i, tok in enumerate(tokens) if tok in words] or [0]
+            tokens[spots[at % len(spots)]] = words[pick % len(words)]
+        else:
+            i = at % len(tokens)
+            tokens[i : i + 1] = [] if op == "drop" else [tokens[i], tokens[i]]
+    path = tmp_path_factory.mktemp("fuzz") / "deriv.txt"
+    path.write_text(" ".join(tokens))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["typecheck", str(path)]) in (0, 1, 2)
 
 
 @pytest.mark.parametrize(
