@@ -4,17 +4,20 @@ reduce_derivation carries a valid derivation of the source of a step to
 one of its contractum at the same type (subject reduction);
 expand_derivation goes the other way (subject expansion).  Both are
 purely syntactic constructions, validated by the checker, built from a
-toolkit of derivation rewrites: basis weakening and strengthening,
-binding narrowing (which also fixes a binding that was left at Wv),
-substitution, and one alignment walk that retargets a derivation to an
-alpha-variant of its subject under a rename map.  That walk does all of
-the renaming: alignment with an alpha-equivalent term, binder
-freshening, and renaming a free variable.  It, the expansion's rebuild
-and the walk down to a redex read which part of the subject each
-premise types from the rule schema, ``assignment.RULES``.
+toolkit of derivation rewrites: basis strengthening, binding narrowing
+(which also fixes a binding that was left at Wv), and one alignment walk
+that retargets a derivation to an alpha-variant of its subject under a
+rename map.  That walk does all of the renaming (alignment with an
+alpha-equivalent term, binder freshening, and renaming a free
+variable), adds bindings to every basis (weakening), and substitutes a
+value's derivation for a variable (the substitution lemma) while it
+aligns.  It, the expansion's rebuild and the walk down to a redex read
+which part of the subject each premise types from the rule schema,
+``assignment.RULES``.
 
 Each step fixes one term to place at the redex.  Reduction places a
-shadow-free contractum and aligns each piece it builds there to it once.
+shadow-free contractum and aligns each piece it builds there to it once;
+a beta_c piece is substituted in that same walk.
 Expansion aligns the derivation once, up front, with a shadow-free
 source; every piece it builds at the redex then types that source's
 redex exactly.  The copies of the redex under an intersection therefore
@@ -82,7 +85,6 @@ from .assignment import (
     basis_dom,
     basis_extend,
     basis_get,
-    basis_remove,
     inter_fold,
     leq_node,
     make_basis,
@@ -116,17 +118,41 @@ def _deriv_vars(d: Derivation) -> frozenset[str]:
     return all_vars(d.conclusion.subject) | basis_dom(d.conclusion.basis)
 
 
-def _align(d: Derivation, target: Term, ren: dict[str, str]) -> Derivation:
+def _align(
+    d: Derivation,
+    target: Term,
+    ren: dict[str, str],
+    x: str | None = None,
+    dv: Derivation | None = None,
+    extra: Basis = (),
+) -> Derivation:
     """The one renaming walk: d retargeted to `target`, which must be d's
     subject up to alpha and up to the renaming `ren` of its free
     variables.  Every subject becomes the matching part of target and
-    every basis key follows the renaming, binders included."""
+    every basis key follows the renaming, binders included; `extra` is
+    added to every basis, and no binder of target may be bound by it.
+
+    Given x and dv, the walk also substitutes: target is d's subject
+    with dv's subject V put for x.  x leaves every basis, and each Ax on
+    x becomes dv aligned to that copy of V, weakened by the renamed
+    bindings in scope there that dv's basis lacks.  target must be
+    shadow-free and its binders clear of every name d and dv use."""
     J = d.conclusion
-    basis = make_basis((ren.get(n, n), ty) for n, ty in J.basis) if ren else J.basis
+    if x is not None and d.rule == AX and J.subject == Variable(x):
+        dom = basis_dom(dv.conclusion.basis)
+        scope = tuple((ren.get(n, n), t) for n, t in J.basis if n != x and ren.get(n, n) not in dom)
+        return _align(dv, target, {}, extra=extra + scope)
+    if ren or extra or x is not None:
+        basis = make_basis([*extra, *((ren.get(n, n), t) for n, t in J.basis if n != x)])
+    else:
+        basis = J.basis
+    if extra and d.rule == ARROW_I and target.binder in basis_dom(extra):
+        raise TransformError(f"weakening clashes with binder {target.binder}")
     premises = []
     for p, (_, field, scoped) in zip(d.premises, _sites(d)):
         part = target if field is None else getattr(target, field)
-        premises.append(_align(p, part, {**ren, J.subject.binder: target.binder} if scoped else ren))
+        inner = {**ren, J.subject.binder: target.binder} if scoped else ren
+        premises.append(_align(p, part, inner, x, dv, extra))
     return _with(d, basis, target, tuple(premises))
 
 
@@ -149,16 +175,7 @@ def freshen_derivation(d: Derivation, avoid: Iterable[str] = ()) -> Derivation:
 
 def weaken_derivation(d: Derivation, extra: Basis) -> Derivation:
     """Add bindings to every basis; clashing binders must be freshened first."""
-    extra_names = basis_dom(extra)
-
-    def walk(node: Derivation) -> Derivation:
-        J = node.conclusion
-        if node.rule == ARROW_I and J.subject.binder in extra_names:
-            raise TransformError(f"weakening clashes with binder {J.subject.binder}")
-        basis = make_basis(list(extra) + list(J.basis))
-        return _with(node, basis, J.subject, tuple(walk(p) for p in node.premises))
-
-    return walk(d)
+    return _align(d, d.conclusion.subject, {}, extra=extra)
 
 
 def strengthen_derivation(d: Derivation, drop: frozenset[str]) -> Derivation:
@@ -200,24 +217,16 @@ def narrow_basis(d: Derivation, x: str, stronger: ValType, table: AtomTable) -> 
 
 def subst_derivation(d: Derivation, x: str, dv: Derivation, table: AtomTable = EMPTY_TABLE) -> Derivation:
     """From (Gamma, x:delta |- M : tau) and (Gamma |- V : delta) build
-    Gamma |- M[V/x] : tau.  dv's type must equal the binding of x."""
+    Gamma |- M[V/x] : tau.  dv's type must equal the binding of x.
+
+    The result types an alpha-variant of M[V/x] whose binders are
+    pairwise distinct and clear of every name d and dv use: each copy of
+    V gets binders of its own."""
     binding = basis_get(d.conclusion.basis, x)
     if dv.conclusion.tipo != binding:
         raise TransformError("substituend derivation must match the binding type")
     avoid = _deriv_vars(d) | _deriv_vars(dv) | {x}
-    dv = freshen_derivation(dv, avoid)
-    v = dv.conclusion.subject
-    d = freshen_derivation(d, avoid | _deriv_vars(dv) | v.fv)
-
-    def walk(node: Derivation) -> Derivation:
-        J = node.conclusion
-        basis = basis_remove(J.basis, x)
-        if node.rule == AX and J.subject == Variable(x):
-            extra = tuple((n, t) for n, t in basis if n not in basis_dom(dv.conclusion.basis))
-            return weaken_derivation(dv, extra)
-        return _with(node, basis, subst(J.subject, x, v), tuple(walk(p) for p in node.premises))
-
-    return walk(d)
+    return _align(d, unshadow(subst(d.conclusion.subject, x, dv.conclusion.subject), avoid), {}, x, dv)
 
 
 # --------------------------------------------------------------- extraction
@@ -303,7 +312,7 @@ def _reduce_betac(d: Derivation, target: Comp, table: AtomTable) -> Derivation:
         for binder, dk, _, body in _extract_lambda(dvp):
             if leq_v(arrow.dom, dk, table):
                 _checked_leq(vd.conclusion.tipo, dk, table)
-                ks.append(align_derivation(subst_derivation(body, binder, leq_node(vd, dk), table), target))
+                ks.append(_align(body, target, {}, binder, leq_node(vd, dk)))
         pieces.append(_fold_or_omega(ks, J.basis, target, arrow.cod, table))
     return _fold_or_omega(pieces, J.basis, target, J.tipo, table)
 
@@ -354,8 +363,8 @@ def _reduce_ass(d: Derivation, target: Comp, table: AtomTable) -> Derivation:
             nb = narrow_basis(body, binder, dhat, table)
             narrowed.append(_align(nb, subst(nb.conclusion.subject, binder, Variable(xstar)), {binder: xstar}))
         b_at = _fold_below(narrowed, CTf(alpha), table)
-        dn_w = freshen_derivation(d_n, _deriv_vars(b_at) | {xstar})
-        dn_w = weaken_derivation(dn_w, ((xstar, dhat),))
+        fresh_n = unshadow(d_n.conclusion.subject, _deriv_vars(d_n) | _deriv_vars(b_at) | {xstar})
+        dn_w = _align(d_n, fresh_n, {}, extra=((xstar, dhat),))
         lam = arrow_i_node(arrow_e_node(b_at, dn_w), xstar)
         l_at = _fold_below(l_nodes, CTf(dhat), table)
         pieces.append(align_derivation(arrow_e_node(l_at, lam), target))

@@ -30,6 +30,7 @@ from ubcalc.terms import (
     is_value,
     omega_c,
     parse_term,
+    subst,
     subterms,
 )
 from ubcalc.transform import (
@@ -328,6 +329,18 @@ class TestTransformations:
         assert check_derivation(got).valid
         assert alpha_eq(got.conclusion.subject, Bind(Unit(ID_LAM), ID_LAM))
         assert got.conclusion.tipo == parse_type("T Wv")
+
+    def test_substitution_gives_each_copy_of_v_its_own_binders(self):
+        # x occurs three times, twice under y; V = \x. unit x binds x itself
+        basis = make_basis([("x", parse_type("Wv -> T Wv"))])
+        body = parse_term("unit x * \\y. unit x * x")
+        d = synth_derivation(basis, body, parse_type("T Wv"), UVALS)
+        dv = synth_derivation((), ID_LAM, parse_type("Wv -> T Wv"), UVALS)
+        got = subst_derivation(d, "x", dv)
+        assert check_derivation(got).valid
+        assert alpha_eq(got.conclusion.subject, subst(body, "x", ID_LAM))
+        binders = [s.binder for s in subterms(got.conclusion.subject) if isinstance(s, Lambda)]
+        assert len(binders) == 4 and len(set(binders)) == len(binders)
 
 
 def _one_node_per_constructor():

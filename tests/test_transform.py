@@ -1,10 +1,12 @@
 """Derivation rewrites: the helpers the subject reduction and expansion
-constructions are built from, and a differential check of those
-constructions against the previous transform module.
+constructions are built from, and differential checks of those
+constructions against earlier transform modules.
 
 ``reference_transform.py`` is that module as it stood before the
 transformations were routed through one alignment walk.  It is loaded
 under the ``ubcalc`` package so that its relative imports resolve.
+``reference_subst.py`` keeps subject reduction as it stood before the
+alignment walk also substituted; its output must match byte for byte.
 """
 import importlib.util
 import pathlib
@@ -14,6 +16,7 @@ import types
 import pytest
 from hypothesis import given, settings
 
+import reference_subst
 from conftest import CLOSED_COMPS
 from test_assignment import ID_LAM, UNIVERSE, two_node_identity_derivation
 
@@ -24,12 +27,16 @@ from ubcalc.assignment import (
     Unsynthesizable,
     ax,
     check_derivation,
+    inter_fold,
+    leq_node,
     make_basis,
+    omega_node,
     synth_derivation,
     typable_nontrivial,
 )
 from ubcalc.harness import GenConfig, _universe, gen_term, gen_typed_term, run_suite
-from ubcalc.reduction import DEFAULT_RULES, enumerate_steps
+from ubcalc.derivfile import print_derivation
+from ubcalc.reduction import DEFAULT_RULES, Rule, enumerate_steps
 from ubcalc.terms import (
     BIND_LEFT,
     BIND_RIGHT,
@@ -52,7 +59,7 @@ from ubcalc.transform import (
     strengthen_derivation,
     weaken_derivation,
 )
-from ubcalc.typesys import EMPTY_TABLE, V_OMEGA, parse_type
+from ubcalc.typesys import EMPTY_TABLE, V_OMEGA, leq_v, parse_type
 
 
 def _load_reference():
@@ -184,6 +191,15 @@ def _load_workloads():
     return module
 
 
+def _run_typed_workload():
+    """Run every item of the typed benchmark workload at seed 0; none may
+    fail."""
+    workloads = _load_workloads()
+    api = types.SimpleNamespace(harness=harness, derivfile=derivfile, assignment=assignment)
+    for item in workloads.build(workloads.plan("typed", 0)):
+        assert item.run(api) != workloads.FAIL
+
+
 def test_deriv_vars_reads_the_root(monkeypatch):
     """The names a derivation uses are those of its root subject and
     basis: the reference's walk over every node finds no more, on every
@@ -200,11 +216,59 @@ def test_deriv_vars_reads_the_root(monkeypatch):
         return got
 
     monkeypatch.setattr(transform, "_deriv_vars", checked)
-    for seed in (0, 7):
+    for seed in (0, 7, 1, 2):
         for name in ("subject-reduction", "subject-expansion"):
             assert not run_suite(name, GenConfig(seed=seed, cases=20)).failures
-    workloads = _load_workloads()
-    api = types.SimpleNamespace(harness=harness, derivfile=derivfile, assignment=assignment)
-    for item in workloads.build(workloads.plan("typed", 0)):
-        assert item.run(api) != workloads.FAIL
+    _run_typed_workload()
     assert calls[0] > 1000 and not mismatches
+
+
+def _betac_pieces(node: Derivation, table):
+    """(body, binder, substituend) for each piece the beta_c case builds
+    at a redex node: one per kept abstraction typing, as in
+    ``transform._reduce_betac``."""
+    J = node.conclusion
+    for dm, dvp in transform._extract_bind(node):
+        arrow = dvp.conclusion.tipo
+        unit_atoms = transform._extract_unit(dm)
+        vd = inter_fold([dvx for _, dvx in unit_atoms]) if unit_atoms else omega_node(J.basis, J.subject.left.value)
+        for binder, dk, _, body in transform._extract_lambda(dvp):
+            if leq_v(arrow.dom, dk, table):
+                yield body, binder, leq_node(vd, dk)
+
+
+@pytest.fixture
+def byte_oracle(monkeypatch):
+    """Compare, as printed text, every beta_c piece and every
+    reduce_derivation result with reference_subst's; count both."""
+    seen = {"pieces": 0, "reducts": 0}
+    betac, reduce = transform._REDUCE[Rule.BETA_C], transform.reduce_derivation
+
+    def checked_betac(node, target, table):
+        for body, binder, dv in _betac_pieces(node, table):
+            got = transform._align(body, target, {}, binder, dv)
+            want = reference_subst.align_derivation(reference_subst.subst_derivation(body, binder, dv, table), target)
+            assert print_derivation(got) == print_derivation(want)
+            seen["pieces"] += 1
+        return betac(node, target, table)
+
+    def checked_reduce(d, step, table=EMPTY_TABLE):
+        got = reduce(d, step, table)
+        assert print_derivation(got) == print_derivation(reference_subst.reduce_derivation(d, step, table))
+        seen["reducts"] += 1
+        return got
+
+    monkeypatch.setitem(transform._REDUCE, Rule.BETA_C, checked_betac)
+    monkeypatch.setattr(transform, "reduce_derivation", checked_reduce)
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_subject_reduction_prints_as_the_reference(byte_oracle, seed):
+    assert not run_suite("subject-reduction", GenConfig(seed=seed, cases=20)).failures
+    assert byte_oracle["pieces"] and byte_oracle["reducts"]
+
+
+def test_typed_workload_reduction_prints_as_the_reference(byte_oracle):
+    _run_typed_workload()
+    assert byte_oracle["pieces"] and byte_oracle["reducts"]
