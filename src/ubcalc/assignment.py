@@ -3,10 +3,12 @@
 Judgments assign value types to values and computation types to
 computations over a finite basis.  Derivations are explicit trees with
 rules Ax, ArrowI, UnitI, ArrowE, Omega, InterI and Leq, checkable node
-by node.  On top of the checker sit bounded inference relative to a
-finite type universe, derivation synthesis, and the constructive
-transformations carrying a derivation forward along a reduction step
-(subject reduction) or backward (subject expansion).
+by node; a built derivation may share a sub-derivation between several
+places, and synthesis, the transforms and the checker handle a shared
+node once per call.  On top of the checker sit bounded inference
+relative to a finite type universe, derivation synthesis, and the
+constructive transformations carrying a derivation forward along a
+reduction step (subject reduction) or backward (subject expansion).
 """
 from __future__ import annotations
 
@@ -229,17 +231,29 @@ def _node_errors(d: Derivation, table: AtomTable) -> list[str]:
 
 def check_derivation(d: Derivation, table: AtomTable = EMPTY_TABLE) -> CheckReport:
     """Check every node.  Only the root's basis is checked as such: every
-    premise's is compared with the one its node expects."""
-    errors = [((), msg) for msg in _basis_errors(d.conclusion.basis)]
+    premise's is compared with the one its node expects.
 
-    def walk(node: Derivation, path: tuple[int, ...]) -> None:
-        for msg in _node_errors(node, table):
-            errors.append((path, msg))
-        for i, p in enumerate(node.premises):
-            walk(p, path + (i,))
-
-    walk(d, ())
+    A node's errors depend only on the node, its premises' conclusions
+    and the table, so the errors of a subtree are found once per node
+    object, with paths relative to it, and prefixed at every place a
+    shared node occurs: the report is the tree walk's, in its order."""
+    errors = [((), msg) for msg in _basis_errors(d.conclusion.basis)] + _subtree_errors(d, table, {})
     return CheckReport(not errors, errors)
+
+
+def _subtree_errors(
+    node: Derivation, table: AtomTable, memo: dict[int, list[tuple[tuple[int, ...], str]]]
+) -> list[tuple[tuple[int, ...], str]]:
+    errs = memo.get(id(node))
+    if errs is None:
+        msgs = _node_errors(node, table)
+        errs = [((), msg) for msg in msgs] if msgs else []
+        for i, p in enumerate(node.premises):
+            sub = _subtree_errors(p, table, memo)
+            if sub:
+                errs += [((i, *path), msg) for path, msg in sub]
+        memo[id(node)] = errs
+    return errs
 
 
 # --------------------------------------------------------- node constructors
@@ -434,11 +448,14 @@ def synth_derivation(
     subject = unshadow(subject, basis_dom(basis))
     # one evaluator for the whole recursion: every level asks for minimal
     # types of subterms of the same tree
-    return _synth(basis, cb, subject, target, _Minimal(universe, table))
+    return _synth(basis, cb, subject, target, _Minimal(universe, table), {})
 
 
 def _trivial(t: AnyType, table: AtomTable) -> bool:
     return leq_v(VOmega(), t, table) if is_vtype(t) else leq_c(COmega(), t, table)
+
+
+_SynthMemo = dict[tuple[int, Basis, AnyType], Derivation]
 
 
 def _synth(
@@ -447,6 +464,27 @@ def _synth(
     subject: Term,
     target: AnyType,
     ev: _Minimal,
+    memo: _SynthMemo,
+) -> Derivation:
+    """The derivation of basis |- subject : target, built once per request
+    of one synth_derivation call (cb is a function of basis, and every
+    subject is a subterm of the call's, alive with it): an abstraction
+    typed at several arrows whose domains lie below one universe point
+    shares that point's body derivation, so the result is a DAG."""
+    key = (id(subject), basis, target)
+    d = memo.get(key)
+    if d is None:
+        d = memo[key] = _synth_node(basis, cb, subject, target, ev, memo)
+    return d
+
+
+def _synth_node(
+    basis: Basis,
+    cb: dict[str, CanonV],
+    subject: Term,
+    target: AnyType,
+    ev: _Minimal,
+    memo: _SynthMemo,
 ) -> Derivation:
     table = ev.table
     if _trivial(target, table):
@@ -471,14 +509,14 @@ def _synth(
                         continue
                     inner = {**cb, x: point}
                     out = ev.comp(body, inner)
-                    sub = _synth(basis_extend(basis, x, to_vtype(point)), inner, body, to_ctype(out), ev)
+                    sub = _synth(basis_extend(basis, x, to_vtype(point)), inner, body, to_ctype(out), ev, memo)
                     nodes.append(arrow_i_node(sub, x))
             return leq_node(inter_fold(nodes), target)
         case Unit(v):
             low = ev.value(v, cb)
             if not leq_c(CTf(to_vtype(low)), target, table):
                 raise Unsynthesizable(f"unit not typable at {print_type(target)}")
-            sub = _synth(basis, cb, v, to_vtype(low), ev)
+            sub = _synth(basis, cb, v, to_vtype(low), ev, memo)
             return leq_node(unit_node(sub), target)
         case Bind(left, right):
             t = ev.comp(left, cb)
@@ -488,7 +526,7 @@ def _synth(
             if not leq_c(to_ctype(out), target, table):
                 raise Unsynthesizable(f"bind not typable at {print_type(target)}")
             arg_ast = to_vtype(t.arg)
-            dm = _synth(basis, cb, left, CTf(arg_ast), ev)
-            dv = _synth(basis, cb, right, VArrow(arg_ast, to_ctype(out)), ev)
+            dm = _synth(basis, cb, left, CTf(arg_ast), ev, memo)
+            dv = _synth(basis, cb, right, VArrow(arg_ast, to_ctype(out)), ev, memo)
             return leq_node(arrow_e_node(dm, dv), target)
     raise TypeError(f"not a term: {subject!r}")

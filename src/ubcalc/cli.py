@@ -92,7 +92,8 @@ def _table_from(args) -> AtomTable:
         table = AtomTable(atoms, order)
     eta = getattr(args, "eta", "none")
     if eta != "none":
-        table = AtomTable(table.atoms, table.order, eta, getattr(args, "rank", 2))
+        depth = args.eta_depth if args.eta_depth is not None else getattr(args, "rank", 2)
+        table = AtomTable(table.atoms, table.order, eta, depth)
     return table
 
 
@@ -301,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
         if atoms:
             sp.add_argument("--atoms", help="JSON file with atoms and order pairs")
             sp.add_argument("--eta", choices=("none", "scott", "park"), default="none")
+            sp.add_argument("--eta-depth", type=non_negative_int, metavar="N",
+                            help="how deep --eta unfolds atoms (default: --rank, or 2)")
         if as_json:
             sp.add_argument("--json", action="store_true")
 

@@ -127,13 +127,25 @@ def print_basis(basis: Basis) -> str:
 
 
 def print_derivation(d: Derivation, indent: int = 0) -> str:
+    """The file form of d: always the tree, a shared sub-derivation
+    written out at every place it occurs, its judgment and side condition
+    formatted once."""
+    return _show(d, indent, {})
+
+
+def _show(d: Derivation, indent: int, memo: dict[int, tuple[str, str | None]]) -> str:
+    texts = memo.get(id(d))
+    if texts is None:
+        J = d.conclusion
+        concl = f"(concl {print_basis(J.basis)} |- {print_term(J.subject)} : {print_type(J.tipo)})"
+        side = None if d.side is None else f"(side {print_type(d.side[0])} <= {print_type(d.side[1])})"
+        texts = memo[id(d)] = (concl, side)
+    concl, side = texts
     pad = "  " * indent
-    J = d.conclusion
-    head = f"{pad}(rule {d.rule}\n{pad}  (concl {print_basis(J.basis)} |- {print_term(J.subject)} : {print_type(J.tipo)})"
-    parts = [head]
+    parts = [f"{pad}(rule {d.rule}\n{pad}  {concl}"]
     if d.premises:
-        inner = "\n".join(print_derivation(p, indent + 2) for p in d.premises)
+        inner = "\n".join(_show(p, indent + 2, memo) for p in d.premises)
         parts.append(f"{pad}  (premises\n{inner})")
-    if d.side is not None:
-        parts.append(f"{pad}  (side {print_type(d.side[0])} <= {print_type(d.side[1])})")
+    if side is not None:
+        parts.append(f"{pad}  {side}")
     return "\n".join(parts) + ")"

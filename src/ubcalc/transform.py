@@ -27,6 +27,13 @@ Returned derivations may type an alpha-renamed variant of the requested
 term: the assignment system cannot type shadowed binders as written, so
 the transformations freshen them away; callers compare subjects up to
 alpha.
+
+A derivation may share a sub-derivation between several places (as
+synthesis builds them).  Every walk here memoises per call on node
+identity plus its other arguments, so it rebuilds a shared node once
+and a DAG in gives a DAG out.  A memo's keys are nodes and subterms
+reachable from the call's arguments, so no identity is reused while
+it lives.
 """
 from __future__ import annotations
 
@@ -43,7 +50,6 @@ from .terms import (
     Variable,
     all_vars,
     alpha_eq,
-    fresh_var,
     replace_at,
     subst,
     subterm_at,
@@ -57,6 +63,7 @@ from .typesys import (
     CTf,
     EMPTY_TABLE,
     ValType,
+    VArrow,
     VOmega,
     is_vtype,
     leq_c,
@@ -136,24 +143,46 @@ def _align(
     with dv's subject V put for x.  x leaves every basis, and each Ax on
     x becomes dv aligned to that copy of V, weakened by the renamed
     bindings in scope there that dv's basis lacks.  target must be
-    shadow-free and its binders clear of every name d and dv use."""
+    shadow-free and its binders clear of every name d and dv use.
+
+    A node met again at the same part of target under the same renaming
+    is rebuilt once, so a DAG gives a DAG."""
+    return _retarget(d, target, ren, x, dv, extra, {})
+
+
+def _retarget(
+    d: Derivation,
+    target: Term,
+    ren: dict[str, str],
+    x: str | None,
+    dv: Derivation | None,
+    extra: Basis,
+    memo: dict[int, tuple[Term, dict[str, str], Derivation]],
+) -> Derivation:
+    """_align's walk; memo maps a node to its last retargeting."""
+    hit = memo.get(id(d))
+    if hit is not None and hit[0] is target and hit[1] == ren:
+        return hit[2]
     J = d.conclusion
     if x is not None and d.rule == AX and J.subject == Variable(x):
         dom = basis_dom(dv.conclusion.basis)
         scope = tuple((ren.get(n, n), t) for n, t in J.basis if n != x and ren.get(n, n) not in dom)
-        return _align(dv, target, {}, extra=extra + scope)
-    if ren or extra or x is not None:
-        basis = make_basis([*extra, *((ren.get(n, n), t) for n, t in J.basis if n != x)])
+        out = _align(dv, target, {}, extra=extra + scope)
     else:
-        basis = J.basis
-    if extra and d.rule == ARROW_I and target.binder in basis_dom(extra):
-        raise TransformError(f"weakening clashes with binder {target.binder}")
-    premises = []
-    for p, (_, field, scoped) in zip(d.premises, _sites(d)):
-        part = target if field is None else getattr(target, field)
-        inner = {**ren, J.subject.binder: target.binder} if scoped else ren
-        premises.append(_align(p, part, inner, x, dv, extra))
-    return _with(d, basis, target, tuple(premises))
+        if ren or extra or x is not None:
+            basis = make_basis([*extra, *((ren.get(n, n), t) for n, t in J.basis if n != x)])
+        else:
+            basis = J.basis
+        if extra and d.rule == ARROW_I and target.binder in basis_dom(extra):
+            raise TransformError(f"weakening clashes with binder {target.binder}")
+        premises = []
+        for p, (_, field, scoped) in zip(d.premises, _sites(d)):
+            part = target if field is None else getattr(target, field)
+            inner = {**ren, J.subject.binder: target.binder} if scoped else ren
+            premises.append(_retarget(p, part, inner, x, dv, extra, memo))
+        out = _with(d, basis, target, tuple(premises))
+    memo[id(d)] = (target, ren, out)
+    return out
 
 
 def align_derivation(d: Derivation, target: Term) -> Derivation:
@@ -180,18 +209,25 @@ def weaken_derivation(d: Derivation, extra: Basis) -> Derivation:
 
 def strengthen_derivation(d: Derivation, drop: frozenset[str]) -> Derivation:
     """Remove bindings from every basis; fails if any Ax node uses one."""
+    return _strengthen(d, drop, {})
 
-    def walk(node: Derivation, dropped: frozenset[str]) -> Derivation:
-        J = node.conclusion
-        if node.rule == AX and isinstance(J.subject, Variable) and J.subject.name in dropped:
-            raise TransformError(f"cannot strengthen: {J.subject.name} is used")
-        basis = tuple((n, t) for n, t in J.basis if n not in dropped)
-        inner = dropped
-        if node.rule == ARROW_I and J.subject.binder in dropped:
-            inner = dropped - {J.subject.binder}
-        return _with(node, basis, J.subject, tuple(walk(p, inner) for p in node.premises))
 
-    return walk(d, drop)
+def _strengthen(
+    node: Derivation, dropped: frozenset[str], memo: dict[int, tuple[frozenset[str], Derivation]]
+) -> Derivation:
+    hit = memo.get(id(node))
+    if hit is not None and hit[0] == dropped:
+        return hit[1]
+    J = node.conclusion
+    if node.rule == AX and isinstance(J.subject, Variable) and J.subject.name in dropped:
+        raise TransformError(f"cannot strengthen: {J.subject.name} is used")
+    basis = tuple((n, t) for n, t in J.basis if n not in dropped)
+    inner = dropped
+    if node.rule == ARROW_I and J.subject.binder in dropped:
+        inner = dropped - {J.subject.binder}
+    out = _with(node, basis, J.subject, tuple(_strengthen(p, inner, memo) for p in node.premises))
+    memo[id(node)] = (dropped, out)
+    return out
 
 
 def narrow_basis(d: Derivation, x: str, stronger: ValType, table: AtomTable) -> Derivation:
@@ -201,21 +237,27 @@ def narrow_basis(d: Derivation, x: str, stronger: ValType, table: AtomTable) -> 
     old = basis_get(d.conclusion.basis, x)
     if not leq_v(stronger, old, table):
         raise TransformError("narrowing requires a stronger binding")
-
-    def walk(node: Derivation) -> Derivation:
-        J = node.conclusion
-        basis = make_basis((n, stronger if n == x else t) for n, t in J.basis)
-        if node.rule == ARROW_I and J.subject.binder == x:
-            # rebinding shadows x below; only this node's basis changes
-            return _with(node, basis, J.subject, node.premises)
-        if node.rule == AX and J.subject == Variable(x):
-            return leq_node(Derivation(AX, Judgment(basis, J.subject, stronger)), J.tipo)
-        return _with(node, basis, J.subject, tuple(walk(p) for p in node.premises))
-
-    return walk(d)
+    return _narrow(d, x, stronger, {})
 
 
-def subst_derivation(d: Derivation, x: str, dv: Derivation, table: AtomTable = EMPTY_TABLE) -> Derivation:
+def _narrow(node: Derivation, x: str, stronger: ValType, memo: dict[int, Derivation]) -> Derivation:
+    out = memo.get(id(node))
+    if out is not None:
+        return out
+    J = node.conclusion
+    basis = make_basis((n, stronger if n == x else t) for n, t in J.basis)
+    if node.rule == ARROW_I and J.subject.binder == x:
+        # rebinding shadows x below; only this node's basis changes
+        out = _with(node, basis, J.subject, node.premises)
+    elif node.rule == AX and J.subject == Variable(x):
+        out = leq_node(Derivation(AX, Judgment(basis, J.subject, stronger)), J.tipo)
+    else:
+        out = _with(node, basis, J.subject, tuple(_narrow(p, x, stronger, memo) for p in node.premises))
+    memo[id(node)] = out
+    return out
+
+
+def subst_derivation(d: Derivation, x: str, dv: Derivation) -> Derivation:
     """From (Gamma, x:delta |- M : tau) and (Gamma |- V : delta) build
     Gamma |- M[V/x] : tau.  dv's type must equal the binding of x.
 
@@ -329,10 +371,14 @@ def _reduce_id(d: Derivation, target: Comp, table: AtomTable) -> Derivation:
 
 
 def _reduce_ass(d: Derivation, target: Comp, table: AtomTable) -> Derivation:
-    """(L * \\x.B) * \\y.N  -->  L * \\x.(B * \\y.N), x renamed fresh."""
+    """(L * \\x.B) * \\y.N  -->  L * \\x.(B * \\y.N), x renamed fresh.  Each
+    piece is built in target's names: the narrowed bodies, N's typing
+    and L's typings are each aligned straight onto their part of it."""
     J = d.conclusion
     subj = J.subject
     assert isinstance(subj, Bind) and isinstance(subj.left, Bind)
+    lam_t = target.right
+    xstar = lam_t.binder
     pieces: list[Derivation] = []
     for d_lb, d_n in _extract_bind(d):
         alpha = d_n.conclusion.tipo.dom
@@ -354,20 +400,16 @@ def _reduce_ass(d: Derivation, target: Comp, table: AtomTable) -> Derivation:
             pieces.append(_omega_route(J.basis, target, beta, table))
             continue
         dhat = vinter_all(doms)
-        xstar = fresh_var(
-            frozenset().union(*(_deriv_vars(b) for _, b in collected))
-            | _deriv_vars(d_n) | all_vars(subj) | basis_dom(J.basis)
-        )
-        narrowed = []
-        for binder, body in collected:
-            nb = narrow_basis(body, binder, dhat, table)
-            narrowed.append(_align(nb, subst(nb.conclusion.subject, binder, Variable(xstar)), {binder: xstar}))
+        narrowed = [
+            _align(narrow_basis(body, binder, dhat, table), lam_t.body.left, {binder: xstar})
+            for binder, body in collected
+        ]
         b_at = _fold_below(narrowed, CTf(alpha), table)
-        fresh_n = unshadow(d_n.conclusion.subject, _deriv_vars(d_n) | _deriv_vars(b_at) | {xstar})
-        dn_w = _align(d_n, fresh_n, {}, extra=((xstar, dhat),))
-        lam = arrow_i_node(arrow_e_node(b_at, dn_w), xstar)
-        l_at = _fold_below(l_nodes, CTf(dhat), table)
-        pieces.append(align_derivation(arrow_e_node(l_at, lam), target))
+        dn_w = _align(d_n, lam_t.body.right, {}, extra=((xstar, dhat),))
+        inner = Derivation(ARROW_E, Judgment(b_at.conclusion.basis, lam_t.body, beta), (b_at, dn_w))
+        lam = Derivation(ARROW_I, Judgment(J.basis, lam_t, VArrow(dhat, beta)), (inner,))
+        l_at = _align(_fold_below(l_nodes, CTf(dhat), table), target.left, {})
+        pieces.append(Derivation(ARROW_E, Judgment(J.basis, target, beta), (l_at, lam)))
     return _fold_or_omega(pieces, J.basis, target, J.tipo, table)
 
 
@@ -390,25 +432,44 @@ def _expand_betac(source_sub: Comp, d: Derivation, table: AtomTable) -> Derivati
     assert isinstance(lam, Lambda)
     x = Variable(lam.binder)
     collected: list[Derivation] = []
-
-    def rebuild(node: Derivation, t: Term) -> Derivation:
-        """node, which types the copy of t in B[V/x], made to type t with
-        x bound to Wv; each copy of V becomes an Ax on x."""
-        Jn = node.conclusion
-        basis = basis_extend(Jn.basis, x.name, VOmega())
-        if t == x:
-            collected.append(node)
-            return Derivation(AX, Judgment(basis, x, Jn.tipo))
-        parts = (t if field is None else getattr(t, field) for _, field, _ in _sites(node))
-        return _with(node, basis, t, tuple(rebuild(p, part) for p, part in zip(node.premises, parts)))
-
-    body_deriv = rebuild(d, lam.body)
+    body_deriv = _rebuild(d, lam.body, x, collected, {})
     # a copy of V types it under the binders of B above the copy, which V does not use
     v_derivs = [strengthen_derivation(n, basis_dom(n.conclusion.basis) - basis_dom(J.basis)) for n in collected]
     vd = inter_fold(v_derivs) if v_derivs else omega_node(J.basis, source_sub.left.value)
     body_deriv = narrow_basis(body_deriv, x.name, vd.conclusion.tipo, table)
     built = arrow_e_node(unit_node(vd), arrow_i_node(body_deriv, x.name))
     return leq_node(built, J.tipo)
+
+
+def _rebuild(
+    node: Derivation,
+    t: Term,
+    x: Variable,
+    collected: list[Derivation],
+    memo: dict[int, tuple[Term, Derivation, int, int]],
+) -> Derivation:
+    """node, which types the copy of t in B[V/x], made to type t with x
+    bound to Wv; each copy of V becomes an Ax on x, and is collected at
+    every place it occurs.  memo maps a node to the part of B it was last
+    made to type, the rebuilt node, and the span of `collected` that
+    holds the copies of V below it."""
+    hit = memo.get(id(node))
+    if hit is not None and hit[0] is t:
+        _, out, start, end = hit
+        collected.extend(collected[start:end])
+        return out
+    start = len(collected)
+    Jn = node.conclusion
+    basis = basis_extend(Jn.basis, x.name, VOmega())
+    if t == x:
+        collected.append(node)
+        out = Derivation(AX, Judgment(basis, x, Jn.tipo))
+    else:
+        parts = (t if field is None else getattr(t, field) for _, field, _ in _sites(node))
+        premises = tuple(_rebuild(p, part, x, collected, memo) for p, part in zip(node.premises, parts))
+        out = _with(node, basis, t, premises)
+    memo[id(node)] = (t, out, start, len(collected))
+    return out
 
 
 def _expand_id(source_sub: Comp, d: Derivation, table: AtomTable) -> Derivation:
@@ -463,23 +524,41 @@ def _descend(
     at_redex rebuilds each node that types the redex and must return a
     derivation of exactly `placed`; an Omega node above the redex just
     takes the new subject.  The premises of an InterI node therefore
-    keep sharing their subject."""
-    if not path:
-        return at_redex(d)
+    keep sharing their subject.  A node met again at the same depth is
+    rebuilt once."""
+    return _down(d, path, placed, at_redex, {})
+
+
+def _down(
+    d: Derivation,
+    path: Position,
+    placed: Term,
+    at_redex: Callable[[Derivation], Derivation],
+    memo: dict[tuple[int, int], Derivation],
+) -> Derivation:
+    key = (id(d), len(path))
+    out = memo.get(key)
+    if out is not None:
+        return out
     J = d.conclusion
-    if d.rule == OMEGA:
-        return Derivation(OMEGA, Judgment(J.basis, replace_at(J.subject, path, placed), J.tipo))
-    sites = _sites(d)
-    hits = [i for i, site in enumerate(sites) if site[0] in (None, path[0])]
-    if not hits:
-        raise TransformError(f"path {path} does not match rule {d.rule}")
-    subject, premises = J.subject, list(d.premises)
-    for i in hits:
-        sel, field, _ = sites[i]
-        premises[i] = _descend(premises[i], path if sel is None else path[1:], placed, at_redex)
-        sub = premises[i].conclusion.subject
-        subject = sub if sel is None else with_child(subject, field, sub)
-    return _with(d, J.basis, subject, tuple(premises))
+    if not path:
+        out = at_redex(d)
+    elif d.rule == OMEGA:
+        out = Derivation(OMEGA, Judgment(J.basis, replace_at(J.subject, path, placed), J.tipo))
+    else:
+        sites = _sites(d)
+        hits = [i for i, site in enumerate(sites) if site[0] in (None, path[0])]
+        if not hits:
+            raise TransformError(f"path {path} does not match rule {d.rule}")
+        subject, premises = J.subject, list(d.premises)
+        for i in hits:
+            sel, field, _ = sites[i]
+            premises[i] = _down(premises[i], path if sel is None else path[1:], placed, at_redex, memo)
+            sub = premises[i].conclusion.subject
+            subject = sub if sel is None else with_child(subject, field, sub)
+        out = _with(d, J.basis, subject, tuple(premises))
+    memo[key] = out
+    return out
 
 
 _REDUCE = {Rule.BETA_C: _reduce_betac, Rule.ID: _reduce_id, Rule.ASS: _reduce_ass}

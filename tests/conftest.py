@@ -97,3 +97,27 @@ def rotations(t, points, count=3):
     names = sorted(t.fv)
     for shift in range(count if names else 1):
         yield {x: points[(i + shift) % len(points)] for i, x in enumerate(names)}
+
+
+def unshare(d):
+    """d rebuilt with every node a fresh object: the tree that a
+    derivation sharing sub-derivations stands for."""
+    return type(d)(d.rule, d.conclusion, tuple(unshare(p) for p in d.premises), d.side)
+
+
+def distinct_nodes(d) -> list:
+    """The node objects of d, each once."""
+    seen = {}
+    stack = [d]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            stack.extend(n.premises)
+    return list(seen.values())
+
+
+def tree_size(d) -> int:
+    """The nodes of the tree d stands for: a shared node counts at every
+    place it occurs."""
+    return 1 + sum(tree_size(p) for p in d.premises)

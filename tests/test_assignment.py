@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import CLOSED_COMPS, CLOSED_TERMS, OPEN_TERMS, rotations
+from conftest import CLOSED_COMPS, CLOSED_TERMS, OPEN_TERMS, distinct_nodes, rotations, tree_size, unshare
 
 from ubcalc.assignment import (
     C_OMEGA,
@@ -20,6 +20,7 @@ from ubcalc.assignment import (
 from ubcalc import assignment
 from ubcalc.derivfile import parse_derivation, print_derivation
 from ubcalc.filters import value_lattice
+from ubcalc.harness import GenConfig, gen_typed_term
 from ubcalc.reduction import DEFAULT_RULES, Rule, enumerate_steps
 from ubcalc.terms import (
     Bind,
@@ -272,6 +273,26 @@ class TestSynth:
         d = synth_derivation((), m, target, UVALS)
         assert check_derivation(d).valid
         assert alpha_eq(d.conclusion.subject, m)
+
+    def test_several_arrows_at_one_point_share_the_body(self):
+        """An abstraction typed at several arrows whose domains lie below
+        one universe point gets that point's body derivation once: two
+        ArrowI nodes with one conclusion hold the same premise object,
+        and the derivation has fewer node objects than its tree has
+        nodes.  It still prints as the tree."""
+        cfg = GenConfig(seed=0, cases=20)
+        for i in range(cfg.cases):
+            _, d = gen_typed_term(cfg, i)
+            arrows: dict = {}
+            for n in distinct_nodes(d):
+                if n.rule == "ArrowI":
+                    arrows.setdefault((n.conclusion, id(n.premises[0])), []).append(n)
+            if any(len(same) > 1 for same in arrows.values()):
+                break
+        else:
+            pytest.fail("no abstraction met several arrows at one universe point")
+        assert len(distinct_nodes(d)) < tree_size(d)
+        assert print_derivation(d) == print_derivation(unshare(d))
 
 
 class TestTransformations:

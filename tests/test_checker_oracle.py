@@ -5,22 +5,29 @@ rule schema.  Both must agree on whether a derivation is valid, and the
 new one may report an error only at a node where the old one reports
 one.  The corpus is every derivation of the typed generator at seeds 0
 and 7 with its subject-reduction reducts, and seeded single-node
-mutants of them.
+mutants of them.  The corpus's derivations share sub-derivations, so
+the checker's report on each, and on mutants that replace a shared
+node at every place it occurs, must equal its report on the tree.
 """
+import functools
 import random
+from collections import Counter
 
 import pytest
 
 import reference_checker as reference
+from conftest import distinct_nodes, unshare
 from test_assignment import ID_LAM
 
 from ubcalc.assignment import (
     RULES,
+    CheckReport,
     Derivation,
     Judgment,
     basis_extend,
     check_derivation,
 )
+from ubcalc.derivfile import print_derivation
 from ubcalc.harness import GenConfig, gen_typed_term
 from ubcalc.reduction import DEFAULT_RULES, enumerate_steps
 from ubcalc.terms import Lambda, Unit, all_vars
@@ -28,7 +35,8 @@ from ubcalc.transform import TransformError, reduce_derivation
 from ubcalc.typesys import C_OMEGA, V_OMEGA, CTf, VArrow, is_vtype
 
 
-def _corpus(seed: int) -> list[Derivation]:
+@functools.lru_cache(maxsize=None)
+def _corpus(seed: int) -> tuple[Derivation, ...]:
     cfg = GenConfig(seed=seed, cases=20)
     out = []
     for i in range(cfg.cases):
@@ -39,7 +47,7 @@ def _corpus(seed: int) -> list[Derivation]:
                 out.append(reduce_derivation(d, step))
             except TransformError:
                 pass
-    return out
+    return tuple(out)
 
 
 def _nodes(d: Derivation, path=()):
@@ -123,6 +131,53 @@ def test_checker_matches_the_reference(seed):
                 invalid += not _agree(_replace(_at(d, top), path[len(top) :], mutant))
     assert kinds == {"rule", "type", "subject", "drop", "reorder", "basis", "side", "no-side"}
     assert invalid > mutants // 3 and mutants > 2000
+
+
+def _replace_every(d: Derivation, old: Derivation, new: Derivation) -> Derivation:
+    """d with `new` in every place the node object `old` occurs; the rest
+    keeps its sharing."""
+    memo: dict[int, Derivation] = {}
+
+    def walk(n: Derivation) -> Derivation:
+        if n is old:
+            return new
+        if id(n) not in memo:
+            premises = tuple(walk(p) for p in n.premises)
+            same = all(a is b for a, b in zip(premises, n.premises))
+            memo[id(n)] = n if same else Derivation(n.rule, n.conclusion, premises, n.side)
+        return memo[id(n)]
+
+    return walk(d)
+
+
+def _same_as_the_tree(d: Derivation) -> CheckReport:
+    got = check_derivation(d)
+    assert got == check_derivation(unshare(d))
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_shared_nodes_report_as_the_tree(seed):
+    """The report (verdict, paths, messages and their order) and the
+    printed form of every corpus derivation equal those of its tree, as
+    do the reports of mutants that replace a shared node everywhere."""
+    rng = random.Random(seed)
+    shared = mutants = invalid = 0
+    for d in _corpus(seed):
+        assert _same_as_the_tree(d).valid
+        assert print_derivation(d) == print_derivation(unshare(d))
+        nodes = distinct_nodes(d)
+        refs = Counter(id(p) for n in nodes for p in n.premises)
+        multi = [n for n in nodes if refs[id(n)] > 1]
+        shared += bool(multi)
+        types = sorted({n.conclusion.tipo for n in nodes}, key=repr)
+        subjects = sorted({n.conclusion.subject for n in nodes}, key=repr)
+        for n in rng.sample(multi, min(1, len(multi))):
+            for _, mutant in _mutants(n, rng, types, subjects):
+                mutants += 1
+                invalid += not _same_as_the_tree(_replace_every(d, n, mutant)).valid
+    assert shared > len(_corpus(seed)) // 4
+    assert invalid > mutants // 3 and mutants > 200
 
 
 def test_arrow_i_premise_missing_an_unused_binder():

@@ -7,7 +7,10 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from ubcalc import filters
 from ubcalc.cli import main
+from ubcalc.terms import parse_term
+from ubcalc.typesys import AtomTable, print_type, to_ctype
 
 OMEGA = "unit (\\x. unit x * x) * (\\x. unit x * x)"
 
@@ -239,6 +242,27 @@ def test_eta_flag(tmp_path, capsys):
         capsys, "subtype", "--atoms", str(spec), "--eta", "scott", "--rank", "0", "@a", "<=", "Wv -> T @a"
     )
     assert code == 1 and out.strip() == "false"
+    # --eta-depth sets the unfolding depth apart from --rank
+    for rank, depth, verdict in (("2", "0", "false"), ("0", "1", "true")):
+        code, out, _ = run(
+            capsys, "subtype", "--atoms", str(spec), "--eta", "scott", "--rank", rank, "--eta-depth", depth,
+            "@a", "<=", "Wv -> T @a",
+        )
+        assert out.strip() == verdict
+
+
+def test_interp_at_an_eta_depth_apart_from_the_rank(tmp_path, capsys):
+    spec = tmp_path / "atoms.json"
+    spec.write_text(json.dumps({"atoms": ["a"]}))
+    term = "unit (\\x. unit x)"
+    argv = ("interp", "--atoms", str(spec), "--eta", "scott", "--rank", "2")
+    code, out, _ = run(capsys, *argv, "--eta-depth", "1", term)
+    table = AtomTable(("a",), eta_mode="scott", eta_depth=1)
+    assert code == 0 and out == print_type(to_ctype(filters.interp_closed(parse_term(term), 2, table).gen)) + "\n"
+    # without --eta-depth the depth is the rank, as before the flag
+    _, default, _ = run(capsys, *argv, term)
+    table = AtomTable(("a",), eta_mode="scott", eta_depth=2)
+    assert default == print_type(to_ctype(filters.interp_closed(parse_term(term), 2, table).gen)) + "\n"
 
 
 def test_usage_error(capsys):

@@ -203,10 +203,12 @@ def _run_typed_workload():
 def test_deriv_vars_reads_the_root(monkeypatch):
     """The names a derivation uses are those of its root subject and
     basis: the reference's walk over every node finds no more, on every
-    derivation the transforms ask about in the typed benchmark workload
-    and in the subject-reduction and subject-expansion suites."""
+    derivation a transform asks about, and on every derivation the
+    transforms take and give and every premise of those, in the typed
+    benchmark workload and in the subject-reduction and subject-expansion
+    suites."""
     root_only = transform._deriv_vars
-    calls, mismatches = [0], []
+    calls, mismatches, seen = [0], [], {}
 
     def checked(d):
         calls[0] += 1
@@ -215,11 +217,25 @@ def test_deriv_vars_reads_the_root(monkeypatch):
             mismatches.append(d)
         return got
 
+    def recorded(fn):
+        def call(*args):
+            out = fn(*args)
+            for d in (*args, out):
+                if isinstance(d, Derivation):
+                    seen.update((id(n), n) for n in (d, *d.premises))
+            return out
+
+        return call
+
     monkeypatch.setattr(transform, "_deriv_vars", checked)
+    monkeypatch.setattr(transform, "reduce_derivation", recorded(transform.reduce_derivation))
+    monkeypatch.setattr(transform, "expand_derivation", recorded(transform.expand_derivation))
     for seed in (0, 7, 1, 2):
         for name in ("subject-reduction", "subject-expansion"):
             assert not run_suite(name, GenConfig(seed=seed, cases=20)).failures
     _run_typed_workload()
+    for node in seen.values():
+        checked(node)
     assert calls[0] > 1000 and not mismatches
 
 
