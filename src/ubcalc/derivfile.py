@@ -16,17 +16,33 @@ from __future__ import annotations
 import re
 from typing import Any, Callable
 
-from .assignment import RULES, Basis, Derivation, Judgment, make_basis
-from .terms import ParseError, TokenCursor, parse_term, print_term
+from .assignment import RULES, Derivation, Judgment, make_basis
+from .terms import ParseError, Token, TokenCursor, parse_term, print_term
 from .typesys import ValType, is_vtype, parse_type, print_type
 
+# One record token after optional whitespace.
 _TOKEN_RE = re.compile(
-    r"""(?P<lpar>\() | (?P<rpar>\))
+    r"""\s*(?:(?P<lpar>\() | (?P<rpar>\))
       | (?P<turnstile>\|-) | (?P<leq><=) | (?P<colon>:) | (?P<comma>,)
-      | (?P<word>[^()\s:,|<=]+)
+      | (?P<word>[^()\s:,|<=]+))
     """,
     re.VERBOSE,
 )
+# The longest prefix of a file made of record tokens and whitespace: it
+# ends at the first character that starts no token, since every '|' and
+# '<' starts one and '=' only ends one.
+_RECORD_TEXT_RE = re.compile(r"(?:[^|<=]+|\|-|<=)*")
+# Each record token but a word starts with one of these characters, and
+# no word holds one: a slice's end is found by these alone.
+_STRUCTURE_RE = re.compile(r"(?P<open>\()|(?P<close>\))|[:,|<]")
+_STRUCTURE = {
+    "(": ("lpar", "("),
+    ")": ("rpar", ")"),
+    ":": ("colon", ":"),
+    ",": ("comma", ","),
+    "|": ("turnstile", "|-"),
+    "<": ("leq", "<="),
+}
 
 
 class DerivationSyntaxError(ParseError):
@@ -34,37 +50,79 @@ class DerivationSyntaxError(ParseError):
 
 
 class _Reader(TokenCursor):
-    TOKENS = _TOKEN_RE
+    """The record grammar, read one token at a time from a position in the
+    file once its alphabet has been checked.  Term and type slices are
+    skipped by their structure characters alone and handed whole to their
+    grammars, each distinct (grammar, text) parsed once per file."""
+
     ERROR = DerivationSyntaxError
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0  # where the next token, or the whitespace before it, starts
+        self.next: Token | None = None  # the token at pos once peeked, ending at self.end
+        self.end = 0
+        self.parsed: dict[tuple[Callable[[str], Any], str], Any] = {}
+        bad = _RECORD_TEXT_RE.match(text).end()
+        if bad < len(text):
+            raise self.error(f"unexpected character {text[bad]!r}", ("", text[bad], bad))
+
+    def peek(self) -> Token:
+        if self.next is None:
+            m = _TOKEN_RE.match(self.text, self.pos)
+            if m is None:
+                self.next, self.end = ("eof", "", len(self.text)), self.pos
+            else:
+                kind = m.lastgroup
+                self.next, self.end = (kind, m.group(kind), m.start(kind)), m.end()
+        return self.next
+
+    def pop(self) -> Token:
+        tok = self.peek()
+        self.pos, self.next = self.end, None
+        return tok
+
+    def expect(self, kind: str, text: str | None = None) -> str:
+        got_kind, got, _ = self.peek()
+        if got_kind != kind or (text is not None and got != text):
+            raise self.error(f"expected {text or kind!r}, got {got!r}")
+        self.pos, self.next = self.end, None
+        return got
 
     def until_balanced(self, *stops: str) -> tuple[str, int]:
         """The source text up to a stop kind or an unmatched ')' at depth
         zero, and its offset in the file, for the term and type grammars
-        to parse."""
-        depth = 0
+        to parse; the stop is the next token."""
         start = self.peek()[2]
-        while True:
-            kind, _, at = self.peek()
-            if kind == "eof":
-                raise self.error("unexpected end of input")
-            if depth == 0 and (kind in stops or kind == "rpar"):
-                return self.text[start:at], start
-            if kind == "lpar":
+        depth = 0
+        for m in _STRUCTURE_RE.finditer(self.text, start):
+            if m.lastgroup == "open":
                 depth += 1
-            elif kind == "rpar":
+            elif depth and m.lastgroup == "close":
                 depth -= 1
-            self.i += 1
+            elif not depth:
+                at = m.start()
+                kind, tok = _STRUCTURE[self.text[at]]
+                if kind in stops or kind == "rpar":
+                    self.pos, self.next, self.end = at, (kind, tok, at), at + len(tok)
+                    return self.text[start:at], start
+        raise self.error("unexpected end of input", ("eof", "", len(self.text)))
 
     def embedded(self, parse: Callable[[str], Any], source: tuple[str, int]) -> Any:
         """parse(text) on a slice of the file from until_balanced, its
-        syntax error moved to the line and column in the file."""
+        syntax error moved to the line and column in the file; a text met
+        before gives the same object."""
         text, offset = source
-        try:
-            return parse(text)
-        except ParseError as e:
-            pos = offset + sum(len(line) + 1 for line in text.split("\n")[: e.line - 1]) + e.column - 1
-            line = self.text.count("\n", 0, pos) + 1
-            raise type(e)(e.message, line, pos - self.text.rfind("\n", 0, pos)) from None
+        key = (parse, text)
+        hit = self.parsed.get(key)
+        if hit is None:
+            try:
+                hit = self.parsed[key] = parse(text)
+            except ParseError as e:
+                pos = offset + sum(len(line) + 1 for line in text.split("\n")[: e.line - 1]) + e.column - 1
+                line = self.text.count("\n", 0, pos) + 1
+                raise type(e)(e.message, line, pos - self.text.rfind("\n", 0, pos)) from None
+        return hit
 
     def parse(self) -> Derivation:
         self.expect("lpar", "(")
@@ -122,29 +180,28 @@ def parse_derivation(text: str) -> Derivation:
     return _Reader(text).parse_all()
 
 
-def print_basis(basis: Basis) -> str:
-    return ", ".join(f"{name}: {print_type(t)}" for name, t in basis)
-
-
 def print_derivation(d: Derivation, indent: int = 0) -> str:
     """The file form of d: always the tree, a shared sub-derivation
     written out at every place it occurs, its judgment and side condition
-    formatted once."""
-    return _show(d, indent, {})
+    formatted once, and each distinct type formatted once."""
+    return _show(d, indent, {}, {})
 
 
-def _show(d: Derivation, indent: int, memo: dict[int, tuple[str, str | None]]) -> str:
+def _show(d: Derivation, indent: int, memo: dict[int, tuple[str, str | None]], types: dict) -> str:
     texts = memo.get(id(d))
     if texts is None:
         J = d.conclusion
-        concl = f"(concl {print_basis(J.basis)} |- {print_term(J.subject)} : {print_type(J.tipo)})"
-        side = None if d.side is None else f"(side {print_type(d.side[0])} <= {print_type(d.side[1])})"
+        basis = ", ".join(f"{name}: {print_type(t, types)}" for name, t in J.basis)
+        concl = f"(concl {basis} |- {print_term(J.subject)} : {print_type(J.tipo, types)})"
+        side = None
+        if d.side is not None:
+            side = f"(side {print_type(d.side[0], types)} <= {print_type(d.side[1], types)})"
         texts = memo[id(d)] = (concl, side)
     concl, side = texts
     pad = "  " * indent
     parts = [f"{pad}(rule {d.rule}\n{pad}  {concl}"]
     if d.premises:
-        inner = "\n".join(_show(p, indent + 2, memo) for p in d.premises)
+        inner = "\n".join(_show(p, indent + 2, memo, types) for p in d.premises)
         parts.append(f"{pad}  (premises\n{inner})")
     if side is not None:
         parts.append(f"{pad}  {side}")

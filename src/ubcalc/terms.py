@@ -225,27 +225,33 @@ def subst(t: Node, x: str, v: Node) -> Node:
 
 def unshadow(t: Term, avoid: frozenset[str] | set[str] = frozenset()) -> Term:
     """Alpha-variant of t whose binders are pairwise distinct, disjoint
-    from free variables and from `avoid`."""
-    taken = set(avoid) | t.fv
+    from free variables and from `avoid`; t itself when no binder needs
+    renaming."""
+    return _unshadow(t, set(avoid) | t.fv)
 
-    def walk(s: Term) -> Term:
-        match s:
-            case Variable():
-                return s
-            case Lambda(x, b):
-                if x in taken:
-                    new = fresh_var(taken | all_vars(b))
-                    taken.add(new)
-                    return Lambda(new, walk(subst(b, x, Variable(new))))
-                taken.add(x)
-                return Lambda(x, walk(b))
-            case Unit(v):
-                return Unit(walk(v))
-            case Bind(l, r):
-                return Bind(walk(l), walk(r))
-        raise TypeError(f"not a term: {s!r}")
 
-    return walk(t)
+def _unshadow(s: Term, taken: set[str]) -> Term:
+    """s with each binder that is in `taken` renamed fresh, in preorder,
+    every binder added to `taken`; a node under which nothing is renamed
+    is returned as it is."""
+    match s:
+        case Variable():
+            return s
+        case Lambda(x, b):
+            if x in taken:
+                new = fresh_var(taken | all_vars(b))
+                taken.add(new)
+                return Lambda(new, _unshadow(subst(b, x, Variable(new)), taken))
+            taken.add(x)
+            body = _unshadow(b, taken)
+            return s if body is b else Lambda(x, body)
+        case Unit(v):
+            value = _unshadow(v, taken)
+            return s if value is v else Unit(value)
+        case Bind(l, r):
+            left, right = _unshadow(l, taken), _unshadow(r, taken)
+            return s if left is l and right is r else Bind(left, right)
+    raise TypeError(f"not a term: {s!r}")
 
 
 # ------------------------------------------------------------ alpha-equality

@@ -507,40 +507,66 @@ def to_ctype(c: CanonC) -> ComType:
 
 
 def print_vtype(t: ValType) -> str:
-    match t:
-        case VOmega():
-            return "Wv"
-        case VAtom(name):
-            return f"@{name}"
-        case VArrow(d, c):
-            lhs = print_vtype(d)
-            if isinstance(d, VArrow):
-                lhs = f"({lhs})"
-            return f"{lhs} -> {print_ctype(c)}"
-        case VInter(l, r):
-            def wrap(s: ValType) -> str:
-                txt = print_vtype(s)
-                return f"({txt})" if isinstance(s, VArrow) else txt
-            return f"{wrap(l)} & {wrap(r)}"
-    raise TypeError(f"not a value type: {t!r}")
+    return _print_v(t, {})
 
 
 def print_ctype(t: ComType) -> str:
+    return _print_c(t, {})
+
+
+def print_type(t: AnyType, memo: dict[AnyType, str] | None = None) -> str:
+    """The surface form of t.  A caller printing many types that share
+    nodes passes one memo for them all, so each distinct interned node is
+    formatted once."""
+    memo = {} if memo is None else memo
+    return _print_v(t, memo) if is_vtype(t) else _print_c(t, memo)
+
+
+def _print_v(t: ValType, memo: dict[AnyType, str]) -> str:
+    text = memo.get(t)
+    if text is not None:
+        return text
+    match t:
+        case VOmega():
+            text = "Wv"
+        case VAtom(name):
+            text = f"@{name}"
+        case VArrow(d, c):
+            lhs = _print_v(d, memo)
+            if isinstance(d, VArrow):
+                lhs = f"({lhs})"
+            text = f"{lhs} -> {_print_c(c, memo)}"
+        case VInter(l, r):
+            text = f"{_print_inter_part(l, memo)} & {_print_inter_part(r, memo)}"
+        case _:
+            raise TypeError(f"not a value type: {t!r}")
+    memo[t] = text
+    return text
+
+
+def _print_inter_part(t: ValType, memo: dict[AnyType, str]) -> str:
+    text = _print_v(t, memo)
+    return f"({text})" if isinstance(t, VArrow) else text
+
+
+def _print_c(t: ComType, memo: dict[AnyType, str]) -> str:
+    text = memo.get(t)
+    if text is not None:
+        return text
     match t:
         case COmega():
-            return "Wc"
+            text = "Wc"
         case CTf(a):
-            inner = print_vtype(a)
+            text = _print_v(a, memo)
             if isinstance(a, (VArrow, VInter)):
-                inner = f"({inner})"
-            return f"T {inner}"
+                text = f"({text})"
+            text = f"T {text}"
         case CInter(l, r):
-            return f"{print_ctype(l)} & {print_ctype(r)}"
-    raise TypeError(f"not a computation type: {t!r}")
-
-
-def print_type(t: AnyType) -> str:
-    return print_vtype(t) if is_vtype(t) else print_ctype(t)
+            text = f"{_print_c(l, memo)} & {_print_c(r, memo)}"
+        case _:
+            raise TypeError(f"not a computation type: {t!r}")
+    memo[t] = text
+    return text
 
 
 # ------------------------------------------------------------------ parsing

@@ -1,7 +1,9 @@
 """Command-line checks of the repository's scripts."""
 import importlib.util
+import json
 import pathlib
 import subprocess
+import sys
 
 import pytest
 
@@ -76,3 +78,16 @@ def test_run_suites_rejects_a_negative_number_before_any_suite(monkeypatch, caps
         run_suites.main([flag, "-1", "--only", "confluence"])
     assert exit_info.value.code == 2
     assert "must be non-negative" in capsys.readouterr().err
+
+
+def test_trace_spans_reports_calls_the_metrics_leave_out():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "trace_spans.py"), "--workload", "typed", "--seed", "0",
+         "--prefix", "derivfile.", "terms.parse_term"],
+        capture_output=True, text=True, check=True,
+    )
+    spans = json.loads(proc.stdout)
+    assert set(spans) == {"derivfile.parse_derivation", "derivfile.print_derivation", "terms.parse_term"}
+    # one parse and one print per round-trip item, and terms parsed from the files
+    assert spans["derivfile.parse_derivation"]["calls"] == spans["derivfile.print_derivation"]["calls"] == 4
+    assert spans["terms.parse_term"]["calls"] > 0
