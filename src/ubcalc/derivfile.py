@@ -17,32 +17,19 @@ import re
 from typing import Any, Callable
 
 from .assignment import RULES, Derivation, Judgment, make_basis
-from .terms import ParseError, Token, TokenCursor, parse_term, print_term
+from .terms import ParseError, TokenCursor, _syntax_error, parse_term, print_term
 from .typesys import ValType, is_vtype, parse_type, print_type
 
-# One record token after optional whitespace.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:(?P<lpar>\() | (?P<rpar>\))
+    r"""(?P<lpar>\() | (?P<rpar>\))
       | (?P<turnstile>\|-) | (?P<leq><=) | (?P<colon>:) | (?P<comma>,)
-      | (?P<word>[^()\s:,|<=]+))
+      | (?P<word>[^()\s:,|<=]+)
     """,
     re.VERBOSE,
 )
-# The longest prefix of a file made of record tokens and whitespace: it
-# ends at the first character that starts no token, since every '|' and
-# '<' starts one and '=' only ends one.
-_RECORD_TEXT_RE = re.compile(r"(?:[^|<=]+|\|-|<=)*")
 # Each record token but a word starts with one of these characters, and
 # no word holds one: a slice's end is found by these alone.
 _STRUCTURE_RE = re.compile(r"(?P<open>\()|(?P<close>\))|[:,|<]")
-_STRUCTURE = {
-    "(": ("lpar", "("),
-    ")": ("rpar", ")"),
-    ":": ("colon", ":"),
-    ",": ("comma", ","),
-    "|": ("turnstile", "|-"),
-    "<": ("leq", "<="),
-}
 
 
 class DerivationSyntaxError(ParseError):
@@ -50,44 +37,16 @@ class DerivationSyntaxError(ParseError):
 
 
 class _Reader(TokenCursor):
-    """The record grammar, read one token at a time from a position in the
-    file once its alphabet has been checked.  Term and type slices are
-    skipped by their structure characters alone and handed whole to their
-    grammars, each distinct (grammar, text) parsed once per file."""
+    """The record grammar.  Term and type slices are skipped by their
+    structure characters alone and handed whole to their grammars, each
+    distinct (grammar, text) parsed once per file."""
 
+    TOKENS = _TOKEN_RE
     ERROR = DerivationSyntaxError
 
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0  # where the next token, or the whitespace before it, starts
-        self.next: Token | None = None  # the token at pos once peeked, ending at self.end
-        self.end = 0
+        super().__init__(text)
         self.parsed: dict[tuple[Callable[[str], Any], str], Any] = {}
-        bad = _RECORD_TEXT_RE.match(text).end()
-        if bad < len(text):
-            raise self.error(f"unexpected character {text[bad]!r}", ("", text[bad], bad))
-
-    def peek(self) -> Token:
-        if self.next is None:
-            m = _TOKEN_RE.match(self.text, self.pos)
-            if m is None:
-                self.next, self.end = ("eof", "", len(self.text)), self.pos
-            else:
-                kind = m.lastgroup
-                self.next, self.end = (kind, m.group(kind), m.start(kind)), m.end()
-        return self.next
-
-    def pop(self) -> Token:
-        tok = self.peek()
-        self.pos, self.next = self.end, None
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> str:
-        got_kind, got, _ = self.peek()
-        if got_kind != kind or (text is not None and got != text):
-            raise self.error(f"expected {text or kind!r}, got {got!r}")
-        self.pos, self.next = self.end, None
-        return got
 
     def until_balanced(self, *stops: str) -> tuple[str, int]:
         """The source text up to a stop kind or an unmatched ')' at depth
@@ -101,16 +60,16 @@ class _Reader(TokenCursor):
             elif depth and m.lastgroup == "close":
                 depth -= 1
             elif not depth:
-                at = m.start()
-                kind, tok = _STRUCTURE[self.text[at]]
+                self.pos, self.next = m.start(), None
+                kind = self.peek()[0]
                 if kind in stops or kind == "rpar":
-                    self.pos, self.next, self.end = at, (kind, tok, at), at + len(tok)
-                    return self.text[start:at], start
+                    return self.text[start:m.start()], start
         raise self.error("unexpected end of input", ("eof", "", len(self.text)))
 
     def embedded(self, parse: Callable[[str], Any], source: tuple[str, int]) -> Any:
         """parse(text) on a slice of the file from until_balanced, its
-        syntax error moved to the line and column in the file; a text met
+        syntax error moved to the line and column in the file unless the
+        file holds a character that starts no record token; a text met
         before gives the same object."""
         text, offset = source
         key = (parse, text)
@@ -120,8 +79,7 @@ class _Reader(TokenCursor):
                 hit = self.parsed[key] = parse(text)
             except ParseError as e:
                 pos = offset + sum(len(line) + 1 for line in text.split("\n")[: e.line - 1]) + e.column - 1
-                line = self.text.count("\n", 0, pos) + 1
-                raise type(e)(e.message, line, pos - self.text.rfind("\n", 0, pos)) from None
+                raise self.bad_character() or _syntax_error(type(e), e.message, self.text, pos) from None
         return hit
 
     def parse(self) -> Derivation:

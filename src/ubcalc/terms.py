@@ -410,65 +410,79 @@ def _syntax_error(error: type[ParseError], message: str, text: str, pos: int) ->
 
 @lru_cache(maxsize=8)
 def _skipping_space(token_re: re.Pattern) -> re.Pattern:
-    """token_re after optional whitespace: one match per token."""
-    return re.compile(rf"\s*(?:{token_re.pattern})", token_re.flags)
+    """token_re after optional whitespace: one match per token, an eof
+    token at the end of the text and a bad token at a character that
+    starts no token."""
+    return re.compile(rf"\s*(?:{token_re.pattern}|(?P<eof>\Z)|(?P<bad>.))", token_re.flags)
 
 
-def tokenize(text: str, token_re: re.Pattern, error: type[ParseError]) -> list[Token]:
-    """The tokens of text under a grammar's token regex, whose named
-    groups are the token kinds, closed by an eof token.  Whitespace
-    between tokens is skipped; a character that starts no token raises
-    error."""
-    toks: list[Token] = []
-    pos = 0
-    for m in _skipping_space(token_re).finditer(text):
-        if m.start() != pos:
-            break
-        pos = m.end()
-        kind = m.lastgroup
-        toks.append((kind, m.group(kind), m.start(kind)))
-    rest = text[pos:]
-    if rest.strip():
-        pos += len(rest) - len(rest.lstrip())
-        raise _syntax_error(error, f"unexpected character {text[pos]!r}", text, pos)
-    toks.append(("eof", "", len(text)))
-    return toks
+@lru_cache(maxsize=8)
+def _token_run(token_re: re.Pattern) -> re.Pattern:
+    """Tokens of token_re and the whitespace before each: its match at the
+    start of a text ends where the first character that starts no token
+    stands, after optional whitespace."""
+    return re.compile(rf"(?:\s*(?:{token_re.pattern}))*", token_re.flags)
 
 
 class TokenCursor:
     """Base of the recursive-descent parsers: a subclass names its
     grammar's token regex (TOKENS), its syntax-error class (ERROR) and its
-    start rule (parse)."""
+    start rule (parse).
+
+    Tokens are read on demand from a position in the text, whitespace
+    before each skipped.  A character that starts no token is the error,
+    wherever it stands: every syntax error the cursor builds is that
+    character's if the text has one."""
 
     TOKENS: re.Pattern
     ERROR: type[ParseError]
 
     def __init__(self, text: str):
         self.text = text
-        self.toks = tokenize(text, self.TOKENS, self.ERROR)
-        self.i = 0
+        self.match = _skipping_space(self.TOKENS).match
+        self.pos = 0  # where the next token, or the whitespace before it, starts
+        self.next: Token | None = None  # the token at pos once peeked, ending at self.end
+        self.end = 0
 
     def peek(self) -> Token:
-        return self.toks[self.i]
+        tok = self.next
+        if tok is None:
+            m = self.match(self.text, self.pos)
+            kind = m.lastgroup
+            text = m[kind]
+            end = self.end = m.end()
+            tok = (kind, text, end - len(text))
+            if kind == "bad":
+                raise self.error(f"unexpected character {text!r}", tok)
+            self.next = tok
+        return tok
 
     def pop(self) -> Token:
-        t = self.toks[self.i]
-        if t[0] != "eof":
-            self.i += 1
-        return t
+        tok = self.next or self.peek()
+        self.pos, self.next = self.end, None
+        return tok
 
     def expect(self, kind: str, text: str | None = None) -> str:
         """Pop the next token, which must be of the kind (and text) given,
         and return its text."""
-        got_kind, got, _ = self.peek()
+        got_kind, got, _ = self.next or self.peek()
         if got_kind != kind or (text is not None and got != text):
             raise self.error(f"expected {text or kind!r}, got {got!r}")
-        self.i += 1
+        self.pos, self.next = self.end, None
         return got
 
     def error(self, message: str, at: Token | None = None) -> ParseError:
-        """The grammar's syntax error at token `at`, by default the next one."""
-        return _syntax_error(self.ERROR, message, self.text, (at or self.peek())[2])
+        """The grammar's syntax error at token `at`, by default the next
+        one, unless the text holds a character that starts no token."""
+        return self.bad_character() or _syntax_error(self.ERROR, message, self.text, (at or self.peek())[2])
+
+    def bad_character(self) -> ParseError | None:
+        """The syntax error at the text's first character that starts no
+        token, or None if it has none."""
+        rest = self.text[_token_run(self.TOKENS).match(self.text).end():].lstrip()
+        if not rest:
+            return None
+        return _syntax_error(self.ERROR, f"unexpected character {rest[0]!r}", self.text, len(self.text) - len(rest))
 
     def parse_all(self) -> Any:
         """The start rule over the whole text."""

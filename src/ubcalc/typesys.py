@@ -507,66 +507,48 @@ def to_ctype(c: CanonC) -> ComType:
 
 
 def print_vtype(t: ValType) -> str:
-    return _print_v(t, {})
+    return _print(t, {})
 
 
 def print_ctype(t: ComType) -> str:
-    return _print_c(t, {})
+    return _print(t, {})
 
 
 def print_type(t: AnyType, memo: dict[AnyType, str] | None = None) -> str:
     """The surface form of t.  A caller printing many types that share
     nodes passes one memo for them all, so each distinct interned node is
     formatted once."""
-    memo = {} if memo is None else memo
-    return _print_v(t, memo) if is_vtype(t) else _print_c(t, memo)
+    return _print(t, {} if memo is None else memo)
 
 
-def _print_v(t: ValType, memo: dict[AnyType, str]) -> str:
+def _print(t: AnyType, memo: dict[AnyType, str]) -> str:
     text = memo.get(t)
     if text is not None:
         return text
     match t:
         case VOmega():
             text = "Wv"
+        case COmega():
+            text = "Wc"
         case VAtom(name):
             text = f"@{name}"
         case VArrow(d, c):
-            lhs = _print_v(d, memo)
-            if isinstance(d, VArrow):
-                lhs = f"({lhs})"
-            text = f"{lhs} -> {_print_c(c, memo)}"
-        case VInter(l, r):
-            text = f"{_print_inter_part(l, memo)} & {_print_inter_part(r, memo)}"
-        case _:
-            raise TypeError(f"not a value type: {t!r}")
-    memo[t] = text
-    return text
-
-
-def _print_inter_part(t: ValType, memo: dict[AnyType, str]) -> str:
-    text = _print_v(t, memo)
-    return f"({text})" if isinstance(t, VArrow) else text
-
-
-def _print_c(t: ComType, memo: dict[AnyType, str]) -> str:
-    text = memo.get(t)
-    if text is not None:
-        return text
-    match t:
-        case COmega():
-            text = "Wc"
+            text = f"{_operand(d, VArrow, memo)} -> {_print(c, memo)}"
         case CTf(a):
-            text = _print_v(a, memo)
-            if isinstance(a, (VArrow, VInter)):
-                text = f"({text})"
-            text = f"T {text}"
-        case CInter(l, r):
-            text = f"{_print_c(l, memo)} & {_print_c(r, memo)}"
+            text = f"T {_operand(a, (VArrow, VInter), memo)}"
+        case VInter(l, r) | CInter(l, r):
+            # '&' is left-associative: a right operand that is itself an
+            # intersection is bracketed, as is an arrow on either side
+            text = f"{_operand(l, VArrow, memo)} & {_operand(r, (VArrow, VInter, CInter), memo)}"
         case _:
-            raise TypeError(f"not a computation type: {t!r}")
+            raise TypeError(f"not a type: {t!r}")
     memo[t] = text
     return text
+
+
+def _operand(t: AnyType, bracketed: type | tuple[type, ...], memo: dict[AnyType, str]) -> str:
+    text = _print(t, memo)
+    return f"({text})" if isinstance(t, bracketed) else text
 
 
 # ------------------------------------------------------------------ parsing
@@ -723,17 +705,7 @@ def _raw_v(t: ValType) -> tuple:
         case VArrow(d, c):
             return ("ar", _raw_v(d), _raw_c(c))
         case VInter(l, r):
-            parts: set[tuple] = set()
-            for raw in (_raw_v(l), _raw_v(r)):
-                if raw[0] == "vm":
-                    parts.update(raw[1])
-                elif raw != ("vo",):
-                    parts.add(raw)
-            if not parts:
-                return ("vo",)
-            if len(parts) == 1:
-                return next(iter(parts))
-            return ("vm", tuple(sorted(parts)))
+            return _raw_meet((_raw_v(l), _raw_v(r)), "vm", ("vo",))
     raise TypeError(f"not a value type: {t!r}")
 
 
@@ -744,32 +716,24 @@ def _raw_c(t: ComType) -> tuple:
         case CTf(a):
             return ("t", _raw_v(a))
         case CInter(l, r):
-            parts: set[tuple] = set()
-            for raw in (_raw_c(l), _raw_c(r)):
-                if raw[0] == "cm":
-                    parts.update(raw[1])
-                elif raw != ("co",):
-                    parts.add(raw)
-            if not parts:
-                return ("co",)
-            if len(parts) == 1:
-                return next(iter(parts))
-            return ("cm", tuple(sorted(parts)))
+            return _raw_meet((_raw_c(l), _raw_c(r)), "cm", ("co",))
     raise TypeError(f"not a computation type: {t!r}")
 
 
-def _raw_meet_c(parts: list[tuple]) -> tuple:
+def _raw_meet(parts: Iterable[tuple], meet_tag: str, top: tuple) -> tuple:
+    """The meet of raw types of one sort, flattened: a part that is a meet
+    gives its parts, top is dropped, and one part stands for itself."""
     flat: set[tuple] = set()
     for p in parts:
-        if p[0] == "cm":
+        if p[0] == meet_tag:
             flat.update(p[1])
-        elif p != ("co",):
+        elif p != top:
             flat.add(p)
     if not flat:
-        return ("co",)
+        return top
     if len(flat) == 1:
         return next(iter(flat))
-    return ("cm", tuple(sorted(flat)))
+    return (meet_tag, tuple(sorted(flat)))
 
 
 class _OracleBudget(Exception):
@@ -812,7 +776,7 @@ def _oracle_step(x: tuple, y: tuple, table: AtomTable, depth: int, memo: dict) -
                 cods.append(p[2])
             if p == ("vo",):
                 cods.append(("co",))
-        if _oracle_derivable(_raw_meet_c(cods), cbar, table, depth - 1, memo):
+        if _oracle_derivable(_raw_meet(cods, "cm", ("co",)), cbar, table, depth - 1, memo):
             return True
         # omega on the left unfolds once to omega -> omega_C
         if x == ("vo",) and _oracle_derivable(("co",), cbar, table, depth - 1, memo):
@@ -821,26 +785,12 @@ def _oracle_step(x: tuple, y: tuple, table: AtomTable, depth: int, memo: dict) -
     if y[0] == "t":
         args = [p[1] for p in xparts if p[0] == "t"]
         if args and _oracle_derivable(
-            _raw_meet_v(args), y[1], table, depth - 1, memo
+            _raw_meet(args, "vm", ("vo",)), y[1], table, depth - 1, memo
         ):
             return True
     if y[0] == "va" and x[0] == "va":
         return table.leq_atom(x[1], y[1])
     return False
-
-
-def _raw_meet_v(parts: list[tuple]) -> tuple:
-    flat: set[tuple] = set()
-    for p in parts:
-        if p[0] == "vm":
-            flat.update(p[1])
-        elif p != ("vo",):
-            flat.add(p)
-    if not flat:
-        return ("vo",)
-    if len(flat) == 1:
-        return next(iter(flat))
-    return ("vm", tuple(sorted(flat)))
 
 
 def _projectable(p: tuple, y: tuple, table: AtomTable, depth: int, memo: dict) -> bool:

@@ -1,20 +1,26 @@
 """The derivation file reader and writer as they stood before the reader
-scanned only record syntax and the writer printed each type once.
+scanned only record syntax and the writer printed each type once, and
+the eager token cursor all four grammars read through before tokens
+were read on demand.
 
 ``test_derivfile.py`` holds the new module to this one: on every input
 the new reader must give an equal Derivation or the same error (class,
-message, line and column), and the new writer the same text.  The type
-printers are kept here too, so the writer is compared with the old
-type printing, not with itself.
+message, line and column).  The new writer must give the same text up
+to brackets, since a right operand of '&' that is itself an
+intersection is now bracketed.  The type printers are kept here too, so
+the writer is compared with the old type printing, not with itself.
+``test_terms.py`` holds the term, type and let-term parsers read
+through ``frozen`` cursors to the same rule.
 """
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Any, Callable
 
 from ubcalc.assignment import RULES, Basis, Derivation, Judgment, make_basis
 from ubcalc.derivfile import DerivationSyntaxError
-from ubcalc.terms import ParseError, TokenCursor, parse_term, print_term
+from ubcalc.terms import ParseError, parse_term, print_term
 from ubcalc.typesys import (
     AnyType,
     CInter,
@@ -29,6 +35,92 @@ from ubcalc.typesys import (
     is_vtype,
     parse_type,
 )
+
+# A token is (kind, text, offset of the text in the parsed text).
+Token = tuple[str, str, int]
+
+
+def _syntax_error(error: type[ParseError], message: str, text: str, pos: int) -> ParseError:
+    line = text.count("\n", 0, pos) + 1
+    return error(message, line, pos - text.rfind("\n", 0, pos))
+
+
+@lru_cache(maxsize=8)
+def _skipping_space(token_re: re.Pattern) -> re.Pattern:
+    """token_re after optional whitespace: one match per token."""
+    return re.compile(rf"\s*(?:{token_re.pattern})", token_re.flags)
+
+
+def tokenize(text: str, token_re: re.Pattern, error: type[ParseError]) -> list[Token]:
+    """The tokens of text under a grammar's token regex, whose named
+    groups are the token kinds, closed by an eof token.  Whitespace
+    between tokens is skipped; a character that starts no token raises
+    error."""
+    toks: list[Token] = []
+    pos = 0
+    for m in _skipping_space(token_re).finditer(text):
+        if m.start() != pos:
+            break
+        pos = m.end()
+        kind = m.lastgroup
+        toks.append((kind, m.group(kind), m.start(kind)))
+    rest = text[pos:]
+    if rest.strip():
+        pos += len(rest) - len(rest.lstrip())
+        raise _syntax_error(error, f"unexpected character {text[pos]!r}", text, pos)
+    toks.append(("eof", "", len(text)))
+    return toks
+
+
+class TokenCursor:
+    """Base of the recursive-descent parsers: a subclass names its
+    grammar's token regex (TOKENS), its syntax-error class (ERROR) and its
+    start rule (parse)."""
+
+    TOKENS: re.Pattern
+    ERROR: type[ParseError]
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text, self.TOKENS, self.ERROR)
+        self.i = 0
+
+    def peek(self) -> Token:
+        return self.toks[self.i]
+
+    def pop(self) -> Token:
+        t = self.toks[self.i]
+        if t[0] != "eof":
+            self.i += 1
+        return t
+
+    def expect(self, kind: str, text: str | None = None) -> str:
+        """Pop the next token, which must be of the kind (and text) given,
+        and return its text."""
+        got_kind, got, _ = self.peek()
+        if got_kind != kind or (text is not None and got != text):
+            raise self.error(f"expected {text or kind!r}, got {got!r}")
+        self.i += 1
+        return got
+
+    def error(self, message: str, at: Token | None = None) -> ParseError:
+        """The grammar's syntax error at token `at`, by default the next one."""
+        return _syntax_error(self.ERROR, message, self.text, (at or self.peek())[2])
+
+    def parse_all(self) -> Any:
+        """The start rule over the whole text."""
+        result = self.parse()
+        kind, text, _ = self.peek()
+        if kind != "eof":
+            raise self.error(f"trailing input {text!r}")
+        return result
+
+
+def frozen(parser: type) -> type:
+    """parser's grammar read through the eager cursor above: its rules,
+    with this module's peek, pop, expect and error."""
+    return type(f"Frozen{parser.__name__}", (TokenCursor, parser), {})
+
 
 _TOKEN_RE = re.compile(
     r"""(?P<lpar>\() | (?P<rpar>\))

@@ -5,8 +5,9 @@ tokenized the whole file and parsed every term and type slice on its
 own, and the writer walked every type at every place it occurs.  On
 every input the two readers must give equal derivations or the same
 error (class, message, line and column), and the two writers the same
-text.  The inputs are the printed derivations of the checker-oracle
-corpus and seeded word- and character-level mutants of printed files.
+text up to brackets; a printed derivation reads back as itself.  The
+inputs are the printed derivations of the checker-oracle corpus and
+seeded word- and character-level mutants of printed files.
 """
 import functools
 import random
@@ -38,12 +39,18 @@ def _agree(text):
     return got
 
 
+def _unbracketed(text):
+    return text.replace("(", "").replace(")", "")
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_corpus_prints_and_reads_as_before(seed):
+    # the writer brackets a right operand of '&' that is an intersection,
+    # where the old one printed text that reads back left-nested
     for d in _corpus(seed):
         text = print_derivation(d)
-        assert text == reference.print_derivation(d)
-        assert _agree(text)[0] == "ok"
+        assert _unbracketed(text) == _unbracketed(reference.print_derivation(d))
+        assert _agree(text) == ("ok", d)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given
 
+import reference_derivfile as reference
 from conftest import CLOSED_COMPS, OPEN_COMPS
 
 from ubcalc.derivfile import DerivationSyntaxError, parse_derivation
-from ubcalc.moggi import MSyntaxError, m_parse
+from ubcalc.harness import GenConfig, _gen_ctype, _gen_vtype, gen_mterm, gen_term
+from ubcalc.moggi import MSyntaxError, _MParser, m_parse, m_print
 from ubcalc.terms import (
     Bind,
     Lambda,
@@ -12,6 +16,7 @@ from ubcalc.terms import (
     SortError,
     TermSyntaxError,
     Unit,
+    _Parser,
     Variable,
     alpha_eq,
     desugar_app,
@@ -23,7 +28,7 @@ from ubcalc.terms import (
     term_size,
     unshadow,
 )
-from ubcalc.typesys import TypeSyntaxError, parse_type
+from ubcalc.typesys import EMPTY_TABLE, AtomTable, TypeSyntaxError, _TypeParser, parse_type, print_type
 
 OMEGA_SRC = "unit (\\x. unit x * x) * (\\x. unit x * x)"
 
@@ -207,13 +212,70 @@ class TestFreshAndSugar:
         (parse_type, TypeSyntaxError, "Wv -> T $"),
         (m_parse, MSyntaxError, "let x = y in $"),
         (parse_derivation, DerivationSyntaxError, "(rule Ax (concl |- x = y : Wv))"),
+        # a grammar error stands before the bad character
+        (parse_term, TermSyntaxError, "unit ) $"),
+        (parse_type, TypeSyntaxError, "Wv -> -> $"),
+        (m_parse, MSyntaxError, "let in $"),
+        (parse_derivation, DerivationSyntaxError, "(rule Foo (concl |- x = y : Wv))"),
+        (parse_derivation, DerivationSyntaxError, "(rule Ax (concl x: Wv -> |- x : Wv) (side Wv < Wv))"),
     ],
 )
 def test_bad_character_raises_the_grammars_own_error(parse, error, text):
-    # the one tokenizer serves all four grammars, each with its own class
-    with pytest.raises(ParseError, match="unexpected character") as err:
+    # the one token cursor serves all four grammars, each with its own
+    # class; a character that starts no token is the error wherever it
+    # stands, as when the whole text was tokenized first.  In each text
+    # that character is its last '$', '=' or '<'.
+    with pytest.raises(ParseError) as err:
         parse(text)
     assert type(err.value) is error
+    at = max(text.rfind(c) for c in "$=<")
+    got = (err.value.message, err.value.line, err.value.column)
+    assert got == (f"unexpected character {text[at]!r}", 1, at + 1)
+
+
+def _outcome(parser, text):
+    """What parser makes of text: ("ok", value) or its syntax error as
+    (class, message, line, column)."""
+    try:
+        return "ok", parser(text).parse_all()
+    except ParseError as e:
+        return type(e), e.message, e.line, e.column
+
+
+def _char_mutant(rng, text):
+    """text with one to three characters put in, dropped or replaced,
+    from the tokens of the three grammars and characters none of them
+    knows."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.choice(["put", "drop", "swap"])
+        c = rng.choice("\\.*@()xyunit&->TWvc=let$|< \n")
+        if op == "put":
+            chars.insert(i, c)
+        elif i < len(chars):
+            chars[i : i + 1] = [] if op == "drop" else [c]
+    return "".join(chars)
+
+
+def test_mutants_parse_as_through_the_eager_cursor():
+    # the term, type and let-term parsers against their own rules read
+    # through the eager cursor they had, on printed texts and mutants
+    rng = random.Random(19)
+    sources = [
+        (_Parser, [print_term(gen_term(GenConfig(seed=s, max_size=12, closed=s % 2 == 0), i)) for s in range(2) for i in range(30)]),
+        (_TypeParser, [print_type(gen(rng, 3, table)) for gen in (_gen_vtype, _gen_ctype) for table in (EMPTY_TABLE, AtomTable(("a", "b"))) for _ in range(15)]),
+        (_MParser, [m_print(gen_mterm(GenConfig(seed=s, max_size=12), i)) for s in range(2) for i in range(30)]),
+    ]
+    for parser, texts in sources:
+        old = reference.frozen(parser)
+        kinds = set()
+        for _ in range(1500):
+            text = _char_mutant(rng, rng.choice(texts))
+            got = _outcome(parser, text)
+            assert got == _outcome(old, text), text
+            kinds.add(got[0] if got[0] == "ok" else got[1].split(" ")[0])
+        assert {"ok", "unexpected", "expected"} <= kinds, parser
 
 
 @pytest.mark.parametrize(

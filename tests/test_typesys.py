@@ -301,7 +301,6 @@ class TestRawInterning:
     @given(vtypes(3, T1), vtypes(3, T1))
     def test_equal_exactly_when_printed_alike(self, a, b):
         assert (a == b) == (repr(a) == repr(b)) == (a is b)
-        # the surface form prints intersections without their nesting
         pa, pb = parse_type(print_type(a)), parse_type(print_type(b))
         assert (pa == pb) == (print_type(a) == print_type(b))
 
@@ -553,6 +552,17 @@ class TestTypeGrammar:
     def test_round_trip(self, src):
         t = parse_type(src)
         assert print_type(parse_type(print_type(t))) == print_type(t)
+
+    @given(st.one_of(vtypes(4), ctypes(4), vtypes(3, T2), ctypes(3, T2)))
+    def test_printed_types_read_back_as_themselves(self, t):
+        # '&' reads left-nested, so a right-nested intersection is printed
+        # with its right operand bracketed
+        assert parse_type(print_type(t)) is t
+
+    def test_right_nested_intersections_are_bracketed(self):
+        t = VInter(V_OMEGA, VInter(VAtom("a"), V_OMEGA))
+        c = CInter(C_OMEGA, CInter(CTf(V_OMEGA), C_OMEGA))
+        assert (print_type(t), print_type(c)) == ("Wv & (@a & Wv)", "Wc & (T Wv & Wc)")
 
     def test_sort_errors(self):
         from ubcalc.typesys import TypeSyntaxError
