@@ -37,6 +37,7 @@ from .reduction import (
     ass_measure,
     enumerate_steps,
     joinable,
+    memoised,
     normalize,
     parallel_reduces,
     parallel_successors,
@@ -620,8 +621,13 @@ def _moggi_preservation(cfg: GenConfig, e: moggi.MTerm):
 
 @suite("moggi-convertibility")
 def _moggi_convertibility(cfg: GenConfig, m: Comp):
+    # one memo of let-term expansions for this case's searches, dropped
+    # with the case; the step function is read from moggi when the case
+    # runs, so a replaced one (a tracer's hook, a test's patch) is used
+    source = moggi.to_moggi(m)
+    successors = memoised(moggi.m_enumerate_steps)
     verdicts = [
-        moggi.convertible(moggi.to_moggi(m), moggi.to_moggi(step.result), cfg.fuel * 3)
+        moggi.convertible(source, moggi.to_moggi(step.result), cfg.fuel * 3, successors)
         for step in enumerate_steps(m, DEFAULT_RULES)
     ]
     if False in verdicts:

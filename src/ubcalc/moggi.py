@@ -293,18 +293,23 @@ def from_moggi(e: MTerm) -> Comp:
 # ------------------------------------------------------------- conversion
 
 
-def convertible(a, b, fuel: int = 300) -> Optional[bool]:
+def convertible(a, b, fuel: int = 300, successors=None) -> Optional[bool]:
     """Bounded bidirectional joinability on either calculus.
 
     True when a common reduct is found; False when both reachable sets
     were exhausted without meeting; None when budgets ran out
     (inconclusive, since conversion is only semi-decided by joining).
-    Let-terms search with ``reduction.meet``, unit/bind computations with
-    ``reduction.joinable`` under the default rules.
+    Let-terms search with ``reduction.meet`` over successors, by default
+    ``m_enumerate_steps`` as this module holds it when called; callers
+    that search from one term several times pass one
+    ``reduction.memoised(m_enumerate_steps)`` to every call so the
+    searches share their expansions, which changes no verdict.
+    Unit/bind computations search with ``reduction.joinable`` under the
+    default rules, and successors is not used.
     """
     let_terms = (MVar, MLam, MApp, MLet)
     if isinstance(a, let_terms) and isinstance(b, let_terms):
-        found = ub_reduction.meet(a, b, m_enumerate_steps, fuel)
+        found = ub_reduction.meet(a, b, successors or m_enumerate_steps, fuel)
     elif is_comp(a) and is_comp(b):
         found = ub_reduction.joinable(a, b, fuel)
     else:
@@ -333,12 +338,27 @@ class PreservationResult:
         return self.reached or self.eta_join
 
 
-def image_reaches(src: Comp, dst: Comp, fuel: int, allow_eta: bool) -> tuple[bool, int]:
-    """Breadth-first check that src reduces to dst (up to alpha)."""
+def _first_depths(src: Comp, targets: set, fuel: int, allow_eta: bool) -> dict[tuple, int]:
+    """The depth at which one breadth-first search from src, with fuel
+    steps, first reaches each target key it reaches.  The search stops
+    once every target has appeared.  Its (key, depth) sequence is fixed,
+    so a search for one target would see a prefix of it."""
     rules = ub_reduction.DEFAULT_RULES | ({ub_reduction.Rule.ETA_C} if allow_eta else set())
+    depths: dict[tuple, int] = {}
+    for k, _, d in ub_reduction.explore(src, ub_reduction.step_successors(rules), fuel, set()):
+        if k in targets:
+            depths[k] = d
+            if len(depths) == len(targets):
+                break
+    return depths
+
+
+def image_reaches(src: Comp, dst: Comp, fuel: int, allow_eta: bool) -> tuple[bool, int]:
+    """Breadth-first check that src reduces to dst (up to alpha), with
+    fuel steps: whether it does and in how many steps (-1 when not).
+    The one-target case of the search ``check_preservation`` runs."""
     target = alpha_key(dst)
-    found = ub_reduction.explore(src, ub_reduction.step_successors(rules), fuel, set())
-    depth = next((d for k, _, d in found if k == target), -1)
+    depth = _first_depths(src, {target}, fuel, allow_eta).get(target, -1)
     return depth >= 0, depth
 
 
@@ -346,17 +366,27 @@ def check_preservation(e: MTerm, fuel: int = 400) -> list[PreservationResult]:
     """For every one-step reduct e > e', verify the translation of e
     reaches the translation of e'.
 
-    Eta is enabled for eta steps.  Sequencing steps that name a non-value
-    argument eta-expand the function position in the image, so there the
-    images are connected by an eta step from the target back to the
-    source; those are checked as a join with eta enabled instead of a
-    forward simulation.
+    Eta is enabled for eta steps.  The source image is searched once per
+    rule set in use, for all the targets of that rule set at once (the
+    default rules, and the default rules with etac when some step is an
+    eta step), with the verdicts of one ``image_reaches`` per target.
+    Sequencing steps that name a non-value argument eta-expand the
+    function position in the image, so there the images are connected by
+    an eta step from the target back to the source; those are checked as
+    a join with eta enabled instead of a forward simulation.
     """
-    out = []
     src = from_moggi(e)
-    for s in m_enumerate_steps(e):
-        dst = from_moggi(s.result)
-        ok, n = image_reaches(src, dst, fuel, allow_eta=s.rule is MRule.ETA_V)
+    steps = [(s.rule, from_moggi(s.result)) for s in m_enumerate_steps(e)]
+    keys = [alpha_key(dst) for _, dst in steps]
+    depths = {}
+    for allow_eta in (False, True):
+        targets = {k for (rule, _), k in zip(steps, keys) if (rule is MRule.ETA_V) == allow_eta}
+        if targets:
+            depths[allow_eta] = _first_depths(src, targets, fuel, allow_eta)
+    out = []
+    for (rule, dst), k in zip(steps, keys):
+        n = depths[rule is MRule.ETA_V].get(k, -1)
+        ok = n >= 0
         eta_join = not ok and is_comp(ub_reduction.joinable(src, dst, fuel, ub_reduction.ALL_RULES))
-        out.append(PreservationResult(s.rule, src, dst, ok, n, eta_join))
+        out.append(PreservationResult(rule, src, dst, ok, n, eta_join))
     return out

@@ -12,7 +12,8 @@ plus the optional, confluence-breaking value rule
 
 together with their compatible closure, complete developments, the
 left-of-star termination measure for ass, and the bounded breadth-first
-search both calculi share: ``explore`` from one term, ``meet`` from two.
+search both calculi share: ``explore`` from one term, ``meet`` from two,
+and ``memoised`` to let several searches share one state's expansion.
 ``joinable`` runs ``meet`` on unit/bind terms and returns a common
 reduct, False once both reachable sets are exhausted without meeting, or
 None when a budget runs out first.  Without etac the rules are
@@ -365,3 +366,24 @@ def step_successors(rules: frozenset[Rule] | set[Rule]):
     """successors for ``explore`` and ``meet`` on unit/bind terms: the
     steps of a state under rules, keyed from the state's key."""
     return lambda t, key: enumerate_steps(t, rules, key)
+
+
+def memoised(successors):
+    """successors that calls successors(t, key) once per key for as long
+    as it lives and then hands back the stored steps, so searches that
+    share it expand each state once.
+
+    For an alpha-variant of a state already expanded, the steps are the
+    ones built the first time: alpha-equal results with the same keys in
+    the same order.  So a search that reads only keys and depths, or whose
+    result is reduced to a bool, gives the same verdict with or without
+    the memo."""
+    memo: dict[tuple, list] = {}
+
+    def cached(t, key):
+        steps = memo.get(key)
+        if steps is None:
+            steps = memo[key] = successors(t, key)
+        return steps
+
+    return cached

@@ -485,8 +485,16 @@ class TokenCursor:
         return _syntax_error(self.ERROR, f"unexpected character {rest[0]!r}", self.text, len(self.text) - len(rest))
 
     def parse_all(self) -> Any:
-        """The start rule over the whole text."""
-        result = self.parse()
+        """The start rule over the whole text.  A text nested past the
+        recursion limit that holds a character starting no token fails
+        on that character; one that holds none raises RecursionError."""
+        try:
+            result = self.parse()
+        except RecursionError:
+            bad = self.bad_character()
+            if bad is None:
+                raise
+            raise bad from None
         kind, text, _ = self.peek()
         if kind != "eof":
             raise self.error(f"trailing input {text!r}")

@@ -446,6 +446,15 @@ def test_deeply_nested_term_is_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_bad_character_behind_the_recursion_limit_is_reported(capsys):
+    nested = "unit " + "(" * 3000 + "x" + ")" * 3000
+    code, out, err = run(capsys, "fmt", nested + " $")
+    assert code == 2 and out == ""
+    assert err == "error: TermSyntaxError: 1:6008: unexpected character '$'\n"
+    code, out, err = run(capsys, "fmt", nested)
+    assert code == 2 and err.startswith("error: term nests too deeply")
+
+
 def test_deep_chain_eval_runs_out_of_fuel_before_the_recursion_limit(tmp_path, capsys):
     code, out, err = run(capsys, "eval", _deep_chain(tmp_path))
     assert code == 3 and out == "fuel-exhausted after 200\n"

@@ -402,6 +402,54 @@ class TestSearchOracles:
                 verdicts.add(want)
         assert verdicts == {True, False, None}
 
+    def test_shared_searches_match_full_searches(self):
+        groups: dict[tuple, tuple] = {}
+        for a, b in _oracle_pairs():
+            groups.setdefault(alpha_key(a), (a, []))[1].append(b)
+        assert any(len(targets) > 1 for _, targets in groups.values())
+        for fuel in ORACLE_FUELS:
+            for source, targets in groups.values():
+                expanded = []
+
+                def counted(t, key):
+                    expanded.append(key)
+                    return m_enumerate_steps(t, key)
+
+                successors = ub_reduction.memoised(counted)
+                for target in targets:
+                    want = _ref_convertible(source, target, fuel)
+                    assert convertible(source, target, fuel, successors) is want, (
+                        m_print(source), m_print(target), fuel)
+                assert len(expanded) == len(set(expanded))
+
+    def test_check_preservation_searches_each_source_once(self, monkeypatch):
+        expanded, joining = [], []
+        real_steps, real_joinable = ub_reduction.enumerate_steps, ub_reduction.joinable
+
+        def recorded(t, rules=ub_reduction.DEFAULT_RULES, key=None):
+            if not joining:
+                expanded.append((frozenset(rules), alpha_key(t)))
+            return real_steps(t, rules, key)
+
+        def joinable(*args, **kwargs):
+            # the eta-join fallback searches on its own
+            joining.append(True)
+            try:
+                return real_joinable(*args, **kwargs)
+            finally:
+                joining.pop()
+
+        monkeypatch.setattr(ub_reduction, "enumerate_steps", recorded)
+        monkeypatch.setattr(ub_reduction, "joinable", joinable)
+        terms = {alpha_key(e): e for pair in _oracle_pairs() for e in pair}
+        searched = 0
+        for e in terms.values():
+            expanded.clear()
+            check_preservation(e, 60)
+            assert len(expanded) == len(set(expanded)), m_print(e)
+            searched += len(expanded) > 0
+        assert searched > 0
+
     def test_image_reaches_matches_own_loop(self):
         results = set()
         for i in range(ORACLE_CFG.cases):
