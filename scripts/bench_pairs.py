@@ -3,10 +3,11 @@
     python3 scripts/bench_pairs.py --parent ../parent --change . \
         --workloads semantics typed --seed 4242 --pairs 10 --out BENCH_N.json
 
-For each workload, runs ``perfbench/run.py --trace 0`` once in each
-checkout per pair, one run at a time, the parent first in even pairs and
-the change first in odd pairs, so drift of the host's speed falls on both
-sides alike.  The run length, the end-to-end metrics and their bounds
+Both checkouts first compile their sources to bytecode, so neither side
+compiles inside a timed run.  For each workload, runs
+``perfbench/run.py --trace 0`` once in each checkout per pair, one run
+at a time, the parent first in even pairs and the change first in odd
+pairs, so drift of the host's speed falls on both sides alike.  The run length, the end-to-end metrics and their bounds
 come from the change's ``BENCHMARK.json`` (read only).  For every metric the output
 gives each side's median and quartiles (inclusive method), the pairs the
 change won and lost, the relative change of the median, whether that
@@ -87,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics = bench["end_to_end"]
     result = {
         "method": (
+            "Both checkouts first ran `python -m compileall -q src`. "
             f"For each workload, {args.pairs} alternating pairs of `python3 perfbench/run.py --workload W "
             f"--seed {args.seed} --seconds {seconds:g} --trace 0`, the parent first in even pairs and the "
             "change first in odd pairs, each side from its own checkout, one run at a time. Medians and "
@@ -97,6 +99,8 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "workloads": {},
     }
+    for side in SIDES:
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=getattr(args, side), check=True)
     for workload in args.workloads:
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
         for i in range(args.pairs):

@@ -4,11 +4,13 @@ Judgments assign value types to values and computation types to
 computations over a finite basis.  Derivations are explicit trees with
 rules Ax, ArrowI, UnitI, ArrowE, Omega, InterI and Leq, checkable node
 by node; a built derivation may share a sub-derivation between several
-places, and synthesis, the transforms and the checker handle a shared
-node once per call.  On top of the checker sit bounded inference
-relative to a finite type universe, derivation synthesis, and the
-constructive transformations carrying a derivation forward along a
-reduction step (subject reduction) or backward (subject expansion).
+places, and the transforms and the checker handle a shared node once per
+call.  On top of the checker sit bounded inference relative to a finite
+type universe, which is also the filter interpreter; derivation
+synthesis, which derives exactly the types that inference computes and
+weakens the result to the target; and the constructive transformations
+carrying a derivation forward along a reduction step (subject reduction)
+or backward (subject expansion).
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from .typesys import (
     VArrow,
     VInter,
     VOmega,
+    V_OMEGA,
     _make_canon_v,
     apply_canon,
     is_vtype,
@@ -329,7 +332,8 @@ class _Minimal:
     interpreter truncates into its rank).  Abstractions and binds are
     memoised on (node, basis types of their free variables), so a closed
     abstraction runs its body once per evaluator rather than once per
-    enclosing universe point."""
+    enclosing universe point.  ``derive`` builds the derivation of the
+    types it computes."""
 
     __slots__ = ("universe", "table", "unit", "memo")
 
@@ -369,6 +373,31 @@ class _Minimal:
         if t.arg is None:
             return TOP_C
         return apply_canon(self.value(right, basis), t.arg, self.table)
+
+    def derive(self, t: Term, basis: Basis, cb: dict[str, CanonV], arg: Optional[CanonV] = None) -> Derivation:
+        """The derivation of basis |- t at exactly the type this evaluator
+        gives t under cb (basis in canonical form), read from its memo.
+        With arg, t is the function of a bind whose argument has type arg,
+        and an abstraction keeps only the arrows whose domain arg entails."""
+        c = self.value(t, cb) if is_value(t) else self.comp(t, cb)
+        if c.is_top:
+            return omega_node(basis, t)
+        match t:
+            case Variable(name):
+                return leq_node(ax(basis, name), to_vtype(c))
+            case Lambda(x, body):
+                return inter_fold([
+                    arrow_i_node(self.derive(body, basis_extend(basis, x, to_vtype(p)), {**cb, x: p}), x)
+                    for p, _ in c.arrows
+                    if arg is None or leq_canon_v(arg, p, self.table)
+                ])
+            case Unit(v):
+                return leq_node(unit_node(self.derive(v, basis, cb)), to_ctype(c))
+            case Bind(left, right):
+                a = self.comp(left, cb).arg
+                fun = leq_node(self.derive(right, basis, cb, a), VArrow(to_vtype(a), to_ctype(c)))
+                return arrow_e_node(self.derive(left, basis, cb), fun)
+        raise TypeError(f"not a term: {t!r}")
 
 
 def minimal_value(
@@ -439,94 +468,17 @@ def synth_derivation(
     table: AtomTable = EMPTY_TABLE,
 ) -> Derivation:
     """Build a checkable derivation of basis |- subject : target, with
-    abstraction argument types drawn from the universe.  Shadowed binders
+    abstraction argument types drawn from the universe: the derivation of
+    the bounded minimal type, weakened to the target.  Shadowed binders
     are alpha-renamed away (the rules cannot type them as written), so
     the returned subject is alpha-equivalent to the request.  Raises
-    Unsynthesizable when the bounded minimal type does not entail the
-    target."""
-    cb = dict(_canon_basis(basis, table))
+    Unsynthesizable when the minimal type does not entail the target."""
     subject = unshadow(subject, basis_dom(basis))
-    # one evaluator for the whole recursion: every level asks for minimal
-    # types of subterms of the same tree
-    return _synth(basis, cb, subject, target, _Minimal(universe, table), {})
-
-
-def _trivial(t: AnyType, table: AtomTable) -> bool:
-    return leq_v(VOmega(), t, table) if is_vtype(t) else leq_c(COmega(), t, table)
-
-
-_SynthMemo = dict[tuple[int, Basis, AnyType], Derivation]
-
-
-def _synth(
-    basis: Basis,
-    cb: dict[str, CanonV],
-    subject: Term,
-    target: AnyType,
-    ev: _Minimal,
-    memo: _SynthMemo,
-) -> Derivation:
-    """The derivation of basis |- subject : target, built once per request
-    of one synth_derivation call (cb is a function of basis, and every
-    subject is a subterm of the call's, alive with it): an abstraction
-    typed at several arrows whose domains lie below one universe point
-    shares that point's body derivation, so the result is a DAG."""
-    key = (id(subject), basis, target)
-    d = memo.get(key)
-    if d is None:
-        d = memo[key] = _synth_node(basis, cb, subject, target, ev, memo)
-    return d
-
-
-def _synth_node(
-    basis: Basis,
-    cb: dict[str, CanonV],
-    subject: Term,
-    target: AnyType,
-    ev: _Minimal,
-    memo: _SynthMemo,
-) -> Derivation:
-    table = ev.table
-    if _trivial(target, table):
+    leq, top = (leq_v, V_OMEGA) if is_vtype(target) else (leq_c, C_OMEGA)
+    if leq(top, target, table):
         return leq_node(omega_node(basis, subject), target)
-    match subject:
-        case Variable(name):
-            if name not in basis_dom(basis):
-                raise Unsynthesizable(f"open variable {name}")
-            if not leq_v(basis_get(basis, name), target, table):
-                raise Unsynthesizable(f"{name} not typable at {print_type(target)}")
-            return leq_node(ax(basis, name), target)
-        case Lambda(x, body):
-            if not leq_canon_v(ev.value(subject, cb), normalize_vtype(target, table), table):
-                raise Unsynthesizable(f"abstraction not typable at {print_type(target)}")
-            canon = normalize_vtype(target, table)
-            if canon.atoms:
-                raise Unsynthesizable("abstractions have no atomic types")
-            nodes = []
-            for d, _ in canon.arrows:
-                for point in ev.universe:
-                    if not leq_canon_v(d, point, table):
-                        continue
-                    inner = {**cb, x: point}
-                    out = ev.comp(body, inner)
-                    sub = _synth(basis_extend(basis, x, to_vtype(point)), inner, body, to_ctype(out), ev, memo)
-                    nodes.append(arrow_i_node(sub, x))
-            return leq_node(inter_fold(nodes), target)
-        case Unit(v):
-            low = ev.value(v, cb)
-            if not leq_c(CTf(to_vtype(low)), target, table):
-                raise Unsynthesizable(f"unit not typable at {print_type(target)}")
-            sub = _synth(basis, cb, v, to_vtype(low), ev, memo)
-            return leq_node(unit_node(sub), target)
-        case Bind(left, right):
-            t = ev.comp(left, cb)
-            if t.arg is None:
-                raise Unsynthesizable("left operand has no non-trivial type")
-            out = ev.comp(subject, cb)
-            if not leq_c(to_ctype(out), target, table):
-                raise Unsynthesizable(f"bind not typable at {print_type(target)}")
-            arg_ast = to_vtype(t.arg)
-            dm = _synth(basis, cb, left, CTf(arg_ast), ev, memo)
-            dv = _synth(basis, cb, right, VArrow(arg_ast, to_ctype(out)), ev, memo)
-            return leq_node(arrow_e_node(dm, dv), target)
-    raise TypeError(f"not a term: {subject!r}")
+    d = _Minimal(universe, table).derive(subject, basis, dict(_canon_basis(basis, table)))
+    low = d.conclusion.tipo
+    if not leq(low, target, table):
+        raise Unsynthesizable(f"minimal type {print_type(low)} does not entail {print_type(target)}")
+    return leq_node(d, target)

@@ -324,7 +324,9 @@ def convertible(a, b, fuel: int = 300, successors=None) -> Optional[bool]:
 class PreservationResult:
     """One step's verdict: ``reached`` when the source image reduces to
     the target image, in ``steps`` steps (-1 when it does not);
-    ``eta_join`` when it does not but the two images join with eta."""
+    ``eta_join`` when it does not but the two images join with eta;
+    ``refuted`` when neither holds and both searches were exhausted, so
+    no budget would find either."""
 
     rule: MRule
     source_image: Comp
@@ -332,25 +334,34 @@ class PreservationResult:
     reached: bool
     steps: int
     eta_join: bool = False
+    refuted: bool = False
 
     @property
-    def preserved(self) -> bool:
-        return self.reached or self.eta_join
+    def preserved(self) -> Optional[bool]:
+        """True when reached or joined with eta, False when refuted, and
+        None (inconclusive) when a budget ran out first."""
+        if self.reached or self.eta_join:
+            return True
+        return False if self.refuted else None
 
 
-def _first_depths(src: Comp, targets: set, fuel: int, allow_eta: bool) -> dict[tuple, int]:
+def _first_depths(src: Comp, targets: set, fuel: int, allow_eta: bool) -> tuple[dict[tuple, int], bool]:
     """The depth at which one breadth-first search from src, with fuel
-    steps, first reaches each target key it reaches.  The search stops
-    once every target has appeared.  Its (key, depth) sequence is fixed,
-    so a search for one target would see a prefix of it."""
+    steps, first reaches each target key it reaches, and whether the
+    search exhausted the reachable set.  The search stops once every
+    target has appeared (not exhausted, then).  Its (key, depth) sequence
+    is fixed, so a search for one target would see a prefix of it."""
     rules = ub_reduction.DEFAULT_RULES | ({ub_reduction.Rule.ETA_C} if allow_eta else set())
+    search = ub_reduction.explore(src, ub_reduction.step_successors(rules), fuel, set())
     depths: dict[tuple, int] = {}
-    for k, _, d in ub_reduction.explore(src, ub_reduction.step_successors(rules), fuel, set()):
+    while len(depths) < len(targets):
+        try:
+            k, _, d = next(search)
+        except StopIteration as stop:
+            return depths, stop.value
         if k in targets:
             depths[k] = d
-            if len(depths) == len(targets):
-                break
-    return depths
+    return depths, False
 
 
 def image_reaches(src: Comp, dst: Comp, fuel: int, allow_eta: bool) -> tuple[bool, int]:
@@ -358,7 +369,7 @@ def image_reaches(src: Comp, dst: Comp, fuel: int, allow_eta: bool) -> tuple[boo
     fuel steps: whether it does and in how many steps (-1 when not).
     The one-target case of the search ``check_preservation`` runs."""
     target = alpha_key(dst)
-    depth = _first_depths(src, {target}, fuel, allow_eta).get(target, -1)
+    depth = _first_depths(src, {target}, fuel, allow_eta)[0].get(target, -1)
     return depth >= 0, depth
 
 
@@ -373,20 +384,23 @@ def check_preservation(e: MTerm, fuel: int = 400) -> list[PreservationResult]:
     Sequencing steps that name a non-value argument eta-expand the
     function position in the image, so there the images are connected by
     an eta step from the target back to the source; those are checked as
-    a join with eta enabled instead of a forward simulation.
+    a join with eta enabled instead of a forward simulation.  A step
+    neither reached nor joined is refuted only when its forward search
+    and its join were both exhausted; otherwise it is inconclusive.
     """
     src = from_moggi(e)
     steps = [(s.rule, from_moggi(s.result)) for s in m_enumerate_steps(e)]
     keys = [alpha_key(dst) for _, dst in steps]
-    depths = {}
+    searches = {}
     for allow_eta in (False, True):
         targets = {k for (rule, _), k in zip(steps, keys) if (rule is MRule.ETA_V) == allow_eta}
         if targets:
-            depths[allow_eta] = _first_depths(src, targets, fuel, allow_eta)
+            searches[allow_eta] = _first_depths(src, targets, fuel, allow_eta)
     out = []
     for (rule, dst), k in zip(steps, keys):
-        n = depths[rule is MRule.ETA_V].get(k, -1)
+        depths, exhausted = searches[rule is MRule.ETA_V]
+        n = depths.get(k, -1)
         ok = n >= 0
-        eta_join = not ok and is_comp(ub_reduction.joinable(src, dst, fuel, ub_reduction.ALL_RULES))
-        out.append(PreservationResult(rule, src, dst, ok, n, eta_join))
+        join = None if ok else ub_reduction.joinable(src, dst, fuel, ub_reduction.ALL_RULES)
+        out.append(PreservationResult(rule, src, dst, ok, n, is_comp(join), exhausted and join is False))
     return out

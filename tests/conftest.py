@@ -121,3 +121,19 @@ def tree_size(d) -> int:
     """The nodes of the tree d stands for: a shared node counts at every
     place it occurs."""
     return 1 + sum(tree_size(p) for p in d.premises)
+
+
+def share(d):
+    """d with each set of equal sub-derivations made one object: the DAG
+    with the fewest nodes that stands for d's tree."""
+    table, memo = {}, {}
+
+    def walk(n):
+        got = memo.get(id(n))
+        if got is None:
+            premises = tuple(walk(p) for p in n.premises)
+            key = (n.rule, n.conclusion, tuple(map(id, premises)), n.side)
+            got = memo[id(n)] = table.setdefault(key, type(n)(n.rule, n.conclusion, premises, n.side))
+        return got
+
+    return walk(d)

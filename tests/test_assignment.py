@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import CLOSED_COMPS, CLOSED_TERMS, OPEN_TERMS, distinct_nodes, rotations, tree_size, unshare
+from conftest import CLOSED_COMPS, CLOSED_TERMS, OPEN_TERMS, distinct_nodes, rotations
 
 from ubcalc.assignment import (
     C_OMEGA,
@@ -274,25 +274,37 @@ class TestSynth:
         assert check_derivation(d).valid
         assert alpha_eq(d.conclusion.subject, m)
 
-    def test_several_arrows_at_one_point_share_the_body(self):
-        """An abstraction typed at several arrows whose domains lie below
-        one universe point gets that point's body derivation once: two
-        ArrowI nodes with one conclusion hold the same premise object,
-        and the derivation has fewer node objects than its tree has
-        nodes.  It still prints as the tree."""
+    def test_one_arrow_i_per_kept_arrow(self):
+        """Synthesis types an abstraction by the InterI of one ArrowI per
+        arrow it keeps: as many ArrowI nodes as the canonical form of their
+        intersection has arrows, and no two with one conclusion."""
         cfg = GenConfig(seed=0, cases=20)
+        groups = several = 0
         for i in range(cfg.cases):
             _, d = gen_typed_term(cfg, i)
-            arrows: dict = {}
-            for n in distinct_nodes(d):
-                if n.rule == "ArrowI":
-                    arrows.setdefault((n.conclusion, id(n.premises[0])), []).append(n)
-            if any(len(same) > 1 for same in arrows.values()):
-                break
-        else:
-            pytest.fail("no abstraction met several arrows at one universe point")
-        assert len(distinct_nodes(d)) < tree_size(d)
-        assert print_derivation(d) == print_derivation(unshare(d))
+            for top in _abstraction_tops(d):
+                arrows = list(_arrow_i_nodes(top))
+                assert len({a.conclusion for a in arrows}) == len(arrows)
+                assert len(arrows) == len(normalize_vtype(top.conclusion.tipo).arrows)
+                groups += 1
+                several += len(arrows) > 1
+        assert groups > 100 and several > 10
+
+
+def _abstraction_tops(d: Derivation):
+    """The topmost InterI or ArrowI node of each abstraction typed in d."""
+    heads = ("InterI", "ArrowI")
+    tops = [d] if d.rule in heads else []
+    tops += [p for n in distinct_nodes(d) if n.rule != "InterI" for p in n.premises if p.rule in heads]
+    return tops
+
+
+def _arrow_i_nodes(d: Derivation):
+    if d.rule == "ArrowI":
+        yield d
+    else:
+        for p in d.premises:
+            yield from _arrow_i_nodes(p)
 
 
 class TestTransformations:

@@ -5,8 +5,9 @@ rule schema.  Both must agree on whether a derivation is valid, and the
 new one may report an error only at a node where the old one reports
 one.  The corpus is every derivation of the typed generator at seeds 0
 and 7 with its subject-reduction reducts, and seeded single-node
-mutants of them.  The corpus's derivations share sub-derivations, so
-the checker's report on each, and on mutants that replace a shared
+mutants of them.  A derivation may share sub-derivations, so
+the checker's report on each (as built, and with its equal
+sub-derivations made one object), and on mutants that replace a shared
 node at every place it occurs, must equal its report on the tree.
 """
 import functools
@@ -16,7 +17,7 @@ from collections import Counter
 import pytest
 
 import reference_checker as reference
-from conftest import distinct_nodes, unshare
+from conftest import distinct_nodes, share, unshare
 from test_assignment import ID_LAM
 
 from ubcalc.assignment import (
@@ -26,6 +27,7 @@ from ubcalc.assignment import (
     Judgment,
     basis_extend,
     check_derivation,
+    inter_fold,
 )
 from ubcalc.derivfile import print_derivation
 from ubcalc.harness import GenConfig, gen_typed_term
@@ -160,10 +162,13 @@ def _same_as_the_tree(d: Derivation) -> CheckReport:
 def test_shared_nodes_report_as_the_tree(seed):
     """The report (verdict, paths, messages and their order) and the
     printed form of every corpus derivation equal those of its tree, as
-    do the reports of mutants that replace a shared node everywhere."""
+    do the reports of mutants that replace a shared node everywhere.
+    Synthesis shares no nodes, so each derivation is also checked with
+    its equal sub-derivations made one object (``share``), and as both
+    premises of one InterI."""
     rng = random.Random(seed)
     shared = mutants = invalid = 0
-    for d in _corpus(seed):
+    for d in (x for d in _corpus(seed) for x in (d, share(d), inter_fold([d, d]))):
         assert _same_as_the_tree(d).valid
         assert print_derivation(d) == print_derivation(unshare(d))
         nodes = distinct_nodes(d)

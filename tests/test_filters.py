@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from conftest import CLOSED_COMPS, CLOSED_TERMS, OPEN_TERMS, rotations
 
 from ubcalc import assignment, filters
+from ubcalc.assignment import check_derivation
 from ubcalc.filters import (
     BOTTOM_C,
     BOTTOM_V,
@@ -35,6 +36,7 @@ from ubcalc.filters import (
     unit_f,
     value_lattice,
 )
+from ubcalc.harness import GenConfig, gen_term
 from ubcalc.reduction import enumerate_steps
 from ubcalc.terms import (
     Bind,
@@ -46,6 +48,7 @@ from ubcalc.terms import (
     parse_term,
     subst,
     subterms,
+    unshadow,
 )
 from ubcalc.typesys import (
     AtomTable,
@@ -63,6 +66,7 @@ from ubcalc.typesys import (
     normalize_vtype,
     parse_type,
     tcan,
+    to_ctype,
 )
 
 T1 = AtomTable(("a",))
@@ -315,6 +319,17 @@ class TestInterp:
             gen = interp_closed(m, n).gen
             low = minimal_comp(m, {}, value_lattice(n), EMPTY_TABLE)
             assert leq_canon_c(low, gen, EMPTY_TABLE)
+
+    @pytest.mark.parametrize("table,ranks", [(EMPTY_TABLE, range(4)), (T1, range(3))])
+    def test_every_generator_has_a_checked_derivation(self, table, ranks):
+        # the interpreter is the evaluator synthesis walks, so the walk
+        # witnesses each generator with a derivation of exactly its type
+        terms = [unshadow(gen_term(GenConfig(seed=s, max_size=16), i), frozenset()) for s in (0, 7) for i in range(40)]
+        for n in ranks:
+            for m in terms:
+                d = filters._interpreter(m, {}, n, table).derive(m, (), {})
+                assert check_derivation(d, table).valid
+                assert d.conclusion.tipo == to_ctype(interp_closed(m, n, table).gen)
 
 
 class TestSelfApplicationProjection:

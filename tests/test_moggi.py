@@ -5,7 +5,7 @@ from conftest import CLOSED_COMPS
 
 from ubcalc import moggi
 from ubcalc import reduction as ub_reduction
-from ubcalc.harness import GenConfig, gen_mterm, gen_terms
+from ubcalc.harness import GenConfig, gen_mterm, gen_terms, run_suite
 from ubcalc.moggi import (
     MApp,
     MLam,
@@ -221,6 +221,24 @@ class TestPreservation:
     def test_exhaustive_size_5(self):
         for e in mterms(5, ["u"]):
             assert all(r.preserved for r in check_preservation(e, fuel=300))
+
+    def test_a_spent_budget_is_inconclusive(self):
+        """Cases 29, 30 and 39 of seed 7 at size 50 have steps that a
+        400-step search neither reaches nor exhausts: those steps are
+        inconclusive, and none is refuted."""
+        cfg = GenConfig(seed=7, max_size=50)
+        verdicts = [r.preserved for i in (29, 30, 39) for r in check_preservation(gen_mterm(cfg, i), 400)]
+        assert False not in verdicts and None in verdicts
+
+    def test_a_bogus_step_is_refuted(self, monkeypatch):
+        """A step to a term the source image can neither reach nor join
+        fails once both searches are exhausted, in the suite too."""
+        real = moggi.m_enumerate_steps
+        bogus = MStep(MRule.BETA_V, m_parse("\\y. \\z. z"))
+        monkeypatch.setattr(moggi, "m_enumerate_steps", lambda e, key=None: real(e, key) + [bogus])
+        (r,) = check_preservation(m_parse("\\x. x"))
+        assert (r.reached, r.eta_join, r.refuted, r.preserved) == (False, False, True, False)
+        assert run_suite("moggi-preservation", GenConfig(seed=0, cases=20)).failures
 
 
 class TestConvertibility:

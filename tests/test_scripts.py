@@ -31,6 +31,25 @@ def test_bench_pairs_needs_two_pairs_before_any_run(monkeypatch, pairs):
     assert exit_info.value.code == 2
 
 
+def test_bench_pairs_compiles_both_checkouts_before_the_first_run(monkeypatch, tmp_path):
+    bench_pairs = _load_script("bench_pairs")
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def fake_run(cmd, cwd=None, **kwargs):
+        # stands in for every command: no benchmark run starts
+        calls.append((pathlib.Path(cwd), cmd[1:3]))
+        out = json.dumps({"metrics": {m: {"value": 1.0} for m in metrics}, "failed": 0, "attempted": 1})
+        return subprocess.CompletedProcess(cmd, 0, out + "\n", "")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    argv = ["--parent", str(tmp_path), "--change", str(ROOT), "--workloads", "typed", "--seed", "1",
+            "--pairs", "2", "--out", str(tmp_path / "out.json")]
+    assert bench_pairs.main(argv) == 0
+    assert calls[:2] == [(tmp_path, ["-m", "compileall"]), (ROOT, ["-m", "compileall"])]
+    assert all(args[0] == "perfbench/run.py" for _, args in calls[2:]) and len(calls) == 6
+
+
 @pytest.mark.parametrize(
     "spec,rank,code,out",
     [
