@@ -472,7 +472,13 @@ def synth_derivation(
     the bounded minimal type, weakened to the target.  Shadowed binders
     are alpha-renamed away (the rules cannot type them as written), so
     the returned subject is alpha-equivalent to the request.  Raises
-    Unsynthesizable when the minimal type does not entail the target."""
+    Unsynthesizable when the subject and the target are of different
+    sorts, or when the minimal type does not entail the target."""
+    sorts = ("computation", "value")
+    if is_value(subject) != is_vtype(target):
+        raise Unsynthesizable(
+            f"a {sorts[is_value(subject)]} subject has no {sorts[is_vtype(target)]} type"
+        )
     subject = unshadow(subject, basis_dom(basis))
     leq, top = (leq_v, V_OMEGA) if is_vtype(target) else (leq_c, C_OMEGA)
     if leq(top, target, table):

@@ -25,6 +25,7 @@ from .terms import (
     Lambda,
     Node,
     ParseError,
+    Position,
     Term,
     TokenCursor,
     Unit,
@@ -32,6 +33,7 @@ from .terms import (
     Variable,
     all_vars,
     alpha_key,
+    diff_position,
     fresh_var,
     is_comp,
     positions,
@@ -323,10 +325,12 @@ def convertible(a, b, fuel: int = 300, successors=None) -> Optional[bool]:
 @dataclass(frozen=True, slots=True)
 class PreservationResult:
     """One step's verdict: ``reached`` when the source image reduces to
-    the target image, in ``steps`` steps (-1 when it does not);
-    ``eta_join`` when it does not but the two images join with eta;
-    ``refuted`` when neither holds and both searches were exhausted, so
-    no budget would find either."""
+    the target image, in ``steps`` steps (-1 when it does not): the depth
+    at which the first search that reached the target found it, which
+    may exceed the shortest reduction when a search confined to a subterm
+    found it first; ``eta_join`` when it is not reached but the two
+    images join with eta; ``refuted`` when neither holds and both
+    whole-term searches were exhausted, so no budget would find either."""
 
     rule: MRule
     source_image: Comp
@@ -345,14 +349,18 @@ class PreservationResult:
         return False if self.refuted else None
 
 
-def _first_depths(src: Comp, targets: set, fuel: int, allow_eta: bool) -> tuple[dict[tuple, int], bool]:
-    """The depth at which one breadth-first search from src, with fuel
-    steps, first reaches each target key it reaches, and whether the
-    search exhausted the reachable set.  The search stops once every
-    target has appeared (not exhausted, then).  Its (key, depth) sequence
-    is fixed, so a search for one target would see a prefix of it."""
-    rules = ub_reduction.DEFAULT_RULES | ({ub_reduction.Rule.ETA_C} if allow_eta else set())
-    search = ub_reduction.explore(src, ub_reduction.step_successors(rules), fuel, set())
+def _forward_rules(allow_eta: bool) -> frozenset:
+    return ub_reduction.DEFAULT_RULES | ({ub_reduction.Rule.ETA_C} if allow_eta else set())
+
+
+def _first_depths(src: Comp, successors, targets: set, fuel: int) -> tuple[dict[tuple, int], bool]:
+    """The depth at which one breadth-first search from src over
+    successors, with fuel steps, first reaches each target key it
+    reaches, and whether the search exhausted the reachable set.  The
+    search stops once every target has appeared (not exhausted, then).
+    Its (key, depth) sequence is fixed, so a search for one target would
+    see a prefix of it."""
+    search = ub_reduction.explore(src, successors, fuel, set())
     depths: dict[tuple, int] = {}
     while len(depths) < len(targets):
         try:
@@ -367,37 +375,96 @@ def _first_depths(src: Comp, targets: set, fuel: int, allow_eta: bool) -> tuple[
 def image_reaches(src: Comp, dst: Comp, fuel: int, allow_eta: bool) -> tuple[bool, int]:
     """Breadth-first check that src reduces to dst (up to alpha), with
     fuel steps: whether it does and in how many steps (-1 when not).
-    The one-target case of the search ``check_preservation`` runs."""
+    The one-target case of the whole-term search ``check_preservation``
+    runs."""
     target = alpha_key(dst)
-    depth = _first_depths(src, {target}, fuel, allow_eta)[0].get(target, -1)
+    successors = ub_reduction.step_successors(_forward_rules(allow_eta))
+    depth = _first_depths(src, successors, {target}, fuel)[0].get(target, -1)
     return depth >= 0, depth
+
+
+def _confined(src: Comp, src_key: tuple, dst: Comp, key: tuple, rule: MRule, fuel: int, successors):
+    """(reached, steps, eta_join) as found by searches confined to a
+    subterm: forward from src, then a join with eta, each within the
+    position where the two images differ and then within each of its
+    ancestors below the root, each with fuel steps of its own; None when
+    none of them succeeds.  Every state such a search visits is a reduct
+    of its start, so what it finds is a witness; what it misses proves
+    nothing."""
+    q = diff_position(src, src_key, key)
+    levels = [q[:n] for n in range(len(q), 0, -1)]
+    forward = _forward_rules(rule is MRule.ETA_V)
+
+    def reach(at):
+        depth = _first_depths(src, successors(forward, at), {key}, fuel)[0].get(key)
+        return None if depth is None else (True, depth, False)
+
+    def join(at):
+        found = ub_reduction.meet(src, dst, successors(ub_reduction.ALL_RULES, at), fuel, whole=True)
+        return (False, -1, True) if is_comp(found) else None
+
+    if rule is MRule.LET_2:
+        # the target needs eta: join at each position right after the forward search
+        tries = [(search, at) for at in levels for search in (reach, join)]
+    else:
+        tries = [(reach, at) for at in levels] + [(join, at) for at in levels]
+    for search, at in tries:
+        found = search(at)
+        if found is not None:
+            return found
+    return None
 
 
 def check_preservation(e: MTerm, fuel: int = 400) -> list[PreservationResult]:
     """For every one-step reduct e > e', verify the translation of e
     reaches the translation of e'.
 
-    Eta is enabled for eta steps.  The source image is searched once per
-    rule set in use, for all the targets of that rule set at once (the
-    default rules, and the default rules with etac when some step is an
-    eta step), with the verdicts of one ``image_reaches`` per target.
-    Sequencing steps that name a non-value argument eta-expand the
-    function position in the image, so there the images are connected by
-    an eta step from the target back to the source; those are checked as
-    a join with eta enabled instead of a forward simulation.  A step
-    neither reached nor joined is refuted only when its forward search
-    and its join were both exhausted; otherwise it is inconclusive.
+    Eta is enabled for eta steps.  The translation is compositional, so
+    a step changes the image in one subterm, and each step is first
+    searched there: an alpha-equal target is reached at depth 0;
+    otherwise searches confined to the position where the images differ,
+    and then to its ancestors below the root, look for the target
+    forward and then for a join with eta (``_confined``).  Sequencing
+    steps that name a non-value argument eta-expand the function position
+    in the image, so there the images are connected by an eta step from
+    the target back to the source, and only the join finds them.  The
+    targets still open after that are searched from the whole source
+    image, once per rule set in use for all of them at once (the default
+    rules, and the default rules with etac when some open step is an eta
+    step), with the verdicts of one ``image_reaches`` per target, and
+    those not reached are joined with eta by ``reduction.joinable``.
+    Every confined search of one call shares one memo of expansions per
+    rule set and position.  A step neither reached nor joined is refuted
+    only when its whole-term forward search and its join were both
+    exhausted; otherwise it is inconclusive.
     """
     src = from_moggi(e)
+    src_key = alpha_key(src)
+    memos: dict[tuple, object] = {}
+
+    def successors(rules: frozenset, at: Position = ()):
+        if (rules, at) not in memos:
+            memos[rules, at] = ub_reduction.memoised(ub_reduction.step_successors(rules, at))
+        return memos[rules, at]
+
     steps = [(s.rule, from_moggi(s.result)) for s in m_enumerate_steps(e)]
     keys = [alpha_key(dst) for _, dst in steps]
+    found = [
+        (True, 0, False) if k == src_key else _confined(src, src_key, dst, k, rule, fuel, successors)
+        for (rule, dst), k in zip(steps, keys)
+    ]
     searches = {}
     for allow_eta in (False, True):
-        targets = {k for (rule, _), k in zip(steps, keys) if (rule is MRule.ETA_V) == allow_eta}
+        targets = {
+            k for (rule, _), k, f in zip(steps, keys, found) if f is None and (rule is MRule.ETA_V) == allow_eta
+        }
         if targets:
-            searches[allow_eta] = _first_depths(src, targets, fuel, allow_eta)
+            searches[allow_eta] = _first_depths(src, successors(_forward_rules(allow_eta)), targets, fuel)
     out = []
-    for (rule, dst), k in zip(steps, keys):
+    for (rule, dst), k, f in zip(steps, keys, found):
+        if f is not None:
+            out.append(PreservationResult(rule, src, dst, *f))
+            continue
         depths, exhausted = searches[rule is MRule.ETA_V]
         n = depths.get(k, -1)
         ok = n >= 0

@@ -40,6 +40,7 @@ from .terms import (
     replace_at,
     replace_keyed,
     subst,
+    subterm_at,
 )
 
 
@@ -116,14 +117,19 @@ def _redexes(m: Comp, rules: frozenset[Rule] | set[Rule]) -> Iterator[tuple[Rule
 
 
 def enumerate_steps(
-    m: Comp, rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES, key: Optional[tuple] = None
+    m: Comp,
+    rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES,
+    key: Optional[tuple] = None,
+    at: Position = (),
 ) -> list[Step]:
-    """All one-step reducts of m, leftmost-outermost first.  Given m's
-    alpha key, each step carries its result's key, derived from m's along
-    the step's path (``terms.replace_keyed``); otherwise none."""
+    """All one-step reducts of m, leftmost-outermost first, or only those
+    whose redex is at or under the position at.  Given m's alpha key,
+    each step carries its result's key, derived from m's along the step's
+    path (``terms.replace_keyed``); otherwise none."""
+    redexes = ((rule, at + path, c) for rule, path, c in _redexes(subterm_at(m, at), rules))
     if key is None:
-        return [Step(rule, path, replace_at(m, path, c)) for rule, path, c in _redexes(m, rules)]
-    return [Step(rule, path, *replace_keyed(m, key, path, c)) for rule, path, c in _redexes(m, rules)]
+        return [Step(rule, path, replace_at(m, path, c)) for rule, path, c in redexes]
+    return [Step(rule, path, *replace_keyed(m, key, path, c)) for rule, path, c in redexes]
 
 
 def first_step(m: Comp, rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES) -> Optional[Step]:
@@ -281,30 +287,28 @@ def explore(start, successors, budget: int, seen: set, whole: bool = False):
     for start, then for each state first reached, after adding its key to
     seen.  successors(t, key) receives a state and the state's key and
     gives its steps, each with a result and the result's key; each step
-    costs one unit of budget.  Only start's key is computed here.  The
-    search stops once the budget is spent: after the step that spent it
-    or, with whole, after the rest of t's steps.  Returns True when the
-    reachable set was exhausted within the budget."""
+    costs one unit of budget.  Only start's key is computed here.  Once
+    the budget is spent, the next step is refused and the search stops;
+    with whole, a state whose expansion began within the budget still
+    takes all its steps.  Returns False when a step was refused, and True
+    when none was: the reachable set was exhausted."""
     k = alpha_key(start)
     seen.add(k)
     yield k, start, 0
     frontier, depth = [(k, start)], 0
     while frontier:
-        if budget <= 0:
-            return False
         depth += 1
         nxt = []
         for key, t in frontier:
+            started = whole and budget > 0
             for s in successors(t, key):
+                if budget <= 0 and not started:
+                    return False
                 budget -= 1
                 if s.key not in seen:
                     seen.add(s.key)
                     nxt.append((s.key, s.result))
                     yield s.key, s.result, depth
-                if budget <= 0 and not whole:
-                    return False
-            if budget <= 0:
-                return False
         frontier = nxt
     return True
 
@@ -362,10 +366,12 @@ def joinable(
     return meet(m, n, step_successors(rules), fuel, whole=True)
 
 
-def step_successors(rules: frozenset[Rule] | set[Rule]):
+def step_successors(rules: frozenset[Rule] | set[Rule], at: Position = ()):
     """successors for ``explore`` and ``meet`` on unit/bind terms: the
-    steps of a state under rules, keyed from the state's key."""
-    return lambda t, key: enumerate_steps(t, rules, key)
+    steps of a state under rules, keyed from the state's key; with at,
+    only the steps at or under that position, so a search from a term
+    changes it only there."""
+    return lambda t, key: enumerate_steps(t, rules, key, at)
 
 
 def memoised(successors):

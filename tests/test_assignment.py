@@ -265,6 +265,18 @@ class TestSynth:
         with pytest.raises(Unsynthesizable):
             synth_derivation((), omega_c(), parse_type("T Wv"), UVALS)
 
+    @pytest.mark.parametrize(
+        "subject,target,message",
+        [
+            ("\\x. unit x", "T Wv", "a value subject has no computation type"),
+            ("\\x. unit x", "Wc", "a value subject has no computation type"),
+            ("unit (\\x. unit x)", "Wv", "a computation subject has no value type"),
+        ],
+    )
+    def test_a_target_of_the_other_sort_is_unsynthesizable(self, subject, target, message):
+        with pytest.raises(Unsynthesizable, match=message):
+            synth_derivation((), parse_term(subject), parse_type(target), UVALS)
+
     @given(CLOSED_COMPS)
     @settings(max_examples=40)
     def test_minimal_always_synthesizable(self, m):

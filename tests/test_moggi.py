@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 
@@ -24,17 +26,20 @@ from ubcalc.moggi import (
     m_root_steps,
     to_moggi,
 )
-from ubcalc.reduction import enumerate_steps
+from ubcalc.reduction import ALL_RULES, DEFAULT_RULES, Rule, enumerate_steps, root_step
 from ubcalc.terms import (
     Lambda,
     Unit,
     Variable,
     alpha_eq,
     alpha_key,
+    diff_position,
     is_comp,
     omega_c,
     parse_term,
+    replace_at,
     subst,
+    subterm_at,
 )
 
 
@@ -223,12 +228,20 @@ class TestPreservation:
             assert all(r.preserved for r in check_preservation(e, fuel=300))
 
     def test_a_spent_budget_is_inconclusive(self):
-        """Cases 29, 30 and 39 of seed 7 at size 50 have steps that a
-        400-step search neither reaches nor exhausts: those steps are
-        inconclusive, and none is refuted."""
+        """The betav step's image is two steps away, and each search has
+        budget for one: it is neither reached nor refuted."""
+        e = m_parse("(\\x. x) (\\y. y) (\\z. z)")
+        (r,) = [r for r in check_preservation(e, 1) if r.rule is MRule.BETA_V]
+        assert (r.reached, r.eta_join, r.refuted, r.preserved) == (False, False, False, None)
+        assert [r.steps for r in check_preservation(e) if r.rule is MRule.BETA_V] == [2]
+
+    def test_steps_a_whole_search_left_open_are_decided(self):
+        """Cases 29, 30 and 39 of seed 7 at size 50 have steps that the
+        400-step whole-term search neither reaches nor exhausts; the
+        searches confined to where the images differ decide them all."""
         cfg = GenConfig(seed=7, max_size=50)
         verdicts = [r.preserved for i in (29, 30, 39) for r in check_preservation(gen_mterm(cfg, i), 400)]
-        assert False not in verdicts and None in verdicts
+        assert set(verdicts) == {True}
 
     def test_a_bogus_step_is_refuted(self, monkeypatch):
         """A step to a term the source image can neither reach nor join
@@ -248,6 +261,8 @@ class TestConvertibility:
 
     def test_unrelated_normal_forms(self):
         assert convertible(MVar("a"), MVar("b")) is False
+        assert convertible(m_parse("\\x. x"), m_parse("\\y. \\z. z"), 0) is False
+        assert convertible(m_parse("\\x. x"), m_parse("(\\y. y) (\\z. z)"), 0) is None
 
     def test_images_of_reduction_steps(self):
         m = parse_term("(unit (\\z. unit z) * (\\x. unit x * q)) * (\\y. unit y)")
@@ -300,28 +315,23 @@ def _ref_m_enumerate_steps(e):
 
 
 def _ref_m_reachable(e, budget):
+    """The states reached within budget steps, and whether no step was
+    refused for want of budget (the reachable set was exhausted)."""
     seen = {alpha_key(e): e}
     frontier = [e]
-    exhausted = True
-    while frontier and budget > 0:
+    while frontier:
         nxt = []
         for t in frontier:
             for s in _ref_m_enumerate_steps(t):
+                if budget <= 0:
+                    return seen, False
                 budget -= 1
                 k = alpha_key(s.result)
                 if k not in seen:
                     seen[k] = s.result
                     nxt.append(s.result)
-                if budget <= 0:
-                    exhausted = False
-                    break
-            if budget <= 0:
-                exhausted = False
-                break
         frontier = nxt
-    if frontier:
-        exhausted = False
-    return seen, exhausted
+    return seen, True
 
 
 def _ref_convertible(a, b, fuel):
@@ -444,10 +454,10 @@ class TestSearchOracles:
         expanded, joining = [], []
         real_steps, real_joinable = ub_reduction.enumerate_steps, ub_reduction.joinable
 
-        def recorded(t, rules=ub_reduction.DEFAULT_RULES, key=None):
+        def recorded(t, rules=ub_reduction.DEFAULT_RULES, key=None, at=()):
             if not joining:
-                expanded.append((frozenset(rules), alpha_key(t)))
-            return real_steps(t, rules, key)
+                expanded.append((frozenset(rules), at, alpha_key(t)))
+            return real_steps(t, rules, key, at)
 
         def joinable(*args, **kwargs):
             # the eta-join fallback searches on its own
@@ -484,12 +494,26 @@ class TestSearchOracles:
         assert results == {True, False}
 
     def test_check_preservation_matches_forward_then_backward(self):
+        """Equal results at fuel 60 and 300.  At fuel 10 a confined search
+        may decide a step the reference's searches did not, or reach it
+        where the reference joined it: the verdict is equal wherever the
+        reference decides, and the depth wherever both reach."""
         terms = {alpha_key(e): e for pair in _oracle_pairs() for e in pair}
         joins = 0
         for fuel in (10, 60, 300):
             for e in terms.values():
-                got = [(r.rule, r.reached, r.steps, r.eta_join) for r in check_preservation(e, fuel)]
-                assert got == _ref_check_preservation(e, fuel), (m_print(e), fuel)
+                results = check_preservation(e, fuel)
+                got = [(r.rule, r.reached, r.steps, r.eta_join) for r in results]
+                want = _ref_check_preservation(e, fuel)
+                if fuel == 10:
+                    for r, (rule, ok, n, eta_join) in zip(results, want, strict=True):
+                        assert r.rule is rule
+                        if ok or eta_join:
+                            assert r.preserved, (m_print(e), rule)
+                        if ok and r.reached:
+                            assert r.steps == n, (m_print(e), rule)
+                else:
+                    assert got == want, (m_print(e), fuel)
                 joins += sum(r[3] for r in got)
         assert joins > 0
 
@@ -511,6 +535,80 @@ class TestSearchOracles:
         monkeypatch.setattr(moggi, "m_enumerate_steps", counted)
         assert convertible(a, b, fuel) is True
         assert sum(built) < fuel
+
+
+def _image_pairs(seed):
+    """The source and target images of every step of 100 let-terms, and
+    the images of each let-term and the next."""
+    cfg = GenConfig(seed=seed)
+    for i in range(cfg.cases):
+        e, src = gen_mterm(cfg, i), from_moggi(gen_mterm(cfg, i))
+        yield src, from_moggi(gen_mterm(cfg, i + 1))
+        for s in m_enumerate_steps(e):
+            yield src, from_moggi(s.result)
+
+
+def _selected(t, key, sel):
+    """t's child at selector sel, with its key."""
+    i = [s for s, _, _ in t.KIDS].index(sel)
+    return getattr(t, t.KIDS[i][1]), key[i + 1]
+
+
+def _graft(t, key, path, sub):
+    """t's key with sub in place of the key of t's subterm at path."""
+    if not path:
+        return sub
+    i = [s for s, _, _ in t.KIDS].index(path[0]) + 1
+    return (*key[:i], _graft(*_selected(t, key, path[0]), path[1:], sub), *key[i + 1:])
+
+
+def _at(t, key, path):
+    for sel in path:
+        t, key = _selected(t, key, sel)
+    return t, key
+
+
+class TestConfinedSearch:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_diff_position_is_the_deepest_that_holds_the_difference(self, seed):
+        """b's subterm put into a at the position gives b up to alpha, and
+        at no child of the position does it."""
+        deep = 0
+        for a, b in _image_pairs(seed):
+            ka, kb = alpha_key(a), alpha_key(b)
+            if ka == kb:
+                continue
+            q = diff_position(a, ka, kb)
+            sub_a, _ = _at(a, ka, q)
+            sub_b, sub_kb = _at(b, kb, q)
+            assert _graft(a, ka, q, sub_kb) == kb
+            if type(sub_a) is type(sub_b):
+                for sel, _, _ in sub_a.KIDS:
+                    child = q + (sel,)
+                    assert _graft(a, ka, child, _at(b, kb, child)[1]) != kb
+            deep += len(q) > 0
+        assert deep > 100
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_confined_steps_replay(self, seed):
+        """Every step confined to a position is at or under it, replays to
+        its key, and is the whole step list's step at that position."""
+        rule_sets = (DEFAULT_RULES, DEFAULT_RULES | {Rule.ETA_C}, ALL_RULES)
+        confined = 0
+        for a, b in itertools.islice(_image_pairs(seed), 300):
+            ka = alpha_key(a)
+            q = diff_position(a, ka, alpha_key(b))
+            for rules in rule_sets:
+                got = ub_reduction.step_successors(rules, q)(a, ka)
+                for s in got:
+                    assert s.position[: len(q)] == q
+                    contractum = root_step(subterm_at(a, s.position), s.rule)
+                    assert alpha_key(replace_at(a, s.position, contractum)) == s.key
+                whole = enumerate_steps(a, rules, ka)
+                assert got == [s for s in whole if s.position[: len(q)] == q]
+                assert [s.key for s in got] == [s.key for s in whole if s.position[: len(q)] == q]
+                confined += len(got) < len(whole)
+        assert confined > 0
 
 
 class TestGrammar:

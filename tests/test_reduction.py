@@ -377,6 +377,13 @@ class TestJoinable:
         )
         assert joinable(left, right, fuel=150, rules=ALL_RULES) is False
 
+    def test_distinct_normal_forms_at_fuel_0(self):
+        # no step is refused for want of budget, so both searches are
+        # exhausted; a term with a step keeps the search open
+        a = parse_term("unit (\\x. unit x)")
+        assert joinable(a, parse_term("unit (\\y. unit (\\z. unit z))"), fuel=0) is False
+        assert joinable(a, parse_term("unit (\\y. unit y) * (\\z. unit z)"), fuel=0) is None
+
     @given(CLOSED_COMPS)
     @settings(max_examples=50)
     def test_sampled_confluence(self, m):
