@@ -37,7 +37,6 @@ from .reduction import (
     ass_measure,
     enumerate_steps,
     joinable,
-    memoised,
     normalize,
     parallel_reduces,
     parallel_successors,
@@ -622,15 +621,15 @@ def _moggi_preservation(cfg: GenConfig, e: moggi.MTerm):
 
 @suite("moggi-convertibility")
 def _moggi_convertibility(cfg: GenConfig, m: Comp):
-    # one memo of let-term expansions for this case's searches, dropped
-    # with the case; the step function is read from moggi when the case
-    # runs, so a replaced one (a tracer's hook, a test's patch) is used
+    # a step whose images meet by its rule's recipe is witnessed by the
+    # replay; only the others are searched, and only a search answers
+    # False or inconclusive
     source = moggi.to_moggi(m)
-    successors = memoised(moggi.m_enumerate_steps)
-    verdicts = [
-        moggi.convertible(source, moggi.to_moggi(step.result), cfg.fuel * 3, successors)
-        for step in enumerate_steps(m, DEFAULT_RULES)
-    ]
+    verdicts = []
+    for step in enumerate_steps(m, DEFAULT_RULES):
+        target = moggi.to_moggi(step.result)
+        verdicts.append(moggi.simulate(source, target, step) is not None
+                        or moggi.convertible(source, target, cfg.fuel * 3))
     if False in verdicts:
         return {}
     return INCONCLUSIVE if None in verdicts else PASS

@@ -9,7 +9,9 @@ substitution, alpha keys and positions are the unit/bind calculus's own.
 
 to_moggi maps unit/bind terms into the let calculus (unit disappears,
 bind becomes let); from_moggi maps back, wrapping translated values in
-unit so that every image is a computation.
+unit so that every image is a computation.  to_moggi is compositional,
+so each unit/bind step is simulated by a fixed short let-reduction at
+the image of its redex (``RECIPES``), which ``simulate`` replays.
 """
 from __future__ import annotations
 
@@ -20,6 +22,10 @@ from typing import Optional, Union
 
 from . import reduction as ub_reduction
 from .terms import (
+    BIND_LEFT,
+    BIND_RIGHT,
+    LAMBDA_BODY,
+    UNIT_ARG,
     Bind,
     Comp,
     Lambda,
@@ -101,36 +107,58 @@ class MStep:
     key: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
+def m_root_step(e: MTerm, rule: MRule) -> Optional[MTerm]:
+    """Contract e at the root by rule, or None if it does not match."""
+    match rule:
+        case MRule.BETA_V:
+            match e:
+                case MApp(MLam(x, body), arg) if is_mvalue(arg):
+                    return subst(body, x, arg)
+        case MRule.ETA_V:
+            match e:
+                case MLam(x, MApp(v, MVar(y))) if x == y and is_mvalue(v) and x not in v.fv:
+                    return v
+        case MRule.ID:
+            match e:
+                case MLet(x, bound, MVar(y)) if x == y:
+                    return bound
+        case MRule.COMP:
+            match e:
+                case MLet(x2, MLet(x1, e1, e2), body):
+                    if x1 in body.fv:
+                        new = fresh_var(all_vars(e) | body.fv)
+                        e2 = subst(e2, x1, MVar(new))
+                        x1 = new
+                    return MLet(x1, e1, MLet(x2, e2, body))
+        case MRule.LET_V:
+            match e:
+                case MLet(x, bound, body) if is_mvalue(bound):
+                    return subst(body, x, bound)
+        case MRule.LET_1:
+            match e:
+                case MApp(fn, arg) if not is_mvalue(fn):
+                    x = fresh_var(all_vars(e))
+                    return MLet(x, fn, MApp(MVar(x), arg))
+        case MRule.LET_2:
+            match e:
+                case MApp(fn, arg) if is_mvalue(fn) and not is_mvalue(arg):
+                    x = fresh_var(all_vars(e))
+                    return MLet(x, arg, MApp(fn, MVar(x)))
+    return None
+
+
+# The rules whose redexes have each constructor at the root, in MRule order.
+_ROOT_RULES = {
+    MVar: (),
+    MLam: (MRule.ETA_V,),
+    MApp: (MRule.BETA_V, MRule.LET_1, MRule.LET_2),
+    MLet: (MRule.ID, MRule.COMP, MRule.LET_V),
+}
+
+
 def m_root_steps(e: MTerm) -> list[MStep]:
-    out: list[MStep] = []
-    match e:
-        case MApp(MLam(x, body), arg) if is_mvalue(arg):
-            out.append(MStep(MRule.BETA_V, subst(body, x, arg)))
-    match e:
-        case MLam(x, MApp(v, MVar(y))) if x == y and is_mvalue(v) and x not in v.fv:
-            out.append(MStep(MRule.ETA_V, v))
-    match e:
-        case MLet(x, bound, MVar(y)) if x == y:
-            out.append(MStep(MRule.ID, bound))
-    match e:
-        case MLet(x2, MLet(x1, e1, e2), body):
-            if x1 in body.fv:
-                new = fresh_var(all_vars(e) | body.fv)
-                e2 = subst(e2, x1, MVar(new))
-                x1 = new
-            out.append(MStep(MRule.COMP, MLet(x1, e1, MLet(x2, e2, body))))
-    match e:
-        case MLet(x, bound, body) if is_mvalue(bound):
-            out.append(MStep(MRule.LET_V, subst(body, x, bound)))
-    match e:
-        case MApp(fn, arg) if not is_mvalue(fn):
-            x = fresh_var(all_vars(e))
-            out.append(MStep(MRule.LET_1, MLet(x, fn, MApp(MVar(x), arg))))
-    match e:
-        case MApp(fn, arg) if is_mvalue(fn) and not is_mvalue(arg):
-            x = fresh_var(all_vars(e))
-            out.append(MStep(MRule.LET_2, MLet(x, arg, MApp(fn, MVar(x)))))
-    return out
+    """The root steps of e, one per rule that matches, in MRule order."""
+    return [MStep(rule, result) for rule in _ROOT_RULES[type(e)] if (result := m_root_step(e, rule)) is not None]
 
 
 def m_enumerate_steps(e: MTerm, key: Optional[tuple] = None) -> list[MStep]:
@@ -295,28 +323,75 @@ def from_moggi(e: MTerm) -> Comp:
 # ------------------------------------------------------------- conversion
 
 
-def convertible(a, b, fuel: int = 300, successors=None) -> Optional[bool]:
+def convertible(a, b, fuel: int = 300) -> Optional[bool]:
     """Bounded bidirectional joinability on either calculus.
 
     True when a common reduct is found; False when both reachable sets
     were exhausted without meeting; None when budgets ran out
     (inconclusive, since conversion is only semi-decided by joining).
-    Let-terms search with ``reduction.meet`` over successors, by default
-    ``m_enumerate_steps`` as this module holds it when called; callers
-    that search from one term several times pass one
-    ``reduction.memoised(m_enumerate_steps)`` to every call so the
-    searches share their expansions, which changes no verdict.
-    Unit/bind computations search with ``reduction.joinable`` under the
-    default rules, and successors is not used.
+    Let-terms search with ``reduction.meet`` over ``m_enumerate_steps``
+    as this module holds it when called; unit/bind computations search
+    with ``reduction.joinable`` under the default rules.
     """
     let_terms = (MVar, MLam, MApp, MLet)
     if isinstance(a, let_terms) and isinstance(b, let_terms):
-        found = ub_reduction.meet(a, b, successors or m_enumerate_steps, fuel)
+        found = ub_reduction.meet(a, b, m_enumerate_steps, fuel)
     elif is_comp(a) and is_comp(b):
         found = ub_reduction.joinable(a, b, fuel)
     else:
         raise TypeError("convertible expects two let-terms or two unit/bind computations")
     return None if found is None else found is not False
+
+
+# -------------------------------------------------------------- simulation
+
+# Where a unit/bind selector's child lands in the image: a bind's right
+# operand is applied to the let's variable in the let-body, and unit
+# leaves its value in place.
+_IMAGE_SELECTORS = {
+    BIND_LEFT: ("let-bound",),
+    BIND_RIGHT: ("let-body", "app-fn"),
+    LAMBDA_BODY: ("lam-body",),
+    UNIT_ARG: (),
+}
+
+MSteps = tuple[tuple[MRule, Position], ...]
+
+# Each unit/bind rule's let-steps from the image of its redex and from the
+# image of its contractum, positions relative to that image, after which
+# the two are alpha-equal: betac is a let elimination and a beta, id a
+# beta in the let-body and a let identity, and ass a reassociation
+# followed on both sides by the beta of the inner continuation.
+RECIPES: dict[ub_reduction.Rule, tuple[MSteps, MSteps]] = {
+    ub_reduction.Rule.BETA_C: (((MRule.LET_V, ()), (MRule.BETA_V, ())), ()),
+    ub_reduction.Rule.ID: (((MRule.BETA_V, ("let-body",)), (MRule.ID, ())), ()),
+    ub_reduction.Rule.ASS: (
+        ((MRule.COMP, ()), (MRule.BETA_V, ("let-body", "let-bound"))),
+        ((MRule.BETA_V, ("let-body",)),),
+    ),
+}
+
+
+def image_position(p: Position) -> Position:
+    """The position in ``to_moggi(m)`` of the image of m's subterm at p."""
+    return tuple(sel for s in p for sel in _IMAGE_SELECTORS[s])
+
+
+def simulate(source_image: MTerm, target_image: MTerm, step: ub_reduction.Step) -> Optional[tuple[MSteps, MSteps]]:
+    """A witness that the images of a unit/bind step's source and target
+    are convertible: the let-steps of the step's recipe, placed at the
+    image of its position, from source_image and from target_image, when
+    both replay (``reduction.replay``) and end alpha-equal; None
+    otherwise, and for a rule without a recipe."""
+    recipe = RECIPES.get(step.rule)
+    if recipe is None:
+        return None
+    q = image_position(step.position)
+    witness = tuple(tuple((rule, q + at) for rule, at in side) for side in recipe)
+    ends = [ub_reduction.replay(t, side, m_root_step) for t, side in zip((source_image, target_image), witness)]
+    if any(end is None for end in ends) or alpha_key(ends[0]) != alpha_key(ends[1]):
+        return None
+    return witness
 
 
 # ------------------------------------------------------------ preservation
@@ -403,11 +478,9 @@ def _confined(src: Comp, src_key: tuple, dst: Comp, key: tuple, rule: MRule, fue
         found = ub_reduction.meet(src, dst, successors(ub_reduction.ALL_RULES, at), fuel, whole=True)
         return (False, -1, True) if is_comp(found) else None
 
-    if rule is MRule.LET_2:
-        # the target needs eta: join at each position right after the forward search
-        tries = [(search, at) for at in levels for search in (reach, join)]
-    else:
-        tries = [(reach, at) for at in levels] + [(join, at) for at in levels]
+    joins = [(join, at) for at in levels]
+    # a let2 target needs eta, which the forward search does not take
+    tries = joins if rule is MRule.LET_2 else [(reach, at) for at in levels] + joins
     for search, at in tries:
         found = search(at)
         if found is not None:

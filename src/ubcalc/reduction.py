@@ -14,6 +14,8 @@ together with their compatible closure, complete developments, the
 left-of-star termination measure for ass, and the bounded breadth-first
 search both calculi share: ``explore`` from one term, ``meet`` from two,
 and ``memoised`` to let several searches share one state's expansion.
+``replay`` applies a recorded list of (rule, position) steps in either
+calculus, where a search is not needed.
 ``joinable`` runs ``meet`` on unit/bind terms and returns a common
 reduct, False once both reachable sets are exhausted without meeting, or
 None when a budget runs out first.  Without etac the rules are
@@ -130,6 +132,23 @@ def enumerate_steps(
     if key is None:
         return [Step(rule, path, replace_at(m, path, c)) for rule, path, c in redexes]
     return [Step(rule, path, *replace_keyed(m, key, path, c)) for rule, path, c in redexes]
+
+
+def replay(t, steps, contract=root_step):
+    """t after each (rule, position) of steps in turn, or None as soon as
+    one does not apply: contract(sub, rule) gives the subterm at the
+    position contracted by the rule, or None.  With ``root_step`` it
+    replays unit/bind steps; ``moggi.m_root_step`` replays let-steps."""
+    for rule, path in steps:
+        try:
+            sub = subterm_at(t, path)
+        except ValueError:  # the position is not in t
+            return None
+        contractum = contract(sub, rule)
+        if contractum is None:
+            return None
+        t = replace_at(t, path, contractum)
+    return t
 
 
 def first_step(m: Comp, rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES) -> Optional[Step]:

@@ -19,14 +19,17 @@ from ubcalc.moggi import (
     convertible,
     from_moggi,
     from_moggi_value,
+    image_position,
     image_reaches,
     m_enumerate_steps,
     m_parse,
     m_print,
+    m_root_step,
     m_root_steps,
+    simulate,
     to_moggi,
 )
-from ubcalc.reduction import ALL_RULES, DEFAULT_RULES, Rule, enumerate_steps, root_step
+from ubcalc.reduction import ALL_RULES, DEFAULT_RULES, Rule, enumerate_steps, replay, root_step
 from ubcalc.terms import (
     Lambda,
     Unit,
@@ -37,6 +40,7 @@ from ubcalc.terms import (
     is_comp,
     omega_c,
     parse_term,
+    positions,
     replace_at,
     subst,
     subterm_at,
@@ -404,9 +408,15 @@ def _oracle_pairs():
         yield e, gen_mterm(ORACLE_CFG, i + 1)
         for s in _ref_m_enumerate_steps(e)[:2]:
             yield e, s.result
+    for m, s in _ub_oracle_steps():
+        yield to_moggi(m), to_moggi(s.result)
+
+
+def _ub_oracle_steps():
+    """The oracle's unit/bind terms, each with its first two steps."""
     for m in gen_terms(ORACLE_CFG):
         for s in enumerate_steps(m)[:2]:
-            yield to_moggi(m), to_moggi(s.result)
+            yield m, s
 
 
 class TestSearchOracles:
@@ -431,24 +441,17 @@ class TestSearchOracles:
         assert verdicts == {True, False, None}
 
     def test_shared_searches_match_full_searches(self):
+        """One source searched against each of several targets in turn:
+        every verdict equals the full searches'."""
         groups: dict[tuple, tuple] = {}
         for a, b in _oracle_pairs():
             groups.setdefault(alpha_key(a), (a, []))[1].append(b)
         assert any(len(targets) > 1 for _, targets in groups.values())
         for fuel in ORACLE_FUELS:
             for source, targets in groups.values():
-                expanded = []
-
-                def counted(t, key):
-                    expanded.append(key)
-                    return m_enumerate_steps(t, key)
-
-                successors = ub_reduction.memoised(counted)
                 for target in targets:
                     want = _ref_convertible(source, target, fuel)
-                    assert convertible(source, target, fuel, successors) is want, (
-                        m_print(source), m_print(target), fuel)
-                assert len(expanded) == len(set(expanded))
+                    assert convertible(source, target, fuel) is want, (m_print(source), m_print(target), fuel)
 
     def test_check_preservation_searches_each_source_once(self, monkeypatch):
         expanded, joining = [], []
@@ -609,6 +612,98 @@ class TestConfinedSearch:
                 assert [s.key for s in got] == [s.key for s in whole if s.position[: len(q)] == q]
                 confined += len(got) < len(whole)
         assert confined > 0
+
+
+def _ub_step_images(cfg):
+    """Every default-rule step of cfg's unit/bind terms, with the images
+    of its source and target."""
+    for m in gen_terms(cfg):
+        source = to_moggi(m)
+        for step in enumerate_steps(m, DEFAULT_RULES):
+            yield step, source, to_moggi(step.result)
+
+
+def _meets(source, target, witness):
+    """Whether both sides of witness replay and end alpha-equal."""
+    ends = [replay(t, side, m_root_step) for t, side in zip((source, target), witness)]
+    return None not in ends and alpha_key(ends[0]) == alpha_key(ends[1])
+
+
+_M_SELECTORS = ("lam-body", "app-fn", "app-arg", "let-bound", "let-body")
+
+
+class TestSimulation:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_image_position_holds_the_image(self, seed):
+        """The let-subterm at a position's image is the image of the
+        unit/bind subterm at the position."""
+        for m in gen_terms(GenConfig(seed=seed)):
+            image = to_moggi(m)
+            for p, sub in positions(m):
+                assert alpha_key(subterm_at(image, image_position(p))) == alpha_key(to_moggi(sub))
+
+    @pytest.mark.parametrize("max_size", [25, 50, 100])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_every_step_has_a_witness(self, seed, max_size):
+        steps = 0
+        for step, source, target in _ub_step_images(GenConfig(seed=seed, max_size=max_size, cases=50)):
+            witness = simulate(source, target, step)
+            assert witness is not None and _meets(source, target, witness), (m_print(source), step.rule)
+            steps += 1
+        assert steps > 100
+
+    def test_a_witness_never_meets_a_refutation(self):
+        """On the unit/bind half of the oracle pairs a witness exists, the
+        full searches never refute it, and at fuel 300 they find the meet."""
+        pairs = [(step, to_moggi(m), to_moggi(step.result)) for m, step in _ub_oracle_steps()]
+        for fuel in ORACLE_FUELS:
+            for step, source, target in pairs:
+                assert simulate(source, target, step) is not None
+                want = _ref_convertible(source, target, fuel)
+                assert want is not False and (fuel < 300 or want is True), (m_print(source), fuel)
+
+    def test_a_changed_witness_fails(self):
+        """A witness with one step's rule, or its position, changed to its
+        parent's or to a child's no longer meets, unless the changed step
+        gives the term the original gave (``let x = V in x`` is both an id
+        and a letv redex)."""
+        failed = 0
+        for step, source, target in _ub_step_images(GenConfig(seed=0, cases=30)):
+            witness = simulate(source, target, step)
+            for side, steps in enumerate(witness):
+                start = (source, target)[side]
+                for i, (rule, at) in enumerate(steps):
+                    variants = [(other, at) for other in MRule if other is not rule]
+                    variants += [(rule, at[:-1])] if at else []
+                    variants += [(rule, at + (sel,)) for sel in _M_SELECTORS]
+                    for variant in variants:
+                        bad = list(witness)
+                        bad[side] = steps[:i] + (variant,) + steps[i + 1:]
+                        if _meets(source, target, bad):
+                            same = replay(start, bad[side][: i + 1], m_root_step)
+                            assert alpha_key(same) == alpha_key(replay(start, steps[: i + 1], m_root_step))
+                        else:
+                            failed += 1
+        assert failed > 100
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_no_step_is_searched(self, seed, monkeypatch):
+        searched = []
+        real = moggi.convertible
+        monkeypatch.setattr(moggi, "convertible", lambda *args: searched.append(args) or real(*args))
+        report = run_suite("moggi-convertibility", GenConfig(seed=seed))
+        assert report.passes == report.cases > 0 and not searched
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_suite_without_witnesses_gives_the_search_verdicts(self, seed, monkeypatch):
+        cfg = GenConfig(seed=seed, cases=40)
+        witnessed = run_suite("moggi-convertibility", cfg).to_json()
+        searched = []
+        real = moggi.convertible
+        monkeypatch.setattr(moggi, "simulate", lambda *args: None)
+        monkeypatch.setattr(moggi, "convertible", lambda *args: searched.append(args) or real(*args))
+        assert run_suite("moggi-convertibility", cfg).to_json() == witnessed
+        assert searched
 
 
 class TestGrammar:

@@ -20,6 +20,7 @@ from ubcalc.reduction import (
     normalize,
     parallel_reduces,
     parallel_successors,
+    replay,
     root_step,
     star,
 )
@@ -35,6 +36,7 @@ from ubcalc.terms import (
     omega_c,
     parse_term,
     print_term,
+    subterm_at,
     subterms,
 )
 
@@ -95,6 +97,39 @@ class TestEnumerate:
         t = parse_term("(unit v * (\\x. unit x)) * (\\y. unit w * (\\z. unit z))")
         positions = [s.position for s in enumerate_steps(t)]
         assert positions == sorted(positions, key=lambda p: (len(p) > 0, p))
+
+
+class TestReplay:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_every_step_replays_to_its_result(self, seed):
+        """Each step replays with root_step to its result's key.  The step
+        with another rule, or at its parent's or a child's position, replays
+        exactly when it is a step too, and not at all at a position outside
+        the term."""
+        refused = 0
+        for m in gen_terms(GenConfig(seed=seed)):
+            steps = {(s.rule, s.position): alpha_key(s.result) for s in enumerate_steps(m, ALL_RULES)}
+            for (rule, path), key in steps.items():
+                assert alpha_key(replay(m, [(rule, path)], root_step)) == key
+                changed = [(other, path) for other in Rule if other is not rule]
+                changed += [(rule, path[:-1])] if path else []
+                changed += [(rule, path + (sel,)) for sel, _, _ in subterm_at(m, path).KIDS]
+                for step in changed:
+                    got = replay(m, [step], root_step)
+                    if step in steps:
+                        assert alpha_key(got) == steps[step]
+                    else:
+                        assert got is None
+                        refused += 1
+                assert replay(m, [(rule, path + ("let-bound",))], root_step) is None
+        assert refused > 0
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_a_normalization_trace_replays_to_its_end(self, seed):
+        for m in gen_terms(GenConfig(seed=seed, cases=30)):
+            out = normalize(m, fuel=50, keep_trace=True)
+            got = replay(m, [(s.rule, s.position) for s in out.trace])
+            assert alpha_key(got) == alpha_key(out.term)
 
 
 class TestNormalize:
