@@ -9,9 +9,12 @@ substitution, alpha keys and positions are the unit/bind calculus's own.
 
 to_moggi maps unit/bind terms into the let calculus (unit disappears,
 bind becomes let); from_moggi maps back, wrapping translated values in
-unit so that every image is a computation.  to_moggi is compositional,
-so each unit/bind step is simulated by a fixed short let-reduction at
-the image of its redex (``RECIPES``), which ``simulate`` replays.
+unit so that every image is a computation.  Both translations are
+compositional, so each step of either calculus is simulated by a fixed
+short reduction of the other at the image of its redex (``RECIPES``):
+``simulate`` replays a unit/bind step's let-steps, and
+``check_preservation`` a let-step's unit/bind steps, searching with
+``reduction.joinable`` only where a recipe does not meet.
 """
 from __future__ import annotations
 
@@ -39,12 +42,12 @@ from .terms import (
     Variable,
     all_vars,
     alpha_key,
-    diff_position,
     fresh_var,
     is_comp,
     positions,
     replace_keyed,
     subst,
+    subterm_at,
 )
 
 
@@ -104,6 +107,7 @@ class MRule(enum.Enum):
 class MStep:
     rule: MRule
     result: MTerm
+    position: Position = ()
     key: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
@@ -164,10 +168,10 @@ def m_root_steps(e: MTerm) -> list[MStep]:
 def m_enumerate_steps(e: MTerm, key: Optional[tuple] = None) -> list[MStep]:
     """One-step reducts under the full compatible closure (under lambda,
     both application operands, both let positions), one per rule and alpha
-    class, each with its key, derived from e's key (computed when not
-    given) along the step's path.  Contexts keep distinct keys distinct,
-    so one deduplication at the root removes what one at every position
-    would."""
+    class, each with the position of its first redex in preorder and its
+    key, derived from e's key (computed when not given) along the path.
+    Contexts keep distinct keys distinct, so one deduplication at the root
+    removes what one at every position would."""
     if key is None:
         key = alpha_key(e)
     out: dict[tuple, MStep] = {}
@@ -175,7 +179,7 @@ def m_enumerate_steps(e: MTerm, key: Optional[tuple] = None) -> list[MStep]:
         for s in m_root_steps(sub):
             result, k = replace_keyed(e, key, path, s.result)
             if (s.rule, k) not in out:
-                out[s.rule, k] = MStep(s.rule, result, k)
+                out[s.rule, k] = MStep(s.rule, result, path, k)
     return list(out.values())
 
 
@@ -267,17 +271,26 @@ def m_parse(text: str) -> MTerm:
 
 
 def to_moggi(t: Term) -> MTerm:
-    """unit disappears, bind sequences through a fresh let."""
+    """unit disappears, bind sequences through a let whose variable is
+    fresh for every name in the bind (``all_vars``)."""
+    return _to_moggi(t)[0]
+
+
+def _to_moggi(t: Term) -> tuple[MTerm, frozenset[str]]:
+    """t's image and ``all_vars(t)``, built in one walk of t."""
     match t:
         case Variable(name):
-            return MVar(name)
+            return MVar(name), t.fv
         case Lambda(x, body):
-            return MLam(x, to_moggi(body))
+            image, names = _to_moggi(body)
+            return MLam(x, image), names | {x}
         case Unit(v):
-            return to_moggi(v)
+            return _to_moggi(v)
         case Bind(left, right):
-            x = fresh_var(all_vars(left) | all_vars(right))
-            return MLet(x, to_moggi(left), MApp(to_moggi(right), MVar(x)))
+            (left, left_names), (right, right_names) = _to_moggi(left), _to_moggi(right)
+            names = left_names | right_names
+            x = fresh_var(names)
+            return MLet(x, left, MApp(right, MVar(x))), names
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -345,6 +358,11 @@ def convertible(a, b, fuel: int = 300) -> Optional[bool]:
 
 # -------------------------------------------------------------- simulation
 
+# (rule, position) steps of either calculus, as ``reduction.replay`` takes
+# them, and a witness: the steps from a source and from a target to one term.
+Steps = tuple[tuple[enum.Enum, Position], ...]
+Witness = tuple[Steps, Steps]
+
 # Where a unit/bind selector's child lands in the image: a bind's right
 # operand is applied to the let's variable in the let-body, and unit
 # leaves its value in place.
@@ -355,20 +373,43 @@ _IMAGE_SELECTORS = {
     UNIT_ARG: (),
 }
 
-MSteps = tuple[tuple[MRule, Position], ...]
+# Where a let-term's child lands in the image of its parent, by selector
+# and by whether the parent applies a value function: a non-value
+# function runs first and its argument in the continuation, while a value
+# function is the continuation of its argument (``from_moggi_comp``).
+_LET_IMAGE_SELECTORS = {
+    ("lam-body", False): (LAMBDA_BODY,),
+    ("let-bound", False): (BIND_LEFT,),
+    ("let-body", False): (BIND_RIGHT, LAMBDA_BODY),
+    ("app-fn", False): (BIND_LEFT,),
+    ("app-arg", False): (BIND_RIGHT, LAMBDA_BODY, BIND_LEFT),
+    ("app-fn", True): (BIND_RIGHT,),
+    ("app-arg", True): (BIND_LEFT,),
+}
 
-# Each unit/bind rule's let-steps from the image of its redex and from the
-# image of its contractum, positions relative to that image, after which
-# the two are alpha-equal: betac is a let elimination and a beta, id a
-# beta in the let-body and a let identity, and ass a reassociation
-# followed on both sides by the beta of the inner continuation.
-RECIPES: dict[ub_reduction.Rule, tuple[MSteps, MSteps]] = {
+# Each rule's steps in the other calculus from the image of its redex and
+# from the image of its contractum, positions relative to that image,
+# after which the two are alpha-equal.  A unit/bind rule's are let-steps:
+# betac is a let elimination and a beta, id a beta in the let-body and a
+# let identity, and ass a reassociation followed on both sides by the
+# beta of the inner continuation.  A let-rule's are unit/bind steps: betav
+# and letv are a betac, id and comp an id and an ass, etav an etac at the
+# value image, let1 leaves the image as it is, and let2's target image is
+# the source image with its continuation eta-expanded.
+RECIPES: dict[enum.Enum, Witness] = {
     ub_reduction.Rule.BETA_C: (((MRule.LET_V, ()), (MRule.BETA_V, ())), ()),
     ub_reduction.Rule.ID: (((MRule.BETA_V, ("let-body",)), (MRule.ID, ())), ()),
     ub_reduction.Rule.ASS: (
         ((MRule.COMP, ()), (MRule.BETA_V, ("let-body", "let-bound"))),
         ((MRule.BETA_V, ("let-body",)),),
     ),
+    MRule.BETA_V: (((ub_reduction.Rule.BETA_C, ()),), ()),
+    MRule.LET_V: (((ub_reduction.Rule.BETA_C, ()),), ()),
+    MRule.ID: (((ub_reduction.Rule.ID, ()),), ()),
+    MRule.COMP: (((ub_reduction.Rule.ASS, ()),), ()),
+    MRule.ETA_V: (((ub_reduction.Rule.ETA_C, ()),), ()),
+    MRule.LET_1: ((), ()),
+    MRule.LET_2: ((), ((ub_reduction.Rule.ETA_C, (BIND_RIGHT,)),)),
 }
 
 
@@ -377,7 +418,34 @@ def image_position(p: Position) -> Position:
     return tuple(sel for s in p for sel in _IMAGE_SELECTORS[s])
 
 
-def simulate(source_image: MTerm, target_image: MTerm, step: ub_reduction.Step) -> Optional[tuple[MSteps, MSteps]]:
+def let_image_position(e: MTerm, p: Position) -> Position:
+    """The position in ``from_moggi(e)`` of the image of e's subterm at
+    p: of its value image when the subterm is a value (under unit, except
+    as an application's value function), else of its computation image."""
+    q = (UNIT_ARG,) if is_mvalue(e) else ()
+    for sel in p:
+        fn_value = isinstance(e, MApp) and is_mvalue(e.fn)
+        e = subterm_at(e, (sel,))
+        q += _LET_IMAGE_SELECTORS[sel, fn_value]
+        if is_mvalue(e) and (sel, fn_value) != ("app-fn", True):
+            q += (UNIT_ARG,)
+    return q
+
+
+def _meeting(source, target, witness: Witness, contract) -> Optional[Witness]:
+    """witness when its two sides replay from source and from target
+    (``reduction.replay`` with contract) and end alpha-equal, else None."""
+    ends = [ub_reduction.replay(t, side, contract) for t, side in zip((source, target), witness)]
+    if any(end is None for end in ends) or alpha_key(ends[0]) != alpha_key(ends[1]):
+        return None
+    return witness
+
+
+def _placed(recipe: Witness, q: Position) -> Witness:
+    return tuple(tuple((rule, q + at) for rule, at in side) for side in recipe)
+
+
+def simulate(source_image: MTerm, target_image: MTerm, step: ub_reduction.Step) -> Optional[Witness]:
     """A witness that the images of a unit/bind step's source and target
     are convertible: the let-steps of the step's recipe, placed at the
     image of its position, from source_image and from target_image, when
@@ -386,12 +454,21 @@ def simulate(source_image: MTerm, target_image: MTerm, step: ub_reduction.Step) 
     recipe = RECIPES.get(step.rule)
     if recipe is None:
         return None
-    q = image_position(step.position)
-    witness = tuple(tuple((rule, q + at) for rule, at in side) for side in recipe)
-    ends = [ub_reduction.replay(t, side, m_root_step) for t, side in zip((source_image, target_image), witness)]
-    if any(end is None for end in ends) or alpha_key(ends[0]) != alpha_key(ends[1]):
-        return None
-    return witness
+    return _meeting(source_image, target_image, _placed(recipe, image_position(step.position)), m_root_step)
+
+
+def _let_witness(e: MTerm, source_image: Comp, target_image: Comp, step: MStep) -> Optional[Witness]:
+    """The unit/bind steps of a let-step's recipe, placed at the image of
+    its redex, when they carry ``from_moggi`` of e and of the step's
+    result to one term; None otherwise.  A non-value function that
+    contracts to a value moves its application to the other case of
+    ``from_moggi_comp``, one betac at the application's image further."""
+    p = step.position
+    q = let_image_position(e, p)
+    source, target = _placed(RECIPES[step.rule], q)
+    if p[-1:] == ("app-fn",) and not is_mvalue(subterm_at(e, p)) and is_mvalue(subterm_at(step.result, p)):
+        source += ((ub_reduction.Rule.BETA_C, q[:-1]),)
+    return _meeting(source_image, target_image, (source, target), ub_reduction.root_step)
 
 
 # ------------------------------------------------------------ preservation
@@ -400,12 +477,12 @@ def simulate(source_image: MTerm, target_image: MTerm, step: ub_reduction.Step) 
 @dataclass(frozen=True, slots=True)
 class PreservationResult:
     """One step's verdict: ``reached`` when the source image reduces to
-    the target image, in ``steps`` steps (-1 when it does not): the depth
-    at which the first search that reached the target found it, which
-    may exceed the shortest reduction when a search confined to a subterm
-    found it first; ``eta_join`` when it is not reached but the two
-    images join with eta; ``refuted`` when neither holds and both
-    whole-term searches were exhausted, so no budget would find either."""
+    the target image, in ``steps`` steps (-1 when it does not), the
+    length of the recipe's source side; ``eta_join`` when it is not
+    reached but the two images join with eta; ``refuted`` when neither
+    holds and the fallback join was exhausted without a meet.
+    ``witness`` holds the recipe's two step lists, placed as ``simulate``
+    places them, when they meet; None for a verdict of the fallback."""
 
     rule: MRule
     source_image: Comp
@@ -414,6 +491,7 @@ class PreservationResult:
     steps: int
     eta_join: bool = False
     refuted: bool = False
+    witness: Optional[Witness] = None
 
     @property
     def preserved(self) -> Optional[bool]:
@@ -424,123 +502,31 @@ class PreservationResult:
         return False if self.refuted else None
 
 
-def _forward_rules(allow_eta: bool) -> frozenset:
-    return ub_reduction.DEFAULT_RULES | ({ub_reduction.Rule.ETA_C} if allow_eta else set())
-
-
-def _first_depths(src: Comp, successors, targets: set, fuel: int) -> tuple[dict[tuple, int], bool]:
-    """The depth at which one breadth-first search from src over
-    successors, with fuel steps, first reaches each target key it
-    reaches, and whether the search exhausted the reachable set.  The
-    search stops once every target has appeared (not exhausted, then).
-    Its (key, depth) sequence is fixed, so a search for one target would
-    see a prefix of it."""
-    search = ub_reduction.explore(src, successors, fuel, set())
-    depths: dict[tuple, int] = {}
-    while len(depths) < len(targets):
-        try:
-            k, _, d = next(search)
-        except StopIteration as stop:
-            return depths, stop.value
-        if k in targets:
-            depths[k] = d
-    return depths, False
-
-
-def image_reaches(src: Comp, dst: Comp, fuel: int, allow_eta: bool) -> tuple[bool, int]:
-    """Breadth-first check that src reduces to dst (up to alpha), with
-    fuel steps: whether it does and in how many steps (-1 when not).
-    The one-target case of the whole-term search ``check_preservation``
-    runs."""
-    target = alpha_key(dst)
-    successors = ub_reduction.step_successors(_forward_rules(allow_eta))
-    depth = _first_depths(src, successors, {target}, fuel)[0].get(target, -1)
-    return depth >= 0, depth
-
-
-def _confined(src: Comp, src_key: tuple, dst: Comp, key: tuple, rule: MRule, fuel: int, successors):
-    """(reached, steps, eta_join) as found by searches confined to a
-    subterm: forward from src, then a join with eta, each within the
-    position where the two images differ and then within each of its
-    ancestors below the root, each with fuel steps of its own; None when
-    none of them succeeds.  Every state such a search visits is a reduct
-    of its start, so what it finds is a witness; what it misses proves
-    nothing."""
-    q = diff_position(src, src_key, key)
-    levels = [q[:n] for n in range(len(q), 0, -1)]
-    forward = _forward_rules(rule is MRule.ETA_V)
-
-    def reach(at):
-        depth = _first_depths(src, successors(forward, at), {key}, fuel)[0].get(key)
-        return None if depth is None else (True, depth, False)
-
-    def join(at):
-        found = ub_reduction.meet(src, dst, successors(ub_reduction.ALL_RULES, at), fuel, whole=True)
-        return (False, -1, True) if is_comp(found) else None
-
-    joins = [(join, at) for at in levels]
-    # a let2 target needs eta, which the forward search does not take
-    tries = joins if rule is MRule.LET_2 else [(reach, at) for at in levels] + joins
-    for search, at in tries:
-        found = search(at)
-        if found is not None:
-            return found
-    return None
-
-
 def check_preservation(e: MTerm, fuel: int = 400) -> list[PreservationResult]:
-    """For every one-step reduct e > e', verify the translation of e
-    reaches the translation of e'.
+    """For every one-step reduct e > e', check that the translation of e
+    reaches, or joins with eta, the translation of e'.
 
-    Eta is enabled for eta steps.  The translation is compositional, so
-    a step changes the image in one subterm, and each step is first
-    searched there: an alpha-equal target is reached at depth 0;
-    otherwise searches confined to the position where the images differ,
-    and then to its ancestors below the root, look for the target
-    forward and then for a join with eta (``_confined``).  Sequencing
-    steps that name a non-value argument eta-expand the function position
-    in the image, so there the images are connected by an eta step from
-    the target back to the source, and only the join finds them.  The
-    targets still open after that are searched from the whole source
-    image, once per rule set in use for all of them at once (the default
-    rules, and the default rules with etac when some open step is an eta
-    step), with the verdicts of one ``image_reaches`` per target, and
-    those not reached are joined with eta by ``reduction.joinable``.
-    Every confined search of one call shares one memo of expansions per
-    rule set and position.  A step neither reached nor joined is refuted
-    only when its whole-term forward search and its join were both
-    exhausted; otherwise it is inconclusive.
+    The translation is compositional, so each step is matched by its
+    rule's recipe (``RECIPES``) at the image of its redex, replayed with
+    ``reduction.replay``: a recipe without target-side steps is a
+    reduction from the source image, and let2's, an etac from the target
+    image back to the source image, is a join with eta.  A step whose
+    recipe does not meet goes to one ``reduction.joinable`` with every
+    rule and fuel steps a side: a common reduct is a join with eta, and a
+    join exhausted without one refutes the step, since every forward
+    reduct of the source image would have been a common reduct; a spent
+    budget leaves it inconclusive.
     """
     src = from_moggi(e)
-    src_key = alpha_key(src)
-    memos: dict[tuple, object] = {}
-
-    def successors(rules: frozenset, at: Position = ()):
-        if (rules, at) not in memos:
-            memos[rules, at] = ub_reduction.memoised(ub_reduction.step_successors(rules, at))
-        return memos[rules, at]
-
-    steps = [(s.rule, from_moggi(s.result)) for s in m_enumerate_steps(e)]
-    keys = [alpha_key(dst) for _, dst in steps]
-    found = [
-        (True, 0, False) if k == src_key else _confined(src, src_key, dst, k, rule, fuel, successors)
-        for (rule, dst), k in zip(steps, keys)
-    ]
-    searches = {}
-    for allow_eta in (False, True):
-        targets = {
-            k for (rule, _), k, f in zip(steps, keys, found) if f is None and (rule is MRule.ETA_V) == allow_eta
-        }
-        if targets:
-            searches[allow_eta] = _first_depths(src, successors(_forward_rules(allow_eta)), targets, fuel)
     out = []
-    for (rule, dst), k, f in zip(steps, keys, found):
-        if f is not None:
-            out.append(PreservationResult(rule, src, dst, *f))
+    for step in m_enumerate_steps(e):
+        dst = from_moggi(step.result)
+        witness = _let_witness(e, src, dst, step)
+        if witness is not None:
+            reached = not witness[1]
+            out.append(PreservationResult(step.rule, src, dst, reached, len(witness[0]) if reached else -1,
+                                          not reached, witness=witness))
             continue
-        depths, exhausted = searches[rule is MRule.ETA_V]
-        n = depths.get(k, -1)
-        ok = n >= 0
-        join = None if ok else ub_reduction.joinable(src, dst, fuel, ub_reduction.ALL_RULES)
-        out.append(PreservationResult(rule, src, dst, ok, n, is_comp(join), exhausted and join is False))
+        join = ub_reduction.joinable(src, dst, fuel, ub_reduction.ALL_RULES)
+        out.append(PreservationResult(step.rule, src, dst, False, -1, is_comp(join), join is False))
     return out

@@ -12,10 +12,9 @@ plus the optional, confluence-breaking value rule
 
 together with their compatible closure, complete developments, the
 left-of-star termination measure for ass, and the bounded breadth-first
-search both calculi share: ``explore`` from one term, ``meet`` from two,
-and ``memoised`` to let several searches share one state's expansion.
-``replay`` applies a recorded list of (rule, position) steps in either
-calculus, where a search is not needed.
+search both calculi share: ``explore`` from one term and ``meet`` from
+two.  ``replay`` applies a recorded list of (rule, position) steps in
+either calculus, where a search is not needed.
 ``joinable`` runs ``meet`` on unit/bind terms and returns a common
 reduct, False once both reachable sets are exhausted without meeting, or
 None when a budget runs out first.  Without etac the rules are
@@ -122,13 +121,11 @@ def enumerate_steps(
     m: Comp,
     rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES,
     key: Optional[tuple] = None,
-    at: Position = (),
 ) -> list[Step]:
-    """All one-step reducts of m, leftmost-outermost first, or only those
-    whose redex is at or under the position at.  Given m's alpha key,
-    each step carries its result's key, derived from m's along the step's
-    path (``terms.replace_keyed``); otherwise none."""
-    redexes = ((rule, at + path, c) for rule, path, c in _redexes(subterm_at(m, at), rules))
+    """All one-step reducts of m, leftmost-outermost first.  Given m's
+    alpha key, each step carries its result's key, derived from m's along
+    the step's path (``terms.replace_keyed``); otherwise none."""
+    redexes = _redexes(m, rules)
     if key is None:
         return [Step(rule, path, replace_at(m, path, c)) for rule, path, c in redexes]
     return [Step(rule, path, *replace_keyed(m, key, path, c)) for rule, path, c in redexes]
@@ -385,30 +382,7 @@ def joinable(
     return meet(m, n, step_successors(rules), fuel, whole=True)
 
 
-def step_successors(rules: frozenset[Rule] | set[Rule], at: Position = ()):
+def step_successors(rules: frozenset[Rule] | set[Rule]):
     """successors for ``explore`` and ``meet`` on unit/bind terms: the
-    steps of a state under rules, keyed from the state's key; with at,
-    only the steps at or under that position, so a search from a term
-    changes it only there."""
-    return lambda t, key: enumerate_steps(t, rules, key, at)
-
-
-def memoised(successors):
-    """successors that calls successors(t, key) once per key for as long
-    as it lives and then hands back the stored steps, so searches that
-    share it expand each state once.
-
-    For an alpha-variant of a state already expanded, the steps are the
-    ones built the first time: alpha-equal results with the same keys in
-    the same order.  So a search that reads only keys and depths, or whose
-    result is reduced to a bool, gives the same verdict with or without
-    the memo."""
-    memo: dict[tuple, list] = {}
-
-    def cached(t, key):
-        steps = memo.get(key)
-        if steps is None:
-            steps = memo[key] = successors(t, key)
-        return steps
-
-    return cached
+    steps of a state under rules, keyed from the state's key."""
+    return lambda t, key: enumerate_steps(t, rules, key)

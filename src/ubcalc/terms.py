@@ -353,23 +353,6 @@ def replace_keyed(t: Node, key: tuple, path: Position, new: Node) -> tuple[Node,
     return new, new_key
 
 
-def diff_position(t: Node, key: tuple, other: tuple) -> Position:
-    """The deepest position of t outside which t's alpha key, key, and
-    the key other agree.  Walks both keys in parallel, down the one
-    child in which they differ, and stops where they differ in the head
-    or in more than one child (the root, when they are equal)."""
-    path = []
-    while key != other and t.KIDS and key[0] == other[0]:
-        differ = [i for i in range(1, len(key)) if key[i] != other[i]]
-        if len(differ) > 1:
-            break
-        i = differ[0]
-        sel, field, _ = t.KIDS[i - 1]
-        path.append(sel)
-        t, key, other = getattr(t, field), key[i], other[i]
-    return tuple(path)
-
-
 def with_child(t: Node, field: str, new: Node) -> Node:
     """t with the child in field replaced by new."""
     return type(t)(*[new if f == field else getattr(t, f) for f in t.__match_args__])

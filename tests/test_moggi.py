@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -18,9 +19,11 @@ from ubcalc.moggi import (
     check_preservation,
     convertible,
     from_moggi,
+    from_moggi_comp,
     from_moggi_value,
     image_position,
-    image_reaches,
+    is_mvalue,
+    let_image_position,
     m_enumerate_steps,
     m_parse,
     m_print,
@@ -29,42 +32,54 @@ from ubcalc.moggi import (
     simulate,
     to_moggi,
 )
-from ubcalc.reduction import ALL_RULES, DEFAULT_RULES, Rule, enumerate_steps, replay, root_step
+from ubcalc.reduction import DEFAULT_RULES, enumerate_steps, replay, root_step
 from ubcalc.terms import (
+    BIND_LEFT,
+    BIND_RIGHT,
+    LAMBDA_BODY,
+    UNIT_ARG,
+    Bind,
     Lambda,
     Unit,
     Variable,
     alpha_eq,
     alpha_key,
-    diff_position,
+    all_vars,
     is_comp,
     omega_c,
     parse_term,
     positions,
-    replace_at,
     subst,
     subterm_at,
 )
 
 
-def mterms(size, env):
+def mterms(size, env, binders=None):
+    """Every let-term of the size over the free names env, each binder
+    named by its size, or drawn from binders when given."""
     if size <= 0:
         return
     if size == 1:
         for v in env:
             yield MVar(v)
         return
-    binder = f"m{size}"
-    for b in mterms(size - 1, env + [binder]):
-        yield MLam(binder, b)
+    names = binders or [f"m{size}"]
+    for binder in names:
+        for b in mterms(size - 1, env + [binder], binders):
+            yield MLam(binder, b)
     for ls in range(1, size - 1):
-        for f in mterms(ls, env):
-            for a in mterms(size - 1 - ls, env):
+        for f in mterms(ls, env, binders):
+            for a in mterms(size - 1 - ls, env, binders):
                 yield MApp(f, a)
-    for ls in range(1, size - 2):
-        for bound in mterms(ls, env):
-            for body in mterms(size - 2 - ls, env + [binder]):
-                yield MLet(binder, bound, body)
+    for binder in names:
+        for ls in range(1, size - 2):
+            for bound in mterms(ls, env, binders):
+                for body in mterms(size - 2 - ls, env + [binder], binders):
+                    yield MLet(binder, bound, body)
+
+
+# Binders that shadow each other, one of them a name ``fresh_var`` picks.
+SHADOWING = ["x", "x1"]
 
 
 class TestReduction:
@@ -115,7 +130,28 @@ class TestReduction:
         assert MRule.BETA_V in rules and MRule.ID in rules
 
 
+def _ref_to_moggi(t):
+    """to_moggi as it was before it gathered each bind's names in the walk
+    that translates it, kept as the reference for the names of its lets."""
+    match t:
+        case Variable(name):
+            return MVar(name)
+        case Lambda(x, body):
+            return MLam(x, _ref_to_moggi(body))
+        case Unit(v):
+            return _ref_to_moggi(v)
+        case Bind(left, right):
+            x = moggi.fresh_var(all_vars(left) | all_vars(right))
+            return MLet(x, _ref_to_moggi(left), MApp(_ref_to_moggi(right), MVar(x)))
+
+
 class TestTranslations:
+    @pytest.mark.parametrize("max_size", [25, 100])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_to_moggi_names_lets_as_the_reference(self, seed, max_size):
+        for m in gen_terms(GenConfig(seed=seed, max_size=max_size)):
+            assert to_moggi(m) == _ref_to_moggi(m)
+
     def test_unit_disappears(self):
         assert to_moggi(parse_term("unit v")) == MVar("v")
 
@@ -172,8 +208,6 @@ class TestSubstitutionLemmas:
             for v in env:
                 yield Unit(Variable(v))
             yield Unit(Lambda("b", Unit(Variable("b"))))
-            from ubcalc.terms import Bind
-
             for ls in range(1, size - 1):
                 for left in small_comps(ls, env):
                     for name in env:
@@ -228,21 +262,45 @@ class TestPreservation:
         assert results and all(r.preserved for r in results)
 
     def test_exhaustive_size_5(self):
-        for e in mterms(5, ["u"]):
-            assert all(r.preserved for r in check_preservation(e, fuel=300))
+        """Every let-term of size 5, and every one to size 7 whose binders
+        shadow each other: each step's recipe meets."""
+        shadowing = (e for size in range(1, 8) for e in mterms(size, ["u"], SHADOWING))
+        for e in itertools.chain(mterms(5, ["u"]), shadowing):
+            for r in check_preservation(e, fuel=300):
+                assert _meets(r.source_image, r.target_image, r.witness, root_step), m_print(e)
 
-    def test_a_spent_budget_is_inconclusive(self):
-        """The betav step's image is two steps away, and each search has
-        budget for one: it is neither reached nor refuted."""
+    def test_a_step_reached_at_the_root_is_reached(self):
+        """Each source image reaches its target by one betac at the root,
+        though an etac in the continuation also joins them."""
+        cases = [
+            (m_parse("(\\x. u x) u"), MRule.BETA_V),
+            (m_parse("let y = u in u y"), MRule.LET_V),
+            (gen_mterm(GenConfig(seed=0, max_size=50, cases=50), 5), MRule.LET_V),
+        ]
+        for e, rule in cases:
+            results = zip(m_enumerate_steps(e), check_preservation(e))
+            (r,) = [r for s, r in results if s.rule is rule and not s.position]
+            assert (r.reached, r.steps, r.eta_join) == (True, 1, False), m_print(e)
+
+    def test_a_spent_budget_is_inconclusive(self, monkeypatch):
+        """The betav step's image is two steps away, which its recipe
+        replays at any fuel.  Moved to where its recipe does not replay,
+        the step goes to the fallback join, whose budget of one step a
+        side runs out: it is neither joined nor refuted."""
         e = m_parse("(\\x. x) (\\y. y) (\\z. z)")
+        for fuel in (0, 1):
+            (r,) = [r for r in check_preservation(e, fuel) if r.rule is MRule.BETA_V]
+            assert (r.reached, r.steps) == (True, 2)
+        real = moggi.m_enumerate_steps
+        moved = lambda e, key=None: [dataclasses.replace(s, position=("app-arg",)) for s in real(e, key)]
+        monkeypatch.setattr(moggi, "m_enumerate_steps", moved)
         (r,) = [r for r in check_preservation(e, 1) if r.rule is MRule.BETA_V]
-        assert (r.reached, r.eta_join, r.refuted, r.preserved) == (False, False, False, None)
-        assert [r.steps for r in check_preservation(e) if r.rule is MRule.BETA_V] == [2]
+        assert (r.reached, r.eta_join, r.refuted, r.preserved, r.witness) == (False, False, False, None, None)
 
     def test_steps_a_whole_search_left_open_are_decided(self):
-        """Cases 29, 30 and 39 of seed 7 at size 50 have steps that the
-        400-step whole-term search neither reaches nor exhausts; the
-        searches confined to where the images differ decide them all."""
+        """Cases 29, 30 and 39 of seed 7 at size 50 have steps that a
+        400-step whole-term search neither reaches nor exhausts; their
+        recipes decide them all."""
         cfg = GenConfig(seed=7, max_size=50)
         verdicts = [r.preserved for i in (29, 30, 39) for r in check_preservation(gen_mterm(cfg, i), 400)]
         assert set(verdicts) == {True}
@@ -254,7 +312,7 @@ class TestPreservation:
         bogus = MStep(MRule.BETA_V, m_parse("\\y. \\z. z"))
         monkeypatch.setattr(moggi, "m_enumerate_steps", lambda e, key=None: real(e, key) + [bogus])
         (r,) = check_preservation(m_parse("\\x. x"))
-        assert (r.reached, r.eta_join, r.refuted, r.preserved) == (False, False, True, False)
+        assert (r.reached, r.eta_join, r.refuted, r.preserved, r.witness) == (False, False, True, False, None)
         assert run_suite("moggi-preservation", GenConfig(seed=0, cases=20)).failures
 
 
@@ -384,10 +442,10 @@ def _ref_check_preservation(e, fuel):
     src = from_moggi(e)
     for s in m_enumerate_steps(e):
         dst = from_moggi(s.result)
-        ok, n = image_reaches(src, dst, fuel, allow_eta=s.rule is MRule.ETA_V)
+        ok, n = _ref_image_reaches(src, dst, fuel, allow_eta=s.rule is MRule.ETA_V)
         eta_join = False
         if not ok:
-            back, nb = image_reaches(dst, src, fuel, allow_eta=True)
+            back, nb = _ref_image_reaches(dst, src, fuel, allow_eta=True)
             if back:
                 eta_join, n = True, nb
             else:
@@ -453,54 +511,11 @@ class TestSearchOracles:
                     want = _ref_convertible(source, target, fuel)
                     assert convertible(source, target, fuel) is want, (m_print(source), m_print(target), fuel)
 
-    def test_check_preservation_searches_each_source_once(self, monkeypatch):
-        expanded, joining = [], []
-        real_steps, real_joinable = ub_reduction.enumerate_steps, ub_reduction.joinable
-
-        def recorded(t, rules=ub_reduction.DEFAULT_RULES, key=None, at=()):
-            if not joining:
-                expanded.append((frozenset(rules), at, alpha_key(t)))
-            return real_steps(t, rules, key, at)
-
-        def joinable(*args, **kwargs):
-            # the eta-join fallback searches on its own
-            joining.append(True)
-            try:
-                return real_joinable(*args, **kwargs)
-            finally:
-                joining.pop()
-
-        monkeypatch.setattr(ub_reduction, "enumerate_steps", recorded)
-        monkeypatch.setattr(ub_reduction, "joinable", joinable)
-        terms = {alpha_key(e): e for pair in _oracle_pairs() for e in pair}
-        searched = 0
-        for e in terms.values():
-            expanded.clear()
-            check_preservation(e, 60)
-            assert len(expanded) == len(set(expanded)), m_print(e)
-            searched += len(expanded) > 0
-        assert searched > 0
-
-    def test_image_reaches_matches_own_loop(self):
-        results = set()
-        for i in range(ORACLE_CFG.cases):
-            e = gen_mterm(ORACLE_CFG, i)
-            src = from_moggi(e)
-            for s in m_enumerate_steps(e):
-                dst = from_moggi(s.result)
-                for fuel in ORACLE_FUELS:
-                    for allow_eta in (False, True):
-                        for x, y in ((src, dst), (dst, src)):
-                            want = _ref_image_reaches(x, y, fuel, allow_eta)
-                            assert image_reaches(x, y, fuel, allow_eta) == want
-                            results.add(want[0])
-        assert results == {True, False}
-
     def test_check_preservation_matches_forward_then_backward(self):
-        """Equal results at fuel 60 and 300.  At fuel 10 a confined search
-        may decide a step the reference's searches did not, or reach it
-        where the reference joined it: the verdict is equal wherever the
-        reference decides, and the depth wherever both reach."""
+        """Equal results at fuel 60 and 300.  At fuel 10 a recipe, which
+        needs no fuel, decides a step the reference's searches leave open:
+        the verdict is equal wherever the reference decides, and the depth
+        wherever both reach."""
         terms = {alpha_key(e): e for pair in _oracle_pairs() for e in pair}
         joins = 0
         for fuel in (10, 60, 300):
@@ -540,80 +555,6 @@ class TestSearchOracles:
         assert sum(built) < fuel
 
 
-def _image_pairs(seed):
-    """The source and target images of every step of 100 let-terms, and
-    the images of each let-term and the next."""
-    cfg = GenConfig(seed=seed)
-    for i in range(cfg.cases):
-        e, src = gen_mterm(cfg, i), from_moggi(gen_mterm(cfg, i))
-        yield src, from_moggi(gen_mterm(cfg, i + 1))
-        for s in m_enumerate_steps(e):
-            yield src, from_moggi(s.result)
-
-
-def _selected(t, key, sel):
-    """t's child at selector sel, with its key."""
-    i = [s for s, _, _ in t.KIDS].index(sel)
-    return getattr(t, t.KIDS[i][1]), key[i + 1]
-
-
-def _graft(t, key, path, sub):
-    """t's key with sub in place of the key of t's subterm at path."""
-    if not path:
-        return sub
-    i = [s for s, _, _ in t.KIDS].index(path[0]) + 1
-    return (*key[:i], _graft(*_selected(t, key, path[0]), path[1:], sub), *key[i + 1:])
-
-
-def _at(t, key, path):
-    for sel in path:
-        t, key = _selected(t, key, sel)
-    return t, key
-
-
-class TestConfinedSearch:
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_diff_position_is_the_deepest_that_holds_the_difference(self, seed):
-        """b's subterm put into a at the position gives b up to alpha, and
-        at no child of the position does it."""
-        deep = 0
-        for a, b in _image_pairs(seed):
-            ka, kb = alpha_key(a), alpha_key(b)
-            if ka == kb:
-                continue
-            q = diff_position(a, ka, kb)
-            sub_a, _ = _at(a, ka, q)
-            sub_b, sub_kb = _at(b, kb, q)
-            assert _graft(a, ka, q, sub_kb) == kb
-            if type(sub_a) is type(sub_b):
-                for sel, _, _ in sub_a.KIDS:
-                    child = q + (sel,)
-                    assert _graft(a, ka, child, _at(b, kb, child)[1]) != kb
-            deep += len(q) > 0
-        assert deep > 100
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_confined_steps_replay(self, seed):
-        """Every step confined to a position is at or under it, replays to
-        its key, and is the whole step list's step at that position."""
-        rule_sets = (DEFAULT_RULES, DEFAULT_RULES | {Rule.ETA_C}, ALL_RULES)
-        confined = 0
-        for a, b in itertools.islice(_image_pairs(seed), 300):
-            ka = alpha_key(a)
-            q = diff_position(a, ka, alpha_key(b))
-            for rules in rule_sets:
-                got = ub_reduction.step_successors(rules, q)(a, ka)
-                for s in got:
-                    assert s.position[: len(q)] == q
-                    contractum = root_step(subterm_at(a, s.position), s.rule)
-                    assert alpha_key(replace_at(a, s.position, contractum)) == s.key
-                whole = enumerate_steps(a, rules, ka)
-                assert got == [s for s in whole if s.position[: len(q)] == q]
-                assert [s.key for s in got] == [s.key for s in whole if s.position[: len(q)] == q]
-                confined += len(got) < len(whole)
-        assert confined > 0
-
-
 def _ub_step_images(cfg):
     """Every default-rule step of cfg's unit/bind terms, with the images
     of its source and target."""
@@ -623,34 +564,60 @@ def _ub_step_images(cfg):
             yield step, source, to_moggi(step.result)
 
 
-def _meets(source, target, witness):
-    """Whether both sides of witness replay and end alpha-equal."""
-    ends = [replay(t, side, m_root_step) for t, side in zip((source, target), witness)]
+def _let_step_results(cfg):
+    """The preservation result of every step of cfg's let-terms."""
+    for i in range(cfg.cases):
+        yield from check_preservation(gen_mterm(cfg, i))
+
+
+def _meets(source, target, witness, contract=m_root_step):
+    """Whether there is a witness and both its sides replay (with
+    contract) and end alpha-equal."""
+    if witness is None:
+        return False
+    ends = [replay(t, side, contract) for t, side in zip((source, target), witness)]
     return None not in ends and alpha_key(ends[0]) == alpha_key(ends[1])
 
 
 _M_SELECTORS = ("lam-body", "app-fn", "app-arg", "let-bound", "let-body")
+_UB_SELECTORS = (UNIT_ARG, BIND_LEFT, BIND_RIGHT, LAMBDA_BODY)
 
 
 class TestSimulation:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_image_position_holds_the_image(self, seed):
-        """The let-subterm at a position's image is the image of the
-        unit/bind subterm at the position."""
-        for m in gen_terms(GenConfig(seed=seed)):
+        """The subterm at a position's image is the image of the subterm
+        at the position, in either direction: a let-value's value image,
+        and a let-term's computation image otherwise."""
+        cfg = GenConfig(seed=seed)
+        for m in gen_terms(cfg):
             image = to_moggi(m)
             for p, sub in positions(m):
                 assert alpha_key(subterm_at(image, image_position(p))) == alpha_key(to_moggi(sub))
+        for i in range(cfg.cases):
+            e = gen_mterm(cfg, i)
+            image = from_moggi(e)
+            for p, sub in positions(e):
+                want = from_moggi_value(sub) if is_mvalue(sub) else from_moggi_comp(sub)
+                assert alpha_key(subterm_at(image, let_image_position(e, p))) == alpha_key(want)
 
     @pytest.mark.parametrize("max_size", [25, 50, 100])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_every_step_has_a_witness(self, seed, max_size):
+        """Every unit/bind step of 50 terms, and every let-step of 100
+        let-terms at size 25 and 50 at the larger sizes, has a witness
+        that replays and meets."""
         steps = 0
         for step, source, target in _ub_step_images(GenConfig(seed=seed, max_size=max_size, cases=50)):
             witness = simulate(source, target, step)
-            assert witness is not None and _meets(source, target, witness), (m_print(source), step.rule)
+            assert _meets(source, target, witness), (m_print(source), step.rule)
             steps += 1
         assert steps > 100
+        let_steps = 0
+        for r in _let_step_results(GenConfig(seed=seed, max_size=max_size, cases=100 if max_size == 25 else 50)):
+            assert _meets(r.source_image, r.target_image, r.witness, root_step), r.rule
+            let_steps += 1
+        assert let_steps > 100
 
     def test_a_witness_never_meets_a_refutation(self):
         """On the unit/bind half of the oracle pairs a witness exists, the
@@ -663,36 +630,47 @@ class TestSimulation:
                 assert want is not False and (fuel < 300 or want is True), (m_print(source), fuel)
 
     def test_a_changed_witness_fails(self):
-        """A witness with one step's rule, or its position, changed to its
-        parent's or to a child's no longer meets, unless the changed step
-        gives the term the original gave (``let x = V in x`` is both an id
-        and a letv redex)."""
-        failed = 0
-        for step, source, target in _ub_step_images(GenConfig(seed=0, cases=30)):
-            witness = simulate(source, target, step)
+        """A witness of either direction with one step's rule, or its
+        position, changed to its parent's or to a child's no longer meets,
+        unless the changed step gives the term the original gave
+        (``let x = V in x`` is both an id and a letv redex)."""
+        cfg = GenConfig(seed=0, cases=30)
+        witnesses = [
+            (source, target, simulate(source, target, step), _M_SELECTORS, m_root_step)
+            for step, source, target in _ub_step_images(cfg)
+        ]
+        witnesses += [
+            (r.source_image, r.target_image, r.witness, _UB_SELECTORS, root_step) for r in _let_step_results(cfg)
+        ]
+        failed = {m_root_step: 0, root_step: 0}
+        for source, target, witness, selectors, contract in witnesses:
             for side, steps in enumerate(witness):
                 start = (source, target)[side]
                 for i, (rule, at) in enumerate(steps):
-                    variants = [(other, at) for other in MRule if other is not rule]
+                    variants = [(other, at) for other in type(rule) if other is not rule]
                     variants += [(rule, at[:-1])] if at else []
-                    variants += [(rule, at + (sel,)) for sel in _M_SELECTORS]
+                    variants += [(rule, at + (sel,)) for sel in selectors]
                     for variant in variants:
                         bad = list(witness)
                         bad[side] = steps[:i] + (variant,) + steps[i + 1:]
-                        if _meets(source, target, bad):
-                            same = replay(start, bad[side][: i + 1], m_root_step)
-                            assert alpha_key(same) == alpha_key(replay(start, steps[: i + 1], m_root_step))
+                        if _meets(source, target, bad, contract):
+                            same = replay(start, bad[side][: i + 1], contract)
+                            assert alpha_key(same) == alpha_key(replay(start, steps[: i + 1], contract))
                         else:
-                            failed += 1
-        assert failed > 100
+                            failed[contract] += 1
+        assert min(failed.values()) > 100
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_no_step_is_searched(self, seed, monkeypatch):
+        """Neither bridge suite searches at default size: every verdict is
+        a recipe's."""
         searched = []
-        real = moggi.convertible
-        monkeypatch.setattr(moggi, "convertible", lambda *args: searched.append(args) or real(*args))
-        report = run_suite("moggi-convertibility", GenConfig(seed=seed))
-        assert report.passes == report.cases > 0 and not searched
+        for module, name in ((moggi, "convertible"), (ub_reduction, "joinable"), (ub_reduction, "meet")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, real=real, **kw: searched.append(args) or real(*args, **kw))
+        for suite in ("moggi-convertibility", "moggi-preservation"):
+            report = run_suite(suite, GenConfig(seed=seed))
+            assert report.passes == report.cases > 0 and not searched, suite
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_suite_without_witnesses_gives_the_search_verdicts(self, seed, monkeypatch):
