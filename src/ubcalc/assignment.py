@@ -460,6 +460,21 @@ class Unsynthesizable(ValueError):
     pass
 
 
+def minimal_derivation(
+    basis: Basis,
+    subject: Term,
+    universe: Sequence[CanonV],
+    table: AtomTable = EMPTY_TABLE,
+) -> Derivation:
+    """A checkable derivation of basis |- subject at its strongest bounded
+    type, abstraction argument types drawn from the universe; an Omega
+    node when that type is the top class.  Shadowed binders are
+    alpha-renamed away (the rules cannot type them as written), so the
+    derivation's subject is alpha-equivalent to the request."""
+    subject = unshadow(subject, basis_dom(basis))
+    return _Minimal(universe, table).derive(subject, basis, dict(_canon_basis(basis, table)))
+
+
 def synth_derivation(
     basis: Basis,
     subject: Term,
@@ -467,23 +482,20 @@ def synth_derivation(
     universe: Sequence[CanonV],
     table: AtomTable = EMPTY_TABLE,
 ) -> Derivation:
-    """Build a checkable derivation of basis |- subject : target, with
-    abstraction argument types drawn from the universe: the derivation of
-    the bounded minimal type, weakened to the target.  Shadowed binders
-    are alpha-renamed away (the rules cannot type them as written), so
-    the returned subject is alpha-equivalent to the request.  Raises
-    Unsynthesizable when the subject and the target are of different
-    sorts, or when the minimal type does not entail the target."""
+    """Build a checkable derivation of basis |- subject : target: the
+    ``minimal_derivation``, weakened to the target, or Omega weakened to
+    a target the top class entails.  Raises Unsynthesizable when the
+    subject and the target are of different sorts, or when the minimal
+    type does not entail the target."""
     sorts = ("computation", "value")
     if is_value(subject) != is_vtype(target):
         raise Unsynthesizable(
             f"a {sorts[is_value(subject)]} subject has no {sorts[is_vtype(target)]} type"
         )
-    subject = unshadow(subject, basis_dom(basis))
     leq, top = (leq_v, V_OMEGA) if is_vtype(target) else (leq_c, C_OMEGA)
     if leq(top, target, table):
-        return leq_node(omega_node(basis, subject), target)
-    d = _Minimal(universe, table).derive(subject, basis, dict(_canon_basis(basis, table)))
+        return leq_node(omega_node(basis, unshadow(subject, basis_dom(basis))), target)
+    d = minimal_derivation(basis, subject, universe, table)
     low = d.conclusion.tipo
     if not leq(low, target, table):
         raise Unsynthesizable(f"minimal type {print_type(low)} does not entail {print_type(target)}")

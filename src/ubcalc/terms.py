@@ -1,9 +1,12 @@
-"""Two-sorted term syntax for the unit/bind calculus.
+"""Term syntax of the unit/bind calculus and of the let-calculus.
 
-Values are variables and abstractions; computations are ``unit V`` and
-``M * V`` (bind).  An abstraction body is always a computation, the left
-operand of bind is a computation and the right operand a value; no other
-term forms exist.
+Unit/bind values are variables and abstractions; computations are
+``unit V`` and ``M * V`` (bind).  An abstraction body is always a
+computation, the left operand of bind is a computation and the right
+operand a value.  Let-terms are variables, abstractions, applications
+and lets, unsorted.  The constructors of both calculi are ``Node``s of
+one kernel; the printer and parser here are the unit/bind calculus's,
+and ``moggi`` holds the let syntax.
 """
 from __future__ import annotations
 
@@ -107,6 +110,41 @@ Comp = Union[Unit, Bind]
 Term = Union[Value, Comp]
 
 
+@dataclass(frozen=True, slots=True)
+class MVar(Node):
+    name: str
+
+
+@dataclass(frozen=True, slots=True)
+class MLam(Node):
+    binder: str
+    body: "MTerm"
+    KIDS = (("lam-body", "body", True),)
+    TAG = "lam"
+    VAR = MVar
+
+
+@dataclass(frozen=True, slots=True)
+class MApp(Node):
+    fn: "MTerm"
+    arg: "MTerm"
+    KIDS = (("app-fn", "fn", False), ("app-arg", "arg", False))
+    TAG = "app"
+
+
+@dataclass(frozen=True, slots=True)
+class MLet(Node):
+    binder: str
+    bound: "MTerm"
+    body: "MTerm"
+    KIDS = (("let-bound", "bound", False), ("let-body", "body", True))
+    TAG = "let"
+    VAR = MVar
+
+
+MTerm = Union[MVar, MLam, MApp, MLet]
+
+
 class SortError(ValueError):
     """A term was used at the wrong sort (value vs computation)."""
 
@@ -132,6 +170,10 @@ def is_value(t: Term) -> bool:
 
 def is_comp(t: Term) -> bool:
     return isinstance(t, (Unit, Bind))
+
+
+def is_mvalue(e: MTerm) -> bool:
+    return isinstance(e, (MVar, MLam))
 
 
 # ---------------------------------------------------------------- variables

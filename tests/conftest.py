@@ -3,7 +3,8 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from ubcalc.harness import GenConfig, gen_term
-from ubcalc.terms import Bind, Lambda, Unit, Variable
+from ubcalc.reduction import MRule, Step
+from ubcalc.terms import Bind, Lambda, MApp, MLam, MLet, MVar, Unit, Variable, fresh_var, is_mvalue
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=60
@@ -137,3 +138,133 @@ def share(d):
         return got
 
     return walk(d)
+
+
+# ------------------------------------------------ let-calculus references
+
+# The let-calculus's free variables, substitution, alpha keys and step
+# list as recursive walks of their own, independent of the shared kernel's
+# schema-driven walks and redex table: a step carries its rule and result,
+# at position ().
+
+
+def ref_m_free_vars(e):
+    match e:
+        case MVar(name):
+            return frozenset((name,))
+        case MLam(x, body):
+            return ref_m_free_vars(body) - {x}
+        case MApp(fn, arg):
+            return ref_m_free_vars(fn) | ref_m_free_vars(arg)
+        case MLet(x, bound, body):
+            return ref_m_free_vars(bound) | (ref_m_free_vars(body) - {x})
+    raise TypeError(f"not a term: {e!r}")
+
+
+def ref_m_all_vars(e):
+    match e:
+        case MVar(name):
+            return frozenset((name,))
+        case MLam(x, body):
+            return ref_m_all_vars(body) | {x}
+        case MApp(fn, arg):
+            return ref_m_all_vars(fn) | ref_m_all_vars(arg)
+        case MLet(x, bound, body):
+            return ref_m_all_vars(bound) | ref_m_all_vars(body) | {x}
+    raise TypeError(f"not a term: {e!r}")
+
+
+def ref_m_subst(e, x, v):
+    match e:
+        case MVar(name):
+            return v if name == x else e
+        case MLam(binder, body):
+            if binder == x or x not in ref_m_free_vars(body):
+                return e
+            if binder in ref_m_free_vars(v):
+                new = fresh_var(ref_m_free_vars(body) | ref_m_free_vars(v) | {x, binder})
+                body = ref_m_subst(body, binder, MVar(new))
+                binder = new
+            return MLam(binder, ref_m_subst(body, x, v))
+        case MApp(fn, arg):
+            return MApp(ref_m_subst(fn, x, v), ref_m_subst(arg, x, v))
+        case MLet(binder, bound, body):
+            nb = ref_m_subst(bound, x, v)
+            if binder == x or x not in ref_m_free_vars(body):
+                return MLet(binder, nb, body)
+            if binder in ref_m_free_vars(v):
+                new = fresh_var(ref_m_free_vars(body) | ref_m_free_vars(v) | {x, binder})
+                body = ref_m_subst(body, binder, MVar(new))
+                binder = new
+            return MLet(binder, nb, ref_m_subst(body, x, v))
+    raise TypeError(f"not a term: {e!r}")
+
+
+def ref_m_debruijn(e, env=()):
+    match e:
+        case MVar(name):
+            for i, b in enumerate(reversed(env)):
+                if b == name:
+                    return ("b", i)
+            return ("f", name)
+        case MLam(x, body):
+            return ("lam", ref_m_debruijn(body, env + (x,)))
+        case MApp(fn, arg):
+            return ("app", ref_m_debruijn(fn, env), ref_m_debruijn(arg, env))
+        case MLet(x, bound, body):
+            return ("let", ref_m_debruijn(bound, env), ref_m_debruijn(body, env + (x,)))
+    raise TypeError(f"not a term: {e!r}")
+
+
+def ref_m_root_steps(e):
+    out = []
+    match e:
+        case MApp(MLam(x, body), arg) if is_mvalue(arg):
+            out.append(Step(MRule.BETA_V, (), ref_m_subst(body, x, arg)))
+    match e:
+        case MLam(x, MApp(v, MVar(y))) if x == y and is_mvalue(v) and x not in ref_m_free_vars(v):
+            out.append(Step(MRule.ETA_V, (), v))
+    match e:
+        case MLet(x, bound, MVar(y)) if x == y:
+            out.append(Step(MRule.ID, (), bound))
+    match e:
+        case MLet(x2, MLet(x1, e1, e2), body):
+            if x1 in ref_m_free_vars(body):
+                new = fresh_var(ref_m_all_vars(e) | ref_m_free_vars(body))
+                e2 = ref_m_subst(e2, x1, MVar(new))
+                x1 = new
+            out.append(Step(MRule.COMP, (), MLet(x1, e1, MLet(x2, e2, body))))
+    match e:
+        case MLet(x, bound, body) if is_mvalue(bound):
+            out.append(Step(MRule.LET_V, (), ref_m_subst(body, x, bound)))
+    match e:
+        case MApp(fn, arg) if not is_mvalue(fn):
+            x = fresh_var(ref_m_all_vars(e))
+            out.append(Step(MRule.LET_1, (), MLet(x, fn, MApp(MVar(x), arg))))
+    match e:
+        case MApp(fn, arg) if is_mvalue(fn) and not is_mvalue(arg):
+            x = fresh_var(ref_m_all_vars(e))
+            out.append(Step(MRule.LET_2, (), MLet(x, arg, MApp(fn, MVar(x)))))
+    return out
+
+
+def ref_m_steps(e):
+    steps = ref_m_root_steps(e)
+    match e:
+        case MLam(x, body):
+            steps.extend(Step(s.rule, (), MLam(x, s.result)) for s in ref_m_steps(body))
+        case MApp(fn, arg):
+            steps.extend(Step(s.rule, (), MApp(s.result, arg)) for s in ref_m_steps(fn))
+            steps.extend(Step(s.rule, (), MApp(fn, s.result)) for s in ref_m_steps(arg))
+        case MLet(x, bound, body):
+            steps.extend(Step(s.rule, (), MLet(x, s.result, body)) for s in ref_m_steps(bound))
+            steps.extend(Step(s.rule, (), MLet(x, bound, s.result)) for s in ref_m_steps(body))
+    return steps
+
+
+def ref_m_enumerate_steps(e):
+    out = {}
+    for s in ref_m_steps(e):
+        k = ref_m_debruijn(s.result)
+        out.setdefault((s.rule, k), s)
+    return list(out.values())

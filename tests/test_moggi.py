@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
-from conftest import CLOSED_COMPS
+from conftest import CLOSED_COMPS, ref_m_enumerate_steps
 
 from ubcalc import moggi
 from ubcalc import reduction as ub_reduction
@@ -14,7 +14,6 @@ from ubcalc.moggi import (
     MLam,
     MLet,
     MRule,
-    MStep,
     MVar,
     check_preservation,
     convertible,
@@ -27,12 +26,10 @@ from ubcalc.moggi import (
     m_enumerate_steps,
     m_parse,
     m_print,
-    m_root_step,
-    m_root_steps,
     simulate,
     to_moggi,
 )
-from ubcalc.reduction import DEFAULT_RULES, enumerate_steps, replay, root_step
+from ubcalc.reduction import DEFAULT_RULES, Rule, Step, enumerate_steps, replay, root_step
 from ubcalc.terms import (
     BIND_LEFT,
     BIND_RIGHT,
@@ -49,6 +46,7 @@ from ubcalc.terms import (
     omega_c,
     parse_term,
     positions,
+    print_term,
     subst,
     subterm_at,
 )
@@ -84,45 +82,34 @@ SHADOWING = ["x", "x1"]
 
 class TestReduction:
     def test_beta_v(self):
-        e = m_parse("(\\x. x) y")
-        assert any(
-            s.rule is MRule.BETA_V and alpha_eq(s.result, MVar("y"))
-            for s in m_root_steps(e)
-        )
+        assert alpha_eq(root_step(m_parse("(\\x. x) y"), MRule.BETA_V), MVar("y"))
 
     def test_let_id(self):
         e = m_parse("let x = (y z) in x")
-        assert any(
-            s.rule is MRule.ID and alpha_eq(s.result, m_parse("y z"))
-            for s in m_root_steps(e)
-        )
+        assert alpha_eq(root_step(e, MRule.ID), m_parse("y z"))
+        # the unit/bind id rule shares the value "id" but is another rule
+        assert root_step(e, Rule.ID) is None
 
     def test_let_1_names_nonvalue_function(self):
-        e = m_parse("(x y) z")
-        got = [s for s in m_root_steps(e) if s.rule is MRule.LET_1]
-        assert got and alpha_eq(got[0].result, m_parse("let q = (x y) in q z"))
+        got = root_step(m_parse("(x y) z"), MRule.LET_1)
+        assert alpha_eq(got, m_parse("let q = (x y) in q z"))
 
     def test_let_2_names_nonvalue_argument(self):
-        e = m_parse("x (y z)")
-        got = [s for s in m_root_steps(e) if s.rule is MRule.LET_2]
-        assert got and alpha_eq(got[0].result, m_parse("let q = (y z) in x q"))
+        got = root_step(m_parse("x (y z)"), MRule.LET_2)
+        assert alpha_eq(got, m_parse("let q = (y z) in x q"))
 
     def test_comp_reassociates(self):
-        e = m_parse("let b = (let a = x y in a) in b b")
-        got = [s for s in m_root_steps(e) if s.rule is MRule.COMP]
-        assert got and alpha_eq(got[0].result, m_parse("let a = x y in (let b = a in b b)"))
+        got = root_step(m_parse("let b = (let a = x y in a) in b b"), MRule.COMP)
+        assert alpha_eq(got, m_parse("let a = x y in (let b = a in b b)"))
 
     def test_comp_renames_on_capture(self):
         e = MLet("b", MLet("a", MApp(MVar("x"), MVar("y")), MVar("a")), MVar("a"))
-        (step,) = [s for s in m_root_steps(e) if s.rule is MRule.COMP]
         # the free a of the outer body must not be captured
-        assert "a" in step.result.fv
+        assert "a" in root_step(e, MRule.COMP).fv
 
     def test_eta_v(self):
-        e = m_parse("\\x. y x")
-        assert any(s.rule is MRule.ETA_V for s in m_root_steps(e))
-        shadowed = m_parse("\\x. x x")
-        assert not any(s.rule is MRule.ETA_V for s in m_root_steps(shadowed))
+        assert root_step(m_parse("\\x. y x"), MRule.ETA_V) is not None
+        assert root_step(m_parse("\\x. x x"), MRule.ETA_V) is None
 
     def test_compatible_closure_under_lambda_and_let(self):
         e = m_parse("\\z. let w = ((\\x. x) y) in w")
@@ -145,12 +132,55 @@ def _ref_to_moggi(t):
             return MLet(x, _ref_to_moggi(left), MApp(_ref_to_moggi(right), MVar(x)))
 
 
+def _ref_from_moggi(e):
+    """from_moggi as it was before it gathered each application's names in
+    the walk that translates it, kept as the reference for the names of
+    its continuations."""
+
+    def value(v):
+        match v:
+            case MVar(name):
+                return Variable(name)
+            case MLam(x, body):
+                return Lambda(x, Unit(value(body)) if is_mvalue(body) else comp(body))
+
+    def comp(n):
+        match n:
+            case MApp(f, a) if is_mvalue(f) and is_mvalue(a):
+                return Bind(Unit(value(a)), value(f))
+            case MApp(f, a) if is_mvalue(f):
+                return Bind(comp(a), value(f))
+            case MApp(f, a) if is_mvalue(a):
+                x = moggi.fresh_var(all_vars(n))
+                return Bind(comp(f), Lambda(x, Bind(Unit(value(a)), Variable(x))))
+            case MApp(f, a):
+                x = moggi.fresh_var(all_vars(n))
+                return Bind(comp(f), Lambda(x, Bind(comp(a), Variable(x))))
+            case MLet(x, bound, body):
+                left = Unit(value(bound)) if is_mvalue(bound) else comp(bound)
+                return Bind(left, Lambda(x, Unit(value(body)) if is_mvalue(body) else comp(body)))
+
+    return Unit(value(e)) if is_mvalue(e) else comp(e)
+
+
 class TestTranslations:
     @pytest.mark.parametrize("max_size", [25, 100])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_to_moggi_names_lets_as_the_reference(self, seed, max_size):
         for m in gen_terms(GenConfig(seed=seed, max_size=max_size)):
             assert to_moggi(m) == _ref_to_moggi(m)
+
+    @pytest.mark.parametrize("max_size", [25, 100])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_from_moggi_prints_as_the_reference(self, seed, max_size):
+        """``translate --from-moggi`` prints the reference's bytes, and
+        the value and computation images are the reference's too."""
+        cfg = GenConfig(seed=seed, max_size=max_size)
+        for i in range(cfg.cases):
+            e = gen_mterm(cfg, i)
+            want = _ref_from_moggi(e)
+            assert print_term(from_moggi(e)) == print_term(want)
+            assert (Unit(from_moggi_value(e)) if is_mvalue(e) else from_moggi_comp(e)) == want
 
     def test_unit_disappears(self):
         assert to_moggi(parse_term("unit v")) == MVar("v")
@@ -267,7 +297,7 @@ class TestPreservation:
         shadowing = (e for size in range(1, 8) for e in mterms(size, ["u"], SHADOWING))
         for e in itertools.chain(mterms(5, ["u"]), shadowing):
             for r in check_preservation(e, fuel=300):
-                assert _meets(r.source_image, r.target_image, r.witness, root_step), m_print(e)
+                assert _meets(r.source_image, r.target_image, r.witness), m_print(e)
 
     def test_a_step_reached_at_the_root_is_reached(self):
         """Each source image reaches its target by one betac at the root,
@@ -309,7 +339,7 @@ class TestPreservation:
         """A step to a term the source image can neither reach nor join
         fails once both searches are exhausted, in the suite too."""
         real = moggi.m_enumerate_steps
-        bogus = MStep(MRule.BETA_V, m_parse("\\y. \\z. z"))
+        bogus = Step(MRule.BETA_V, (), m_parse("\\y. \\z. z"))
         monkeypatch.setattr(moggi, "m_enumerate_steps", lambda e, key=None: real(e, key) + [bogus])
         (r,) = check_preservation(m_parse("\\x. x"))
         assert (r.reached, r.eta_join, r.refuted, r.preserved, r.witness) == (False, False, True, False, None)
@@ -332,12 +362,19 @@ class TestConvertibility:
             assert convertible(to_moggi(m), to_moggi(step.result), fuel=500) is True
 
     def test_ub_side_dispatch(self):
+        """A unit/bind pair is ``reduction.joinable``'s to decide:
+        convertible refuses it, and joinable joins it."""
         m = parse_term("unit (\\x. unit x) * (\\y. unit y)")
         n = parse_term("unit (\\x. unit x)")
-        assert convertible(m, n) is True
+        with pytest.raises(TypeError):
+            convertible(m, n)
+        assert alpha_eq(ub_reduction.joinable(m, n, fuel=300), n)
 
     def test_ub_unrelated_normal_forms(self):
-        assert convertible(Unit(Variable("a")), Unit(Variable("b"))) is False
+        a, b = Unit(Variable("a")), Unit(Variable("b"))
+        with pytest.raises(TypeError):
+            convertible(a, b)
+        assert ub_reduction.joinable(a, b, fuel=300) is False
 
     @pytest.mark.parametrize(
         "a,b",
@@ -350,30 +387,9 @@ class TestConvertibility:
 
 
 # The searches as they were before the two sides stopped at their first
-# meet, kept as differential oracles: the step list deduplicated at every
-# position, each side's reachable set built to the end of its budget, and
-# the forward image search with its own loop.
-
-
-def _ref_m_enumerate_steps(e):
-    steps = list(m_root_steps(e))
-    match e:
-        case MLam(x, body):
-            steps.extend(MStep(s.rule, MLam(x, s.result)) for s in _ref_m_enumerate_steps(body))
-        case MApp(fn, arg):
-            steps.extend(MStep(s.rule, MApp(s.result, arg)) for s in _ref_m_enumerate_steps(fn))
-            steps.extend(MStep(s.rule, MApp(fn, s.result)) for s in _ref_m_enumerate_steps(arg))
-        case MLet(x, bound, body):
-            steps.extend(MStep(s.rule, MLet(x, s.result, body)) for s in _ref_m_enumerate_steps(bound))
-            steps.extend(MStep(s.rule, MLet(x, bound, s.result)) for s in _ref_m_enumerate_steps(body))
-    seen = set()
-    out = []
-    for s in steps:
-        k = (s.rule, alpha_key(s.result))
-        if k not in seen:
-            seen.add(k)
-            out.append(s)
-    return out
+# meet, kept as differential oracles over the independent step list of
+# ``conftest.ref_m_enumerate_steps``: each side's reachable set built to
+# the end of its budget, and the forward image search with its own loop.
 
 
 def _ref_m_reachable(e, budget):
@@ -384,7 +400,7 @@ def _ref_m_reachable(e, budget):
     while frontier:
         nxt = []
         for t in frontier:
-            for s in _ref_m_enumerate_steps(t):
+            for s in ref_m_enumerate_steps(t):
                 if budget <= 0:
                     return seen, False
                 budget -= 1
@@ -464,7 +480,7 @@ def _oracle_pairs():
     for i in range(ORACLE_CFG.cases):
         e = gen_mterm(ORACLE_CFG, i)
         yield e, gen_mterm(ORACLE_CFG, i + 1)
-        for s in _ref_m_enumerate_steps(e)[:2]:
+        for s in ref_m_enumerate_steps(e)[:2]:
             yield e, s.result
     for m, s in _ub_oracle_steps():
         yield to_moggi(m), to_moggi(s.result)
@@ -482,7 +498,7 @@ class TestSearchOracles:
         for a, b in _oracle_pairs():
             for e in (a, b):
                 got = m_enumerate_steps(e)
-                want = _ref_m_enumerate_steps(e)
+                want = ref_m_enumerate_steps(e)
                 assert [(s.rule, alpha_key(s.result)) for s in got] == [
                     (s.rule, alpha_key(s.result)) for s in want
                 ]
@@ -570,12 +586,12 @@ def _let_step_results(cfg):
         yield from check_preservation(gen_mterm(cfg, i))
 
 
-def _meets(source, target, witness, contract=m_root_step):
-    """Whether there is a witness and both its sides replay (with
-    contract) and end alpha-equal."""
+def _meets(source, target, witness):
+    """Whether there is a witness and both its sides replay and end
+    alpha-equal."""
     if witness is None:
         return False
-    ends = [replay(t, side, contract) for t, side in zip((source, target), witness)]
+    ends = [replay(t, side) for t, side in zip((source, target), witness)]
     return None not in ends and alpha_key(ends[0]) == alpha_key(ends[1])
 
 
@@ -615,7 +631,7 @@ class TestSimulation:
         assert steps > 100
         let_steps = 0
         for r in _let_step_results(GenConfig(seed=seed, max_size=max_size, cases=100 if max_size == 25 else 50)):
-            assert _meets(r.source_image, r.target_image, r.witness, root_step), r.rule
+            assert _meets(r.source_image, r.target_image, r.witness), r.rule
             let_steps += 1
         assert let_steps > 100
 
@@ -636,14 +652,15 @@ class TestSimulation:
         (``let x = V in x`` is both an id and a letv redex)."""
         cfg = GenConfig(seed=0, cases=30)
         witnesses = [
-            (source, target, simulate(source, target, step), _M_SELECTORS, m_root_step)
+            (source, target, simulate(source, target, step), _M_SELECTORS, "unit/bind to let")
             for step, source, target in _ub_step_images(cfg)
         ]
         witnesses += [
-            (r.source_image, r.target_image, r.witness, _UB_SELECTORS, root_step) for r in _let_step_results(cfg)
+            (r.source_image, r.target_image, r.witness, _UB_SELECTORS, "let to unit/bind")
+            for r in _let_step_results(cfg)
         ]
-        failed = {m_root_step: 0, root_step: 0}
-        for source, target, witness, selectors, contract in witnesses:
+        failed = {"unit/bind to let": 0, "let to unit/bind": 0}
+        for source, target, witness, selectors, direction in witnesses:
             for side, steps in enumerate(witness):
                 start = (source, target)[side]
                 for i, (rule, at) in enumerate(steps):
@@ -653,11 +670,11 @@ class TestSimulation:
                     for variant in variants:
                         bad = list(witness)
                         bad[side] = steps[:i] + (variant,) + steps[i + 1:]
-                        if _meets(source, target, bad, contract):
-                            same = replay(start, bad[side][: i + 1], contract)
-                            assert alpha_key(same) == alpha_key(replay(start, steps[: i + 1], contract))
+                        if _meets(source, target, bad):
+                            same = replay(start, bad[side][: i + 1])
+                            assert alpha_key(same) == alpha_key(replay(start, steps[: i + 1]))
                         else:
-                            failed[contract] += 1
+                            failed[direction] += 1
         assert min(failed.values()) > 100
 
     @pytest.mark.parametrize("seed", [0, 7])

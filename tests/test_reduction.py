@@ -102,7 +102,7 @@ class TestEnumerate:
 class TestReplay:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_every_step_replays_to_its_result(self, seed):
-        """Each step replays with root_step to its result's key.  The step
+        """Each step replays to its result's key.  The step
         with another rule, or at its parent's or a child's position, replays
         exactly when it is a step too, and not at all at a position outside
         the term."""
@@ -110,18 +110,18 @@ class TestReplay:
         for m in gen_terms(GenConfig(seed=seed)):
             steps = {(s.rule, s.position): alpha_key(s.result) for s in enumerate_steps(m, ALL_RULES)}
             for (rule, path), key in steps.items():
-                assert alpha_key(replay(m, [(rule, path)], root_step)) == key
+                assert alpha_key(replay(m, [(rule, path)])) == key
                 changed = [(other, path) for other in Rule if other is not rule]
                 changed += [(rule, path[:-1])] if path else []
                 changed += [(rule, path + (sel,)) for sel, _, _ in subterm_at(m, path).KIDS]
                 for step in changed:
-                    got = replay(m, [step], root_step)
+                    got = replay(m, [step])
                     if step in steps:
                         assert alpha_key(got) == steps[step]
                     else:
                         assert got is None
                         refused += 1
-                assert replay(m, [(rule, path + ("let-bound",))], root_step) is None
+                assert replay(m, [(rule, path + ("let-bound",))]) is None
         assert refused > 0
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -417,7 +417,12 @@ class TestJoinable:
         # exhausted; a term with a step keeps the search open
         a = parse_term("unit (\\x. unit x)")
         assert joinable(a, parse_term("unit (\\y. unit (\\z. unit z))"), fuel=0) is False
-        assert joinable(a, parse_term("unit (\\y. unit y) * (\\z. unit z)"), fuel=0) is None
+        assert joinable(parse_term("unit a"), parse_term("unit b"), fuel=0) is False
+        assert joinable(parse_term("unit a"), parse_term("unit b"), fuel=300) is False
+        id_redex = parse_term("unit (\\y. unit y) * (\\z. unit z)")
+        assert joinable(a, id_redex, fuel=0) is None
+        # given budget, the id step joins it with the normal form
+        assert alpha_eq(joinable(id_redex, a, fuel=300), a)
 
     @given(CLOSED_COMPS)
     @settings(max_examples=50)
