@@ -6,12 +6,16 @@ Runs the workload's items once in this interpreter under the benchmark's
 tracer (``perfbench/tracing.py``) and prints one JSON object mapping
 each span name to its calls and self seconds.  It reports every span,
 also those the benchmark's per-layer metrics leave out, such as the
-calls of ``terms.parse_term``.  --prefix keeps the names that start with
-one of the prefixes given.
+calls of ``terms.parse_term``.  After the spans it reports each
+``lru_cache`` that ``ubcalc.typesys`` or ``ubcalc.filters`` defines, as
+``memo.<module>.<name>`` with its hits, misses and current size after
+the pass.  --prefix keeps the names that start with one of the prefixes
+given.
 """
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -21,6 +25,19 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
+
+
+def memo_stats() -> dict[str, dict[str, int]]:
+    """Hits, misses and current size of each lru_cache of typesys and
+    filters."""
+    out = {}
+    for layer in ("typesys", "filters"):
+        for name, value in vars(importlib.import_module(f"ubcalc.{layer}")).items():
+            info = getattr(value, "cache_info", None)
+            if info is not None:
+                ci = info()
+                out[f"memo.{layer}.{name}"] = {"hits": ci.hits, "misses": ci.misses, "currsize": ci.currsize}
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -35,12 +52,9 @@ def main(argv: list[str] | None = None) -> int:
     api = tracer.install()
     for item in items:
         item.run(api)
-    spans = {
-        name: {"calls": stat.calls, "self_s": stat.self_s}
-        for name, stat in sorted(tracer.stats.items())
-        if name.startswith(tuple(args.prefix))
-    }
-    print(json.dumps(spans))
+    spans = {name: {"calls": stat.calls, "self_s": stat.self_s} for name, stat in tracer.stats.items()}
+    spans.update(memo_stats())
+    print(json.dumps({name: entry for name, entry in sorted(spans.items()) if name.startswith(tuple(args.prefix))}))
     return 0
 
 

@@ -288,9 +288,25 @@ def _arrow_leq(a1: tuple[CanonV, CanonC], a2: tuple[CanonV, CanonC], table: Atom
     return leq_canon_v(a2[0], a1[0], table) and leq_canon_c(a1[1], a2[1], table)
 
 
+# The memos hold strong references to the nodes they key on, so they are
+# bounded; a node no memo or caller holds leaves the intern table.
+_MEMO_SIZE = 2**16
+
+
 def _make_canon_v(
     atoms: Iterable[str],
     arrows: Iterable[tuple[CanonV, CanonC]],
+    table: AtomTable,
+) -> CanonV:
+    """The canonical form of the meet of the given atoms and arrows,
+    memoised on the parts in the order given."""
+    return _make_canon_v_cached(tuple(atoms), tuple(arrows), table)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _make_canon_v_cached(
+    atoms: tuple[str, ...],
+    arrows: tuple[tuple[CanonV, CanonC], ...],
     table: AtomTable,
 ) -> CanonV:
     # atoms: keep one representative per equivalence class, minimal ones only
@@ -322,14 +338,11 @@ def _make_canon_v(
     return CanonV(tuple(sorted(kept_atoms)), tuple(kept))
 
 
-# The memos hold strong references to the nodes they key on, so they are
-# bounded; a node no memo or caller holds leaves the intern table.
-_MEMO_SIZE = 2**16
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _meet_canon_v_cached(a: CanonV, b: CanonV, table: AtomTable) -> CanonV:
-    return _make_canon_v(a.atoms + b.atoms, a.arrows + b.arrows, table)
+    # a meet is memoised on its pair, so its fold takes no second entry,
+    # which would double the memos of a lattice build
+    return _make_canon_v_cached.__wrapped__(a.atoms + b.atoms, a.arrows + b.arrows, table)
 
 
 def meet_canon_v(a: CanonV, b: CanonV, table: AtomTable) -> CanonV:
@@ -362,6 +375,13 @@ def meet_all_canon_c(parts: Iterable[CanonC], table: AtomTable) -> CanonC:
 def apply_canon(f: CanonV, arg: CanonV, table: AtomTable) -> CanonC:
     """The type of applying a function of type f to an argument of type arg:
     the meet of the codomains of f's arrows whose domain arg entails."""
+    if not f.arrows:
+        return TOP_C
+    return _apply_canon_cached(f, arg, table)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _apply_canon_cached(f: CanonV, arg: CanonV, table: AtomTable) -> CanonC:
     return meet_all_canon_c((c for d, c in f.arrows if leq_canon_v(arg, d, table)), table)
 
 

@@ -110,3 +110,20 @@ def test_trace_spans_reports_calls_the_metrics_leave_out():
     # one parse and one print per round-trip item, and terms parsed from the files
     assert spans["derivfile.parse_derivation"]["calls"] == spans["derivfile.print_derivation"]["calls"] == 4
     assert spans["terms.parse_term"]["calls"] > 0
+
+
+def test_trace_spans_reports_the_memos():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "trace_spans.py"), "--workload", "semantics", "--seed", "0",
+         "--prefix", "memo.typesys._make_canon_v", "memo.typesys._apply_canon", "memo.filters."],
+        capture_output=True, text=True, check=True,
+    )
+    memos = json.loads(proc.stdout)
+    assert set(memos) == {
+        "memo.typesys._make_canon_v_cached", "memo.typesys._apply_canon_cached",
+        "memo.filters._value_lattice", "memo.filters.comp_lattice", "memo.filters._projected",
+    }
+    for name in ("memo.typesys._make_canon_v_cached", "memo.typesys._apply_canon_cached"):
+        # a pass folds and applies few distinct inputs many times
+        stats = memos[name]
+        assert stats["hits"] > stats["misses"] == stats["currsize"] > 0

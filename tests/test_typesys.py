@@ -1,10 +1,12 @@
 import gc
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ubcalc import typesys
+from ubcalc.filters import value_lattice
 from ubcalc.typesys import (
     AtomTable,
     C_OMEGA,
@@ -22,12 +24,15 @@ from ubcalc.typesys import (
     VAtom,
     VInter,
     VOmega,
+    apply_canon,
     brute_subtype_oracle,
     enumerate_types,
     eq_c,
     eq_v,
     leq_c,
+    leq_canon_v,
     leq_v,
+    meet_all_canon_c,
     meet_canon_c,
     meet_canon_v,
     normalize_ctype,
@@ -176,6 +181,9 @@ def canon_nodes(c):
     return out
 
 
+CANON_MEMOS = ("_make_canon_v_cached", "_meet_canon_v_cached", "_apply_canon_cached", "_leq_canon_v_cached")
+
+
 class TestInterning:
     @given(vtypes(3, T2))
     def test_normalize_twice_is_identical(self, t):
@@ -224,15 +232,88 @@ class TestInterning:
         assert interned(CanonV) > before[0] + 50
         del c
         # the memos hold strong references; dropping them frees the nodes
-        typesys._meet_canon_v_cached.cache_clear()
-        typesys._leq_canon_v_cached.cache_clear()
+        for name in CANON_MEMOS:
+            getattr(typesys, name).cache_clear()
         gc.collect()
         assert interned(CanonV) <= before[0]
         assert interned(CanonC) <= before[1]
 
     def test_memos_are_bounded(self):
-        for memo in (typesys._meet_canon_v_cached, typesys._leq_canon_v_cached):
-            assert memo.cache_info().maxsize is not None
+        for name in CANON_MEMOS:
+            assert getattr(typesys, name).cache_info().maxsize is not None
+
+
+# The fold and the application before they were memoised: each call folds
+# the whole table, or compares the argument with every arrow's domain.
+
+
+def ref_make_canon_v(atoms, arrows, table):
+    kept_atoms = []
+    for a in sorted(set(atoms)):
+        dominated = False
+        for b in list(kept_atoms):
+            if table.leq_atom(b, a):
+                dominated = True
+                break
+            if table.leq_atom(a, b):
+                kept_atoms.remove(b)
+        if not dominated:
+            kept_atoms.append(a)
+    by_dom = {}
+    for d, t in arrows:
+        if t.is_top:
+            continue
+        prev = by_dom.get(d)
+        by_dom[d] = t if prev is None else meet_canon_c(prev, t, table)
+    kept = []
+    for arr in sorted(by_dom.items(), key=typesys._arrow_key):
+        if any(typesys._arrow_leq(k, arr, table) for k in kept):
+            continue
+        kept = [k for k in kept if not typesys._arrow_leq(arr, k, table)]
+        kept.append(arr)
+    kept.sort(key=typesys._arrow_key)
+    return CanonV(tuple(sorted(kept_atoms)), tuple(kept))
+
+
+def ref_apply_canon(f, arg, table):
+    return meet_all_canon_c((c for d, c in f.arrows if leq_canon_v(arg, d, table)), table)
+
+
+class TestCanonMemos:
+    @pytest.mark.parametrize("n,table", [(2, EMPTY_TABLE), (1, T1)], ids=["rank2", "rank1-one-atom"])
+    def test_memos_match_the_unmemoised_bodies(self, n, table):
+        points = value_lattice(n, table)
+        rng = random.Random(n)
+        # each point's table over the points, and its meet with each point,
+        # with the parts in shuffled order
+        folds = []
+        for f in points:
+            parts = [(f.atoms, [(p, ref_apply_canon(f, p, table)) for p in points])]
+            parts += [(f.atoms + g.atoms, list(f.arrows + g.arrows)) for g in points]
+            for atoms, arrows in parts:
+                rng.shuffle(arrows)
+                folds.append((atoms, arrows, ref_make_canon_v(atoms, arrows, table)))
+        applied = [(f, arg, ref_apply_canon(f, arg, table)) for f in points for arg in points]
+        assert any(not want.is_top for _, _, want in applied)
+
+        def check():
+            for atoms, arrows, want in folds:
+                assert typesys._make_canon_v(iter(atoms), iter(arrows), table) is want
+            for f, arg, want in applied:
+                assert apply_canon(f, arg, table) is want
+
+        clear_type_memos()
+        check()
+        # the second round is answered from the memos; a function with no
+        # arrows is applied without one
+        memos = (typesys._make_canon_v_cached, typesys._apply_canon_cached)
+        before = [memo.cache_info().hits for memo in memos]
+        check()
+        after = [memo.cache_info().hits for memo in memos]
+        assert after[0] - before[0] >= len(folds)
+        assert after[1] - before[1] == sum(1 for f, _, _ in applied if f.arrows) > 0
+        clear_type_memos()
+        check()
 
 
 # The un-memoised normalisation the raw types were read with before they
@@ -284,7 +365,7 @@ def rebuilt(t):
 
 
 def clear_type_memos():
-    for name in RAW_MEMOS + ("_meet_canon_v_cached", "_leq_canon_v_cached"):
+    for name in RAW_MEMOS + CANON_MEMOS:
         getattr(typesys, name).cache_clear()
 
 
@@ -378,7 +459,7 @@ class TestRawInterning:
         assert len(typesys._INTERNED_TYPES) <= before
 
     def test_memos_are_bounded(self):
-        for name in RAW_MEMOS:
+        for name in RAW_MEMOS + CANON_MEMOS:
             assert getattr(typesys, name).cache_info().maxsize == typesys._MEMO_SIZE
 
     @given(vtypes(3, T1), ctypes(3, T1))
