@@ -591,25 +591,26 @@ def _monad_laws(cfg: GenConfig, case: tuple):
     return {}
 
 
+def _unmet(step, recipe) -> dict:
+    """The failure fields of a bridge step whose placed recipe does not
+    meet: its rule, its position, and each side of the recipe."""
+    return {"rule": step.rule.value, "position": step.position_str(),
+            "recipe": [[f"{rule.value} at {'.'.join(at) or 'root'}" for rule, at in side] for side in recipe]}
+
+
 @suite("moggi-preservation", _indexed(gen_mterm))
 def _moggi_preservation(cfg: GenConfig, e: moggi.MTerm):
-    verdicts = {r.preserved for r in moggi.check_preservation(e, cfg.fuel * 2)}
-    if False in verdicts:
-        return {"term": moggi.m_print(e)}
-    return INCONCLUSIVE if None in verdicts else PASS
+    results = moggi.check_preservation(e)
+    if all(r.preserved for r in results):
+        return PASS
+    step = next(s for s, r in zip(moggi.m_enumerate_steps(e), results) if not r.preserved)
+    return {"term": moggi.m_print(e), **_unmet(step, moggi.let_recipe_at(e, step))}
 
 
 @suite("moggi-convertibility")
 def _moggi_convertibility(cfg: GenConfig, m: Comp):
-    # a step whose images meet by its rule's recipe is witnessed by the
-    # replay; only the others are searched, and only a search answers
-    # False or inconclusive
     source = moggi.to_moggi(m)
-    verdicts = []
     for step in enumerate_steps(m, DEFAULT_RULES):
-        target = moggi.to_moggi(step.result)
-        verdicts.append(moggi.simulate(source, target, step) is not None
-                        or moggi.convertible(source, target, cfg.fuel * 3))
-    if False in verdicts:
-        return {}
-    return INCONCLUSIVE if None in verdicts else PASS
+        if moggi.simulate(source, moggi.to_moggi(step.result), step) is None:
+            return _unmet(step, moggi.recipe_at(step))
+    return PASS

@@ -6,8 +6,8 @@ their rules (``MRule``) in ``reduction``, whose one step kernel serves
 both calculi: ``reduction.root_step`` contracts a let-redex as it does a
 unit/bind one, ``reduction.Step`` records either, and
 ``reduction.replay`` replays either without being told which.  This
-module holds the let syntax, the let-steps deduplicated up to alpha
-(``m_enumerate_steps``) and the let-term search (``convertible``).
+module holds the let syntax and the let-steps deduplicated up to alpha
+(``m_enumerate_steps``).
 
 to_moggi maps unit/bind terms into the let calculus (unit disappears,
 bind becomes let); from_moggi maps back, wrapping translated values in
@@ -15,8 +15,9 @@ unit so that every image is a computation.  Both translations are
 compositional, so each step of either calculus is simulated by a fixed
 short reduction of the other at the image of its redex (``RECIPES``):
 ``simulate`` replays a unit/bind step's let-steps, and
-``check_preservation`` a let-step's unit/bind steps, searching with
-``reduction.joinable`` only where a recipe does not meet.
+``check_preservation`` a let-step's unit/bind steps.  Replay needs no
+budget, so a step is simulated or it is not: a recipe that does not
+meet is a failure, and no search stands in for it.
 """
 from __future__ import annotations
 
@@ -48,7 +49,6 @@ from .terms import (
     Variable,
     alpha_key,
     fresh_var,
-    is_comp,
     is_mvalue,
     replace_keyed,
     subterm_at,
@@ -232,24 +232,6 @@ def from_moggi(e: MTerm) -> Comp:
     return _as_comp(e, _from_moggi(e)[0])
 
 
-# ------------------------------------------------------------- conversion
-
-
-def convertible(a: MTerm, b: MTerm, fuel: int = 300) -> Optional[bool]:
-    """Bounded bidirectional joinability of two let-terms.
-
-    True when a common reduct is found; False when both reachable sets
-    were exhausted without meeting; None when budgets ran out
-    (inconclusive, since conversion is only semi-decided by joining).
-    The search is ``reduction.meet`` over ``m_enumerate_steps`` as this
-    module holds it when called.
-    """
-    if not (isinstance(a, MTerm) and isinstance(b, MTerm)):
-        raise TypeError("convertible expects two let-terms")
-    found = ub_reduction.meet(a, b, m_enumerate_steps, fuel)
-    return None if found is None else found is not False
-
-
 # -------------------------------------------------------------- simulation
 
 # (rule, position) steps of either calculus, as ``reduction.replay`` takes
@@ -339,22 +321,25 @@ def _placed(recipe: Witness, q: Position) -> Witness:
     return tuple(tuple((rule, q + at) for rule, at in side) for side in recipe)
 
 
+def recipe_at(step: Step) -> Optional[Witness]:
+    """The let-steps of a unit/bind step's recipe, placed at the image of
+    its position; None for a rule without a recipe."""
+    recipe = RECIPES.get(step.rule)
+    return None if recipe is None else _placed(recipe, image_position(step.position))
+
+
 def simulate(source_image: MTerm, target_image: MTerm, step: Step) -> Optional[Witness]:
     """A witness that the images of a unit/bind step's source and target
-    are convertible: the let-steps of the step's recipe, placed at the
-    image of its position, from source_image and from target_image, when
-    both replay (``reduction.replay``) and end alpha-equal; None
-    otherwise, and for a rule without a recipe."""
-    recipe = RECIPES.get(step.rule)
-    if recipe is None:
-        return None
-    return _meeting(source_image, target_image, _placed(recipe, image_position(step.position)))
+    are convertible: the step's placed recipe (``recipe_at``), when its
+    two sides replay (``reduction.replay``) from source_image and from
+    target_image and end alpha-equal; None otherwise."""
+    recipe = recipe_at(step)
+    return None if recipe is None else _meeting(source_image, target_image, recipe)
 
 
-def _let_witness(e: MTerm, source_image: Comp, target_image: Comp, step: Step) -> Optional[Witness]:
-    """The unit/bind steps of a let-step's recipe, placed at the image of
-    its redex, when they carry ``from_moggi`` of e and of the step's
-    result to one term; None otherwise.  A non-value function that
+def let_recipe_at(e: MTerm, step: Step) -> Witness:
+    """The unit/bind steps of the recipe of a let-step of e, placed at
+    the image of its redex in ``from_moggi(e)``.  A non-value function that
     contracts to a value moves its application to the other case of
     ``_from_moggi``, one betac at the application's image further."""
     p = step.position
@@ -362,7 +347,7 @@ def _let_witness(e: MTerm, source_image: Comp, target_image: Comp, step: Step) -
     source, target = _placed(RECIPES[step.rule], q)
     if p[-1:] == ("app-fn",) and not is_mvalue(subterm_at(e, p)) and is_mvalue(subterm_at(step.result, p)):
         source += ((Rule.BETA_C, q[:-1]),)
-    return _meeting(source_image, target_image, (source, target))
+    return source, target
 
 
 # ------------------------------------------------------------ preservation
@@ -370,34 +355,42 @@ def _let_witness(e: MTerm, source_image: Comp, target_image: Comp, step: Step) -
 
 @dataclass(frozen=True, slots=True)
 class PreservationResult:
-    """One step's verdict: ``reached`` when the source image reduces to
-    the target image, in ``steps`` steps (-1 when it does not), the
-    length of the recipe's source side; ``eta_join`` when it is not
-    reached but the two images join with eta; ``refuted`` when neither
-    holds and the fallback join was exhausted without a meet.
-    ``witness`` holds the recipe's two step lists, placed as ``simulate``
-    places them, when they meet; None for a verdict of the fallback."""
+    """One let-step's verdict.  ``witness`` holds its placed recipe
+    (``let_recipe_at``) when the two sides carry ``source_image`` and
+    ``target_image`` to one term, and None when they do not: then the
+    step is not preserved."""
 
     rule: MRule
     source_image: Comp
     target_image: Comp
-    reached: bool
-    steps: int
-    eta_join: bool = False
-    refuted: bool = False
-    witness: Optional[Witness] = None
+    witness: Optional[Witness]
 
     @property
-    def preserved(self) -> Optional[bool]:
-        """True when reached or joined with eta, False when refuted, and
-        None (inconclusive) when a budget ran out first."""
-        if self.reached or self.eta_join:
-            return True
-        return False if self.refuted else None
+    def preserved(self) -> bool:
+        """Whether the step's placed recipe meets."""
+        return self.witness is not None
+
+    @property
+    def reached(self) -> bool:
+        """Whether the source image reduces to the target image: the
+        witness has no target-side step."""
+        return self.preserved and not self.witness[1]
+
+    @property
+    def steps(self) -> int:
+        """The length of that reduction when reached, else -1."""
+        return len(self.witness[0]) if self.reached else -1
+
+    @property
+    def eta_join(self) -> bool:
+        """Whether the images join with eta but the target is not reached:
+        let2's witness, an etac from the target image back to the source
+        image."""
+        return self.preserved and not self.reached
 
 
-def check_preservation(e: MTerm, fuel: int = 400) -> list[PreservationResult]:
-    """For every one-step reduct e > e', check that the translation of e
+def check_preservation(e: MTerm) -> list[PreservationResult]:
+    """For every one-step reduct e > e', whether the translation of e
     reaches, or joins with eta, the translation of e'.
 
     The translation is compositional, so each step is matched by its
@@ -405,22 +398,11 @@ def check_preservation(e: MTerm, fuel: int = 400) -> list[PreservationResult]:
     ``reduction.replay``: a recipe without target-side steps is a
     reduction from the source image, and let2's, an etac from the target
     image back to the source image, is a join with eta.  A step whose
-    recipe does not meet goes to one ``reduction.joinable`` with every
-    rule and fuel steps a side: a common reduct is a join with eta, and a
-    join exhausted without one refutes the step, since every forward
-    reduct of the source image would have been a common reduct; a spent
-    budget leaves it inconclusive.
+    recipe does not meet is not preserved.
     """
     src = from_moggi(e)
     out = []
     for step in m_enumerate_steps(e):
         dst = from_moggi(step.result)
-        witness = _let_witness(e, src, dst, step)
-        if witness is not None:
-            reached = not witness[1]
-            out.append(PreservationResult(step.rule, src, dst, reached, len(witness[0]) if reached else -1,
-                                          not reached, witness=witness))
-            continue
-        join = ub_reduction.joinable(src, dst, fuel, ub_reduction.ALL_RULES)
-        out.append(PreservationResult(step.rule, src, dst, False, -1, is_comp(join), join is False))
+        out.append(PreservationResult(step.rule, src, dst, _meeting(src, dst, let_recipe_at(e, step))))
     return out

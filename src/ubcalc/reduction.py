@@ -18,12 +18,11 @@ either, ``Step`` records a step of either, one redex walk lists the
 steps, and ``replay`` applies a recorded list of (rule, position) steps
 where a search is not needed.  Also here: complete developments, the
 left-of-star termination measure for ass, and the bounded breadth-first
-search both calculi share: ``explore`` from one term and ``meet`` from
-two.  ``joinable`` runs ``meet`` on unit/bind terms and returns a common
-reduct, False once both reachable sets are exhausted without meeting, or
-None when a budget runs out first.  Without etac the rules are
-confluent, so False means not convertible; with etac it means only "no
-common reduct".
+search on unit/bind terms: ``explore`` from one term and ``meet`` from
+two.  ``joinable`` runs ``meet`` and returns a common reduct, False once
+both reachable sets are exhausted without meeting, or None when a budget
+runs out first.  Without etac the rules are confluent, so False means
+not convertible; with etac it means only "no common reduct".
 """
 from __future__ import annotations
 
@@ -359,29 +358,28 @@ def ass_measure(m: Comp) -> int:
 # ------------------------------------------------------------ bounded search
 
 
-def explore(start, successors, budget: int, seen: set, whole: bool = False):
-    """Bounded breadth-first search up to alpha.  Yields (key, state, depth)
-    for start, then for each state first reached, after adding its key to
-    seen.  successors(t, key) receives a state and the state's key and
-    gives its steps, each with a result and the result's key; each step
-    costs one unit of budget.  Only start's key is computed here.  Once
-    the budget is spent, the next step is refused and the search stops;
-    with whole, a state whose expansion began within the budget still
-    takes all its steps.  Returns False when a step was refused, and True
-    when none was: the reachable set was exhausted."""
-    k = alpha_key(start)
-    seen.add(k)
-    yield k, start, 0
-    frontier, depth = [(k, start)], 0
+def explore(start, key: tuple, rules: frozenset[Rule] | set[Rule], budget: int, seen: set):
+    """Bounded breadth-first search up to alpha from start, whose alpha
+    key is key.  Yields (key, state, depth) for start, then for each state
+    first reached, after adding its key to seen.  A state's steps are
+    ``enumerate_steps`` under rules, keyed from the state's key, and each
+    costs one unit of budget.  A state whose expansion begins within the
+    budget takes all its steps; once the budget is spent, the next state
+    with a step is refused and the search stops.  Returns False when a
+    state was refused, and True when none was: the reachable set was
+    exhausted."""
+    seen.add(key)
+    yield key, start, 0
+    frontier, depth = [(key, start)], 0
     while frontier:
         depth += 1
         nxt = []
-        for key, t in frontier:
-            started = whole and budget > 0
-            for s in successors(t, key):
-                if budget <= 0 and not started:
-                    return False
-                budget -= 1
+        for k, t in frontier:
+            steps = enumerate_steps(t, rules, k)
+            if steps and budget <= 0:
+                return False
+            budget -= len(steps)
+            for s in steps:
                 if s.key not in seen:
                     seen.add(s.key)
                     nxt.append((s.key, s.result))
@@ -390,18 +388,18 @@ def explore(start, successors, budget: int, seen: set, whole: bool = False):
     return True
 
 
-def meet(a, b, successors, fuel: int, whole: bool = False):
-    """Search from a and from b for a common reduct.
+def meet(a, b, keys: tuple[tuple, tuple], rules: frozenset[Rule] | set[Rule], fuel: int):
+    """Search from a and from b, whose alpha keys are keys, for a common
+    reduct under rules.
 
-    The sides explore in turn, a level at a time and each with fuel (and
-    whole, as for ``explore``), and stop at the first state one reaches
-    that the other has seen: a meet of the two full searches shows when
-    the later side reaches it.  Returns that state; False when both
-    reachable sets were exhausted without meeting; None when a budget ran
-    out first.
+    The sides explore in turn, a level at a time and each with fuel (as
+    for ``explore``), and stop at the first state one reaches that the
+    other has seen: a meet of the two full searches shows when the later
+    side reaches it.  Returns that state; False when both reachable sets
+    were exhausted without meeting; None when a budget ran out first.
     """
     seen: tuple[set, set] = (set(), set())
-    searches = {i: explore(t, successors, fuel, seen[i], whole) for i, t in enumerate((a, b))}
+    searches = {i: explore(t, keys[i], rules, fuel, seen[i]) for i, t in enumerate((a, b))}
     level, exhausted = [-1, -1], True
     while searches:
         for i, search in list(searches.items()):
@@ -432,7 +430,8 @@ def joinable(
     confluent, so False means not convertible; with etac it means only
     that m and n have no common reduct.
     """
-    if alpha_key(m) == alpha_key(n):
+    keys = alpha_key(m), alpha_key(n)
+    if keys[0] == keys[1]:
         return m
     fast = min(fuel, 80)
     nm = normalize(m, rules, fast)
@@ -440,10 +439,4 @@ def joinable(
     if nm.normal_form and nn.normal_form and alpha_key(nm.term) == alpha_key(nn.term):
         return nm.term
 
-    return meet(m, n, step_successors(rules), fuel, whole=True)
-
-
-def step_successors(rules: frozenset[Rule] | set[Rule]):
-    """successors for ``explore`` and ``meet`` on unit/bind terms: the
-    steps of a state under rules, keyed from the state's key."""
-    return lambda t, key: enumerate_steps(t, rules, key)
+    return meet(m, n, keys, rules, fuel)

@@ -8,15 +8,15 @@ from conftest import CLOSED_COMPS, ref_m_enumerate_steps
 
 from ubcalc import moggi
 from ubcalc import reduction as ub_reduction
-from ubcalc.harness import GenConfig, gen_mterm, gen_terms, run_suite
+from ubcalc.harness import GenConfig, gen_mterm, gen_term, gen_terms, run_suite
 from ubcalc.moggi import (
     MApp,
     MLam,
     MLet,
     MRule,
     MVar,
+    RECIPES,
     check_preservation,
-    convertible,
     from_moggi,
     from_moggi_comp,
     from_moggi_value,
@@ -296,7 +296,7 @@ class TestPreservation:
         shadow each other: each step's recipe meets."""
         shadowing = (e for size in range(1, 8) for e in mterms(size, ["u"], SHADOWING))
         for e in itertools.chain(mterms(5, ["u"]), shadowing):
-            for r in check_preservation(e, fuel=300):
+            for r in check_preservation(e):
                 assert _meets(r.source_image, r.target_image, r.witness), m_print(e)
 
     def test_a_step_reached_at_the_root_is_reached(self):
@@ -314,82 +314,69 @@ class TestPreservation:
 
     def test_a_spent_budget_is_inconclusive(self, monkeypatch):
         """The betav step's image is two steps away, which its recipe
-        replays at any fuel.  Moved to where its recipe does not replay,
-        the step goes to the fallback join, whose budget of one step a
-        side runs out: it is neither joined nor refuted."""
+        replays.  Moved to where its recipe does not replay, the step once
+        went to a bounded join, whose spent budget left it inconclusive;
+        with no join left, it is not preserved."""
         e = m_parse("(\\x. x) (\\y. y) (\\z. z)")
-        for fuel in (0, 1):
-            (r,) = [r for r in check_preservation(e, fuel) if r.rule is MRule.BETA_V]
-            assert (r.reached, r.steps) == (True, 2)
+        (r,) = [r for r in check_preservation(e) if r.rule is MRule.BETA_V]
+        assert (r.reached, r.steps) == (True, 2)
         real = moggi.m_enumerate_steps
         moved = lambda e, key=None: [dataclasses.replace(s, position=("app-arg",)) for s in real(e, key)]
         monkeypatch.setattr(moggi, "m_enumerate_steps", moved)
-        (r,) = [r for r in check_preservation(e, 1) if r.rule is MRule.BETA_V]
-        assert (r.reached, r.eta_join, r.refuted, r.preserved, r.witness) == (False, False, False, None, None)
+        (r,) = [r for r in check_preservation(e) if r.rule is MRule.BETA_V]
+        assert (r.reached, r.eta_join, r.preserved, r.witness) == (False, False, False, None)
 
     def test_steps_a_whole_search_left_open_are_decided(self):
         """Cases 29, 30 and 39 of seed 7 at size 50 have steps that a
         400-step whole-term search neither reaches nor exhausts; their
         recipes decide them all."""
         cfg = GenConfig(seed=7, max_size=50)
-        verdicts = [r.preserved for i in (29, 30, 39) for r in check_preservation(gen_mterm(cfg, i), 400)]
+        verdicts = [r.preserved for i in (29, 30, 39) for r in check_preservation(gen_mterm(cfg, i))]
         assert set(verdicts) == {True}
 
     def test_a_bogus_step_is_refuted(self, monkeypatch):
         """A step to a term the source image can neither reach nor join
-        fails once both searches are exhausted, in the suite too."""
+        is not preserved.  The suite fails each case on its bogus step and
+        names the placed recipe: one betac at the image of the root."""
         real = moggi.m_enumerate_steps
         bogus = Step(MRule.BETA_V, (), m_parse("\\y. \\z. z"))
         monkeypatch.setattr(moggi, "m_enumerate_steps", lambda e, key=None: real(e, key) + [bogus])
         (r,) = check_preservation(m_parse("\\x. x"))
-        assert (r.reached, r.eta_join, r.refuted, r.preserved, r.witness) == (False, False, True, False, None)
-        assert run_suite("moggi-preservation", GenConfig(seed=0, cases=20)).failures
+        assert (r.reached, r.eta_join, r.preserved, r.witness) == (False, False, False, None)
+        cfg = GenConfig(seed=0, cases=20)
+        report = run_suite("moggi-preservation", cfg)
+        assert (report.passes, report.inconclusive, len(report.failures)) == (0, 0, 20)
+        for failure in report.failures:
+            root = "unit-arg" if is_mvalue(gen_mterm(cfg, failure["index"])) else "root"
+            assert (failure["rule"], failure["position"], failure["recipe"]) == ("betav", "root", [[f"betac at {root}"], []])
 
 
 class TestConvertibility:
-    def test_reflexive(self):
-        e = m_parse("let x = u in x")
-        assert convertible(e, e) is True
-
-    def test_unrelated_normal_forms(self):
-        assert convertible(MVar("a"), MVar("b")) is False
-        assert convertible(m_parse("\\x. x"), m_parse("\\y. \\z. z"), 0) is False
-        assert convertible(m_parse("\\x. x"), m_parse("(\\y. y) (\\z. z)"), 0) is None
-
     def test_images_of_reduction_steps(self):
+        """The images of each step's source and target meet by the step's
+        witness, the ass step's with let-steps from both images."""
         m = parse_term("(unit (\\z. unit z) * (\\x. unit x * q)) * (\\y. unit y)")
         for step in enumerate_steps(m):
-            assert convertible(to_moggi(m), to_moggi(step.result), fuel=500) is True
+            source, target = to_moggi(m), to_moggi(step.result)
+            assert _meets(source, target, simulate(source, target, step)), step.rule
 
     def test_ub_side_dispatch(self):
-        """A unit/bind pair is ``reduction.joinable``'s to decide:
-        convertible refuses it, and joinable joins it."""
+        """A unit/bind pair is ``reduction.joinable``'s to decide: it
+        joins the id peak at its normal form."""
         m = parse_term("unit (\\x. unit x) * (\\y. unit y)")
         n = parse_term("unit (\\x. unit x)")
-        with pytest.raises(TypeError):
-            convertible(m, n)
         assert alpha_eq(ub_reduction.joinable(m, n, fuel=300), n)
 
     def test_ub_unrelated_normal_forms(self):
         a, b = Unit(Variable("a")), Unit(Variable("b"))
-        with pytest.raises(TypeError):
-            convertible(a, b)
         assert ub_reduction.joinable(a, b, fuel=300) is False
 
-    @pytest.mark.parametrize(
-        "a,b",
-        [(MVar("a"), Unit(Variable("a"))), (Unit(Variable("a")), MVar("a"))],
-        ids=["let-then-ub", "ub-then-let"],
-    )
-    def test_mixed_calculi_rejected(self, a, b):
-        with pytest.raises(TypeError):
-            convertible(a, b)
 
-
-# The searches as they were before the two sides stopped at their first
-# meet, kept as differential oracles over the independent step list of
-# ``conftest.ref_m_enumerate_steps``: each side's reachable set built to
-# the end of its budget, and the forward image search with its own loop.
+# The let-term search and the preservation check as they were before the
+# bridge suites replayed recipes, kept as differential oracles over the
+# independent step list of ``conftest.ref_m_enumerate_steps``: each
+# side's reachable set built to the end of its budget, and the forward
+# image search with its own loop.
 
 
 def _ref_m_reachable(e, budget):
@@ -504,40 +491,17 @@ class TestSearchOracles:
                 ]
                 assert all(s.key == alpha_key(s.result) for s in got)
 
-    def test_convertible_matches_full_searches(self):
-        verdicts = set()
-        pairs = list(_oracle_pairs())
-        for fuel in ORACLE_FUELS:
-            for a, b in pairs:
-                want = _ref_convertible(a, b, fuel)
-                assert convertible(a, b, fuel) is want, (m_print(a), m_print(b), fuel)
-                verdicts.add(want)
-        assert verdicts == {True, False, None}
-
-    def test_shared_searches_match_full_searches(self):
-        """One source searched against each of several targets in turn:
-        every verdict equals the full searches'."""
-        groups: dict[tuple, tuple] = {}
-        for a, b in _oracle_pairs():
-            groups.setdefault(alpha_key(a), (a, []))[1].append(b)
-        assert any(len(targets) > 1 for _, targets in groups.values())
-        for fuel in ORACLE_FUELS:
-            for source, targets in groups.values():
-                for target in targets:
-                    want = _ref_convertible(source, target, fuel)
-                    assert convertible(source, target, fuel) is want, (m_print(source), m_print(target), fuel)
-
     def test_check_preservation_matches_forward_then_backward(self):
-        """Equal results at fuel 60 and 300.  At fuel 10 a recipe, which
-        needs no fuel, decides a step the reference's searches leave open:
-        the verdict is equal wherever the reference decides, and the depth
-        wherever both reach."""
+        """Equal results to the reference's at fuel 60 and 300.  At fuel
+        10 a recipe, which needs no fuel, decides a step the reference's
+        searches leave open: the verdict is equal wherever the reference
+        decides, and the depth wherever both reach."""
         terms = {alpha_key(e): e for pair in _oracle_pairs() for e in pair}
         joins = 0
-        for fuel in (10, 60, 300):
-            for e in terms.values():
-                results = check_preservation(e, fuel)
-                got = [(r.rule, r.reached, r.steps, r.eta_join) for r in results]
+        for e in terms.values():
+            results = check_preservation(e)
+            got = [(r.rule, r.reached, r.steps, r.eta_join) for r in results]
+            for fuel in (10, 60, 300):
                 want = _ref_check_preservation(e, fuel)
                 if fuel == 10:
                     for r, (rule, ok, n, eta_join) in zip(results, want, strict=True):
@@ -548,27 +512,8 @@ class TestSearchOracles:
                             assert r.steps == n, (m_print(e), rule)
                 else:
                     assert got == want, (m_print(e), fuel)
-                joins += sum(r[3] for r in got)
+                    joins += sum(r[3] for r in got)
         assert joins > 0
-
-    def test_convertible_stops_at_the_first_meet(self, monkeypatch):
-        m = parse_term("(unit (\\z. unit z) * (\\x. unit x * q)) * (\\y. unit y)")
-        (step,) = [s for s in enumerate_steps(m) if s.rule is ub_reduction.Rule.ASS]
-        a, b = to_moggi(m), to_moggi(step.result)
-        fuel = 40
-        # the full searches spend both budgets before they meet
-        assert not _ref_m_reachable(a, fuel)[1] and not _ref_m_reachable(b, fuel)[1]
-        built = []
-        real = moggi.m_enumerate_steps
-
-        def counted(*args, **kwargs):
-            steps = real(*args, **kwargs)
-            built.append(len(steps))
-            return steps
-
-        monkeypatch.setattr(moggi, "m_enumerate_steps", counted)
-        assert convertible(a, b, fuel) is True
-        assert sum(built) < fuel
 
 
 def _ub_step_images(cfg):
@@ -682,7 +627,7 @@ class TestSimulation:
         """Neither bridge suite searches at default size: every verdict is
         a recipe's."""
         searched = []
-        for module, name in ((moggi, "convertible"), (ub_reduction, "joinable"), (ub_reduction, "meet")):
+        for module, name in ((ub_reduction, "joinable"), (ub_reduction, "meet")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *args, real=real, **kw: searched.append(args) or real(*args, **kw))
         for suite in ("moggi-convertibility", "moggi-preservation"):
@@ -690,15 +635,28 @@ class TestSimulation:
             assert report.passes == report.cases > 0 and not searched, suite
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_suite_without_witnesses_gives_the_search_verdicts(self, seed, monkeypatch):
+    def test_suite_without_witnesses_fails_every_case_with_a_step(self, seed, monkeypatch):
+        """With no witness, a case fails at its first step, whose rule,
+        position and placed recipe the failure names; a case without a
+        step passes."""
         cfg = GenConfig(seed=seed, cases=40)
-        witnessed = run_suite("moggi-convertibility", cfg).to_json()
-        searched = []
-        real = moggi.convertible
         monkeypatch.setattr(moggi, "simulate", lambda *args: None)
-        monkeypatch.setattr(moggi, "convertible", lambda *args: searched.append(args) or real(*args))
-        assert run_suite("moggi-convertibility", cfg).to_json() == witnessed
-        assert searched
+        report = run_suite("moggi-convertibility", cfg)
+        first = {i: enumerate_steps(gen_term(cfg, i), DEFAULT_RULES)[:1] for i in range(cfg.cases)}
+        assert report.inconclusive == 0 and report.passes == sum(not steps for steps in first.values())
+        assert sorted(f["index"] for f in report.failures) == [i for i, steps in first.items() if steps]
+        for failure in report.failures:
+            (step,) = first[failure["index"]]
+            q = image_position(step.position)
+            recipe = [[f"{rule.value} at {'.'.join(q + at) or 'root'}" for rule, at in side] for side in RECIPES[step.rule]]
+            assert (failure["rule"], failure["position"], failure["recipe"]) == (
+                step.rule.value, step.position_str(), recipe)
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("suite", ["moggi-convertibility", "moggi-preservation"])
+    def test_bridge_suites_pass_at_every_seed(self, suite, seed):
+        report = run_suite(suite, GenConfig(seed=seed, max_size=25, cases=50))
+        assert report.passes == report.cases == 50, report.failures[:1]
 
 
 class TestGrammar:
