@@ -1,4 +1,5 @@
-"""The let-calculus's own syntax and search, and the two translations.
+"""The let-calculus's syntax, the two translations, and the recipes by
+which each calculus simulates the other.
 
 Let-terms are variables, abstractions, applications and lets; values are
 variables and abstractions.  Their constructors live in ``terms`` and
@@ -13,16 +14,16 @@ to_moggi maps unit/bind terms into the let calculus (unit disappears,
 bind becomes let); from_moggi maps back, wrapping translated values in
 unit so that every image is a computation.  Both translations are
 compositional, so each step of either calculus is simulated by a fixed
-short reduction of the other at the image of its redex (``RECIPES``):
-``simulate`` replays a unit/bind step's let-steps, and
-``check_preservation`` a let-step's unit/bind steps.  Replay needs no
-budget, so a step is simulated or it is not: a recipe that does not
-meet is a failure, and no search stands in for it.
+short reduction of the other at the image of its redex (``RECIPES``),
+placed there by ``recipe_at`` for a unit/bind step and by
+``let_recipe_at`` for a let-step.  ``meets`` is the one check for both
+directions: the placed recipe replays from the two images to one term.
+Replay needs no budget, so a step is simulated or it is not: a recipe
+that does not meet is a failure, and no search stands in for it.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from . import reduction as ub_reduction
@@ -308,33 +309,21 @@ def let_image_position(e: MTerm, p: Position) -> Position:
     return q
 
 
-def _meeting(source, target, witness: Witness) -> Optional[Witness]:
-    """witness when its two sides replay from source and from target
-    (``reduction.replay``) and end alpha-equal, else None."""
-    ends = [ub_reduction.replay(t, side) for t, side in zip((source, target), witness)]
-    if any(end is None for end in ends) or alpha_key(ends[0]) != alpha_key(ends[1]):
-        return None
-    return witness
+def meets(source_image, target_image, recipe: Witness) -> bool:
+    """Whether a placed recipe's two sides replay (``reduction.replay``)
+    from source_image and from target_image and end alpha-equal."""
+    ends = [ub_reduction.replay(t, side) for t, side in zip((source_image, target_image), recipe)]
+    return all(end is not None for end in ends) and alpha_key(ends[0]) == alpha_key(ends[1])
 
 
 def _placed(recipe: Witness, q: Position) -> Witness:
     return tuple(tuple((rule, q + at) for rule, at in side) for side in recipe)
 
 
-def recipe_at(step: Step) -> Optional[Witness]:
+def recipe_at(step: Step) -> Witness:
     """The let-steps of a unit/bind step's recipe, placed at the image of
-    its position; None for a rule without a recipe."""
-    recipe = RECIPES.get(step.rule)
-    return None if recipe is None else _placed(recipe, image_position(step.position))
-
-
-def simulate(source_image: MTerm, target_image: MTerm, step: Step) -> Optional[Witness]:
-    """A witness that the images of a unit/bind step's source and target
-    are convertible: the step's placed recipe (``recipe_at``), when its
-    two sides replay (``reduction.replay``) from source_image and from
-    target_image and end alpha-equal; None otherwise."""
-    recipe = recipe_at(step)
-    return None if recipe is None else _meeting(source_image, target_image, recipe)
+    its position."""
+    return _placed(RECIPES[step.rule], image_position(step.position))
 
 
 def let_recipe_at(e: MTerm, step: Step) -> Witness:
@@ -348,61 +337,3 @@ def let_recipe_at(e: MTerm, step: Step) -> Witness:
     if p[-1:] == ("app-fn",) and not is_mvalue(subterm_at(e, p)) and is_mvalue(subterm_at(step.result, p)):
         source += ((Rule.BETA_C, q[:-1]),)
     return source, target
-
-
-# ------------------------------------------------------------ preservation
-
-
-@dataclass(frozen=True, slots=True)
-class PreservationResult:
-    """One let-step's verdict.  ``witness`` holds its placed recipe
-    (``let_recipe_at``) when the two sides carry ``source_image`` and
-    ``target_image`` to one term, and None when they do not: then the
-    step is not preserved."""
-
-    rule: MRule
-    source_image: Comp
-    target_image: Comp
-    witness: Optional[Witness]
-
-    @property
-    def preserved(self) -> bool:
-        """Whether the step's placed recipe meets."""
-        return self.witness is not None
-
-    @property
-    def reached(self) -> bool:
-        """Whether the source image reduces to the target image: the
-        witness has no target-side step."""
-        return self.preserved and not self.witness[1]
-
-    @property
-    def steps(self) -> int:
-        """The length of that reduction when reached, else -1."""
-        return len(self.witness[0]) if self.reached else -1
-
-    @property
-    def eta_join(self) -> bool:
-        """Whether the images join with eta but the target is not reached:
-        let2's witness, an etac from the target image back to the source
-        image."""
-        return self.preserved and not self.reached
-
-
-def check_preservation(e: MTerm) -> list[PreservationResult]:
-    """For every one-step reduct e > e', whether the translation of e
-    reaches, or joins with eta, the translation of e'.
-
-    The translation is compositional, so each step is matched by its
-    rule's recipe (``RECIPES``) at the image of its redex, replayed with
-    ``reduction.replay``: a recipe without target-side steps is a
-    reduction from the source image, and let2's, an etac from the target
-    image back to the source image, is a join with eta.  A step whose
-    recipe does not meet is not preserved.
-    """
-    src = from_moggi(e)
-    out = []
-    for step in m_enumerate_steps(e):
-        dst = from_moggi(step.result)
-        out.append(PreservationResult(step.rule, src, dst, _meeting(src, dst, let_recipe_at(e, step))))
-    return out

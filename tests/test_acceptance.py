@@ -34,7 +34,6 @@ from ubcalc.reduction import (
     normalize,
     parallel_reduces,
     parallel_successors,
-    replay,
     star,
 )
 from ubcalc.terms import (
@@ -417,21 +416,24 @@ def test_10_moggi_bridge():
                 for body in mterms(size - 2 - ls, env + [binder]):
                     yield moggi.MLet(binder, bound, body)
 
+    def let_steps(e):
+        """Each let-step of e, and whether its placed recipe meets."""
+        source = moggi.from_moggi(e)
+        for step in moggi.m_enumerate_steps(e):
+            yield moggi.meets(source, moggi.from_moggi(step.result), moggi.let_recipe_at(e, step))
+
     exhaustive = steps = failures = 0
     for size in range(1, 8):
         for e in mterms(size, ["u"]):
             exhaustive += 1
-            for r in moggi.check_preservation(e):
+            for met in let_steps(e):
                 steps += 1
-                if not r.preserved:
-                    failures += 1
+                failures += not met
     cfg = GenConfig(seed=101, max_size=14)
     for i in range(1000):
-        e = gen_mterm(cfg, i)
-        for r in moggi.check_preservation(e):
+        for met in let_steps(gen_mterm(cfg, i)):
             steps += 1
-            if not r.preserved:
-                failures += 1
+            failures += not met
 
     conv_steps = conv_failures = 0
     tcfg = GenConfig(seed=102, cases=100_000, max_size=16)
@@ -441,11 +443,7 @@ def test_10_moggi_bridge():
         idx += 1
         for step in enumerate_steps(m, DEFAULT_RULES):
             conv_steps += 1
-            source, target = moggi.to_moggi(m), moggi.to_moggi(step.result)
-            witness = moggi.simulate(source, target, step)
-            ends = [replay(t, side) for t, side in zip((source, target), witness or ())]
-            if witness is None or None in ends or not alpha_eq(*ends):
-                conv_failures += 1
+            conv_failures += not moggi.meets(moggi.to_moggi(m), moggi.to_moggi(step.result), moggi.recipe_at(step))
 
     sub_checked = sub_failures = 0
     vals = [

@@ -193,6 +193,57 @@ def test_typecheck_fuzz_never_raises(tmp_path_factory, which, edits):
         assert main(["typecheck", str(path)]) in (0, 1, 2)
 
 
+# Each subcommand that reads a text, with a text it accepts, word by
+# word, and the words of its grammar.
+_TERM = ("unit ( \\ x . unit x ) * ( \\ y . unit y * y )", ("unit", "*", "\\", ".", "(", ")", "@", "x", "y"))
+_LET = ("let x = ( \\ y . y ) in x x", ("let", "in", "=", "\\", ".", "(", ")", "x", "y"))
+_TYPE_WORDS = ("Wv", "Wc", "T", "@a", "->", "&", "(", ")")
+_TEXT_COMMANDS = {
+    "fmt": (["fmt"], _TERM),
+    "fmt --moggi": (["fmt", "--moggi"], _LET),
+    "reduce": (["reduce"], _TERM),
+    "eval": (["eval"], _TERM),
+    "infer": (["infer"], _TERM),
+    "interp --rank 1": (["interp", "--rank", "1"], _TERM),
+    "subtype": (["subtype"], ("( Wv -> T Wv ) & Wv", _TYPE_WORDS), "<=", ("Wv -> Wc", _TYPE_WORDS)),
+    "translate --to-moggi": (["translate", "--to-moggi"], _TERM),
+    "translate --from-moggi": (["translate", "--from-moggi"], _LET),
+}
+
+_WORD_EDITS = st.lists(
+    st.tuples(st.sampled_from(["put", "put", "drop", "copy"]), st.integers(0, 10**6), st.integers(0, 10**6)),
+    max_size=4,
+)
+
+
+def _edited(text, words, edits):
+    """text after each edit of one of its words: put a grammar word in its
+    place, drop it, or copy it."""
+    tokens = text.split()
+    for op, at, pick in edits:
+        i = at % (len(tokens) or 1)
+        if op == "put":
+            tokens[i : i + 1] = [words[pick % len(words)]]
+        else:
+            tokens[i : i + 1] = [] if op == "drop" else tokens[i : i + 1] * 2
+    return " ".join(tokens)
+
+
+@pytest.mark.parametrize("command", sorted(_TEXT_COMMANDS))
+@given(st.lists(_WORD_EDITS, min_size=2, max_size=2))
+def test_text_commands_fuzz_never_raise(command, edits):
+    """Edits of accepted texts, word by word, with words of each grammar:
+    every subcommand that reads a text answers with a documented exit
+    code, never with a traceback."""
+    head, *parts = _TEXT_COMMANDS[command]
+    edit = iter(edits)
+    argv = head + [part if isinstance(part, str) else _edited(*part, next(edit)) for part in parts]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue(), argv
+
+
 @pytest.mark.parametrize(
     "text, where",
     [

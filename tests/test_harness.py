@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ubcalc import harness
+from ubcalc import harness, moggi
 from ubcalc.harness import (
     GenConfig,
     SUITES,
@@ -19,8 +19,8 @@ from ubcalc.harness import (
 )
 from ubcalc.assignment import check_derivation
 from ubcalc.convergence import Status, big_step
-from ubcalc.reduction import ALL_RULES, enumerate_steps, joinable
-from ubcalc.terms import Bind, alpha_eq, is_comp, omega_c, parse_term, print_term, term_size
+from ubcalc.reduction import ALL_RULES, Rule, enumerate_steps, joinable, root_step
+from ubcalc.terms import Bind, alpha_eq, is_comp, omega_c, parse_term, print_term, subterm_at, term_size
 from ubcalc.typesys import eq_c, parse_type
 
 
@@ -93,18 +93,19 @@ class TestSuites:
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_suite_verdicts_match_the_pinned_run():
-    """run_suites.py --json --cases 20 --seed 0 gives, suite by suite and
-    field by field, what tests/data/suites_seed0.json records (timings
-    aside).  Regenerate that file when a suite's claim changes on purpose."""
+@pytest.mark.parametrize("seed", [0, 7])
+def test_suite_verdicts_match_the_pinned_run(seed):
+    """run_suites.py --json --cases 20 --seed N gives, suite by suite and
+    field by field, what tests/data/suites_seedN.json records (timings
+    aside).  Regenerate those files when a suite's claim changes on purpose."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_suites.py"), "--json", "--cases", "20", "--seed", "0"],
+        [sys.executable, str(ROOT / "scripts" / "run_suites.py"), "--json", "--cases", "20", "--seed", str(seed)],
         capture_output=True, text=True, timeout=600,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
     )
     assert proc.returncode == 0, proc.stderr
     got = [{k: v for k, v in row.items() if k != "seconds"} for row in json.loads(proc.stdout)]
-    want = json.loads((ROOT / "tests" / "data" / "suites_seed0.json").read_text())
+    want = json.loads((ROOT / "tests" / "data" / f"suites_seed{seed}.json").read_text())
     assert [row["suite"] for row in got] == [row["suite"] for row in want]
     for g, w in zip(got, want):
         assert g == w, g["suite"]
@@ -133,12 +134,25 @@ class TestScaffold:
         for failure in rep.failures:
             original = originals[failure["index"]]
             small = parse_term(failure["term"])
-            assert has_bind(cfg, small) is not harness.PASS
             assert term_size(small) <= term_size(original)
-            # every other field is the one computed on the original case
-            assert failure["size"] == term_size(original)
-        assert any(term_size(parse_term(f["term"])) < f["size"] for f in rep.failures)
+            # every other field is the one computed on the shrunk term
+            assert {k: v for k, v in failure.items() if k not in ("index", "term")} == has_bind(cfg, small)
+        assert any(f["size"] < term_size(originals[f["index"]]) for f in rep.failures)
         assert "has-bind" not in SUITES
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_a_shrunk_failure_names_a_redex_of_its_printed_term(self, seed, monkeypatch):
+        """With the id and ass recipes broken, each moggi-convertibility
+        failure names a step of its shrunk term: a redex of its rule at
+        its position."""
+        monkeypatch.setitem(moggi.RECIPES, Rule.ID, (moggi.RECIPES[Rule.ID][0][:1], ()))
+        monkeypatch.setitem(moggi.RECIPES, Rule.ASS, (moggi.RECIPES[Rule.ASS][0], ()))
+        rep = run_suite("moggi-convertibility", GenConfig(seed=seed, cases=40))
+        assert rep.failures
+        for failure in rep.failures:
+            position = () if failure["position"] == "root" else tuple(failure["position"].split("."))
+            redex = subterm_at(parse_term(failure["term"]), position)
+            assert root_step(redex, Rule(failure["rule"])) is not None, failure
 
     def test_other_cases_are_counted_and_not_shrunk(self, monkeypatch):
         monkeypatch.setattr(harness, "SUITES", dict(SUITES))

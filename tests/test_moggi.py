@@ -16,17 +16,18 @@ from ubcalc.moggi import (
     MRule,
     MVar,
     RECIPES,
-    check_preservation,
     from_moggi,
     from_moggi_comp,
     from_moggi_value,
     image_position,
     is_mvalue,
     let_image_position,
+    let_recipe_at,
     m_enumerate_steps,
     m_parse,
     m_print,
-    simulate,
+    meets,
+    recipe_at,
     to_moggi,
 )
 from ubcalc.reduction import DEFAULT_RULES, Rule, Step, enumerate_steps, replay, root_step
@@ -264,40 +265,53 @@ class TestSubstitutionLemmas:
         assert checked > 100
 
 
+def _let_steps(e):
+    """Every let-step of e, with the images of its source and target and
+    its placed recipe (``let_recipe_at``)."""
+    source = from_moggi(e)
+    return [(step, source, from_moggi(step.result), let_recipe_at(e, step)) for step in m_enumerate_steps(e)]
+
+
+def _met_recipes(e, rule):
+    """The placed recipes of e's steps by rule, each checked to meet: one
+    without a target-side step is a reduction from the source image whose
+    length is its source side's; one with a target-side step joins with eta."""
+    recipes = []
+    for step, source, target, recipe in _let_steps(e):
+        if step.rule is rule:
+            assert meets(source, target, recipe), (m_print(e), step.position)
+            recipes.append(recipe)
+    assert recipes
+    return recipes
+
+
 class TestPreservation:
     def test_let_v_is_one_beta(self):
         e = m_parse("let x = (\\z. z) in x x")
-        results = [r for r in check_preservation(e) if r.rule is MRule.LET_V]
-        assert results and all(r.reached and r.steps >= 1 for r in results)
+        assert all(not target and len(source) >= 1 for source, target in _met_recipes(e, MRule.LET_V))
 
     def test_comp_is_one_reassociation(self):
         e = m_parse("let y = (let x = (f q) in (g x)) in (h y)")
-        results = [r for r in check_preservation(e) if r.rule is MRule.COMP]
-        assert results and all(r.reached and r.steps == 1 for r in results)
+        assert all(not target and len(source) == 1 for source, target in _met_recipes(e, MRule.COMP))
 
     def test_let1_images_equal(self):
         e = m_parse("(f q) v")
-        results = [r for r in check_preservation(e) if r.rule is MRule.LET_1]
-        assert results and all(r.reached and r.steps == 0 for r in results)
+        assert all(recipe == ((), ()) for recipe in _met_recipes(e, MRule.LET_1))
 
     def test_let2_joins_through_eta(self):
         e = m_parse("v (f q)")
-        results = [r for r in check_preservation(e) if r.rule is MRule.LET_2]
-        assert results and all(r.preserved for r in results)
-        assert any(r.eta_join and not r.reached for r in results)
+        assert any(target for _, target in _met_recipes(e, MRule.LET_2))
 
     def test_eta_v_uses_eta(self):
-        e = m_parse("\\x. v x")
-        results = [r for r in check_preservation(e) if r.rule is MRule.ETA_V]
-        assert results and all(r.preserved for r in results)
+        _met_recipes(m_parse("\\x. v x"), MRule.ETA_V)
 
     def test_exhaustive_size_5(self):
         """Every let-term of size 5, and every one to size 7 whose binders
         shadow each other: each step's recipe meets."""
         shadowing = (e for size in range(1, 8) for e in mterms(size, ["u"], SHADOWING))
         for e in itertools.chain(mterms(5, ["u"]), shadowing):
-            for r in check_preservation(e):
-                assert _meets(r.source_image, r.target_image, r.witness), m_print(e)
+            for step, source, target, recipe in _let_steps(e):
+                assert meets(source, target, recipe), m_print(e)
 
     def test_a_step_reached_at_the_root_is_reached(self):
         """Each source image reaches its target by one betac at the root,
@@ -308,31 +322,30 @@ class TestPreservation:
             (gen_mterm(GenConfig(seed=0, max_size=50, cases=50), 5), MRule.LET_V),
         ]
         for e, rule in cases:
-            results = zip(m_enumerate_steps(e), check_preservation(e))
-            (r,) = [r for s, r in results if s.rule is rule and not s.position]
-            assert (r.reached, r.steps, r.eta_join) == (True, 1, False), m_print(e)
+            (found,) = [(s, t, r) for step, s, t, r in _let_steps(e) if step.rule is rule and not step.position]
+            source, target, recipe = found
+            assert meets(source, target, recipe) and (len(recipe[0]), recipe[1]) == (1, ()), m_print(e)
 
-    def test_a_spent_budget_is_inconclusive(self, monkeypatch):
+    def test_a_spent_budget_is_inconclusive(self):
         """The betav step's image is two steps away, which its recipe
         replays.  Moved to where its recipe does not replay, the step once
         went to a bounded join, whose spent budget left it inconclusive;
         with no join left, it is not preserved."""
         e = m_parse("(\\x. x) (\\y. y) (\\z. z)")
-        (r,) = [r for r in check_preservation(e) if r.rule is MRule.BETA_V]
-        assert (r.reached, r.steps) == (True, 2)
-        real = moggi.m_enumerate_steps
-        moved = lambda e, key=None: [dataclasses.replace(s, position=("app-arg",)) for s in real(e, key)]
-        monkeypatch.setattr(moggi, "m_enumerate_steps", moved)
-        (r,) = [r for r in check_preservation(e) if r.rule is MRule.BETA_V]
-        assert (r.reached, r.eta_join, r.preserved, r.witness) == (False, False, False, None)
+        ((forward, backward),) = _met_recipes(e, MRule.BETA_V)
+        assert (len(forward), backward) == (2, ())
+        (step,) = [step for step in m_enumerate_steps(e) if step.rule is MRule.BETA_V]
+        moved = dataclasses.replace(step, position=("app-arg",))
+        assert not meets(from_moggi(e), from_moggi(step.result), let_recipe_at(e, moved))
 
     def test_steps_a_whole_search_left_open_are_decided(self):
         """Cases 29, 30 and 39 of seed 7 at size 50 have steps that a
         400-step whole-term search neither reaches nor exhausts; their
         recipes decide them all."""
         cfg = GenConfig(seed=7, max_size=50)
-        verdicts = [r.preserved for i in (29, 30, 39) for r in check_preservation(gen_mterm(cfg, i))]
-        assert set(verdicts) == {True}
+        for i in (29, 30, 39):
+            steps = _let_steps(gen_mterm(cfg, i))
+            assert steps and all(meets(source, target, recipe) for _, source, target, recipe in steps)
 
     def test_a_bogus_step_is_refuted(self, monkeypatch):
         """A step to a term the source image can neither reach nor join
@@ -340,9 +353,9 @@ class TestPreservation:
         names the placed recipe: one betac at the image of the root."""
         real = moggi.m_enumerate_steps
         bogus = Step(MRule.BETA_V, (), m_parse("\\y. \\z. z"))
+        e = m_parse("\\x. x")
+        assert not meets(from_moggi(e), from_moggi(bogus.result), let_recipe_at(e, bogus))
         monkeypatch.setattr(moggi, "m_enumerate_steps", lambda e, key=None: real(e, key) + [bogus])
-        (r,) = check_preservation(m_parse("\\x. x"))
-        assert (r.reached, r.eta_join, r.preserved, r.witness) == (False, False, False, None)
         cfg = GenConfig(seed=0, cases=20)
         report = run_suite("moggi-preservation", cfg)
         assert (report.passes, report.inconclusive, len(report.failures)) == (0, 0, 20)
@@ -357,8 +370,7 @@ class TestConvertibility:
         witness, the ass step's with let-steps from both images."""
         m = parse_term("(unit (\\z. unit z) * (\\x. unit x * q)) * (\\y. unit y)")
         for step in enumerate_steps(m):
-            source, target = to_moggi(m), to_moggi(step.result)
-            assert _meets(source, target, simulate(source, target, step)), step.rule
+            assert meets(to_moggi(m), to_moggi(step.result), recipe_at(step)), step.rule
 
     def test_ub_side_dispatch(self):
         """A unit/bind pair is ``reduction.joinable``'s to decide: it
@@ -439,8 +451,8 @@ def _ref_image_reaches(src, dst, fuel, allow_eta):
 
 
 def _ref_check_preservation(e, fuel):
-    """check_preservation as it was before the backward image search was
-    dropped: forward, then backward with eta, then a join with eta."""
+    """The preservation check as it was before the backward image search
+    was dropped: forward, then backward with eta, then a join with eta."""
     out = []
     src = from_moggi(e)
     for s in m_enumerate_steps(e):
@@ -491,53 +503,46 @@ class TestSearchOracles:
                 ]
                 assert all(s.key == alpha_key(s.result) for s in got)
 
-    def test_check_preservation_matches_forward_then_backward(self):
-        """Equal results to the reference's at fuel 60 and 300.  At fuel
-        10 a recipe, which needs no fuel, decides a step the reference's
-        searches leave open: the verdict is equal wherever the reference
-        decides, and the depth wherever both reach."""
+    def test_placed_recipes_match_forward_then_backward(self):
+        """Every step's placed recipe meets, and reads as the reference's
+        result at fuel 60 and 300: reached when it has no target-side
+        step, in as many steps as its source side has, and joined with eta
+        otherwise.  At fuel 10 a recipe, which needs no fuel, decides a
+        step the reference's searches leave open: the depth is equal
+        wherever both reach."""
         terms = {alpha_key(e): e for pair in _oracle_pairs() for e in pair}
         joins = 0
         for e in terms.values():
-            results = check_preservation(e)
-            got = [(r.rule, r.reached, r.steps, r.eta_join) for r in results]
+            got = []
+            for step, source, target, (forward, backward) in _let_steps(e):
+                assert meets(source, target, (forward, backward)), (m_print(e), step.rule)
+                got.append((step.rule, not backward, -1 if backward else len(forward), bool(backward)))
             for fuel in (10, 60, 300):
                 want = _ref_check_preservation(e, fuel)
                 if fuel == 10:
-                    for r, (rule, ok, n, eta_join) in zip(results, want, strict=True):
-                        assert r.rule is rule
-                        if ok or eta_join:
-                            assert r.preserved, (m_print(e), rule)
-                        if ok and r.reached:
-                            assert r.steps == n, (m_print(e), rule)
+                    for (rule, reached, n, _), (ref_rule, ok, ref_n, _) in zip(got, want, strict=True):
+                        assert rule is ref_rule
+                        if ok and reached:
+                            assert n == ref_n, (m_print(e), rule)
                 else:
                     assert got == want, (m_print(e), fuel)
-                    joins += sum(r[3] for r in got)
+                    joins += sum(eta_join for *_, eta_join in got)
         assert joins > 0
 
 
 def _ub_step_images(cfg):
     """Every default-rule step of cfg's unit/bind terms, with the images
-    of its source and target."""
+    of its source and target and its placed recipe (``recipe_at``)."""
     for m in gen_terms(cfg):
         source = to_moggi(m)
         for step in enumerate_steps(m, DEFAULT_RULES):
-            yield step, source, to_moggi(step.result)
+            yield step, source, to_moggi(step.result), recipe_at(step)
 
 
-def _let_step_results(cfg):
-    """The preservation result of every step of cfg's let-terms."""
+def _let_step_images(cfg):
+    """Every step of cfg's let-terms, as ``_let_steps`` gives it."""
     for i in range(cfg.cases):
-        yield from check_preservation(gen_mterm(cfg, i))
-
-
-def _meets(source, target, witness):
-    """Whether there is a witness and both its sides replay and end
-    alpha-equal."""
-    if witness is None:
-        return False
-    ends = [replay(t, side) for t, side in zip((source, target), witness)]
-    return None not in ends and alpha_key(ends[0]) == alpha_key(ends[1])
+        yield from _let_steps(gen_mterm(cfg, i))
 
 
 _M_SELECTORS = ("lam-body", "app-fn", "app-arg", "let-bound", "let-body")
@@ -569,14 +574,13 @@ class TestSimulation:
         let-terms at size 25 and 50 at the larger sizes, has a witness
         that replays and meets."""
         steps = 0
-        for step, source, target in _ub_step_images(GenConfig(seed=seed, max_size=max_size, cases=50)):
-            witness = simulate(source, target, step)
-            assert _meets(source, target, witness), (m_print(source), step.rule)
+        for step, source, target, recipe in _ub_step_images(GenConfig(seed=seed, max_size=max_size, cases=50)):
+            assert meets(source, target, recipe), (m_print(source), step.rule)
             steps += 1
         assert steps > 100
         let_steps = 0
-        for r in _let_step_results(GenConfig(seed=seed, max_size=max_size, cases=100 if max_size == 25 else 50)):
-            assert _meets(r.source_image, r.target_image, r.witness), r.rule
+        for step, source, target, recipe in _let_step_images(GenConfig(seed=seed, max_size=max_size, cases=100 if max_size == 25 else 50)):
+            assert meets(source, target, recipe), step.rule
             let_steps += 1
         assert let_steps > 100
 
@@ -586,7 +590,7 @@ class TestSimulation:
         pairs = [(step, to_moggi(m), to_moggi(step.result)) for m, step in _ub_oracle_steps()]
         for fuel in ORACLE_FUELS:
             for step, source, target in pairs:
-                assert simulate(source, target, step) is not None
+                assert meets(source, target, recipe_at(step))
                 want = _ref_convertible(source, target, fuel)
                 assert want is not False and (fuel < 300 or want is True), (m_print(source), fuel)
 
@@ -597,12 +601,12 @@ class TestSimulation:
         (``let x = V in x`` is both an id and a letv redex)."""
         cfg = GenConfig(seed=0, cases=30)
         witnesses = [
-            (source, target, simulate(source, target, step), _M_SELECTORS, "unit/bind to let")
-            for step, source, target in _ub_step_images(cfg)
+            (source, target, recipe, _M_SELECTORS, "unit/bind to let")
+            for step, source, target, recipe in _ub_step_images(cfg)
         ]
         witnesses += [
-            (r.source_image, r.target_image, r.witness, _UB_SELECTORS, "let to unit/bind")
-            for r in _let_step_results(cfg)
+            (source, target, recipe, _UB_SELECTORS, "let to unit/bind")
+            for step, source, target, recipe in _let_step_images(cfg)
         ]
         failed = {"unit/bind to let": 0, "let to unit/bind": 0}
         for source, target, witness, selectors, direction in witnesses:
@@ -615,7 +619,7 @@ class TestSimulation:
                     for variant in variants:
                         bad = list(witness)
                         bad[side] = steps[:i] + (variant,) + steps[i + 1:]
-                        if _meets(source, target, bad):
+                        if meets(source, target, bad):
                             same = replay(start, bad[side][: i + 1])
                             assert alpha_key(same) == alpha_key(replay(start, steps[: i + 1]))
                         else:
@@ -636,17 +640,17 @@ class TestSimulation:
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_suite_without_witnesses_fails_every_case_with_a_step(self, seed, monkeypatch):
-        """With no witness, a case fails at its first step, whose rule,
-        position and placed recipe the failure names; a case without a
-        step passes."""
+        """With no witness, a case with a step fails, and a case without
+        one passes.  The failure names the rule, position and placed
+        recipe of the first step of its printed, shrunk term."""
         cfg = GenConfig(seed=seed, cases=40)
-        monkeypatch.setattr(moggi, "simulate", lambda *args: None)
+        monkeypatch.setattr(moggi, "meets", lambda *args: False)
         report = run_suite("moggi-convertibility", cfg)
         first = {i: enumerate_steps(gen_term(cfg, i), DEFAULT_RULES)[:1] for i in range(cfg.cases)}
         assert report.inconclusive == 0 and report.passes == sum(not steps for steps in first.values())
         assert sorted(f["index"] for f in report.failures) == [i for i, steps in first.items() if steps]
         for failure in report.failures:
-            (step,) = first[failure["index"]]
+            step = enumerate_steps(parse_term(failure["term"]), DEFAULT_RULES)[0]
             q = image_position(step.position)
             recipe = [[f"{rule.value} at {'.'.join(q + at) or 'root'}" for rule, at in side] for side in RECIPES[step.rule]]
             assert (failure["rule"], failure["position"], failure["recipe"]) == (
