@@ -5,7 +5,7 @@ import sys
 
 from ubcalc.cli import AtomSpecError, _atom_spec, _dot_order, non_negative_int
 from ubcalc.filters import DomainSizeError, build_domain
-from ubcalc.typesys import AtomTable, EMPTY_TABLE, print_ctype, print_vtype, to_ctype, to_vtype
+from ubcalc.typesys import AtomTable, EMPTY_TABLE, print_type, to_ctype, to_vtype
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -29,9 +29,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     print(f"rank {dom.n}: {len(dom.values)} value classes, {len(dom.comps)} computation classes")
     for v in dom.values:
-        print(f"  value: {print_vtype(to_vtype(v))}")
+        print(f"  value: {print_type(to_vtype(v))}")
     for c in dom.comps:
-        print(f"  comp:  {print_ctype(to_ctype(c))}")
+        print(f"  comp:  {print_type(to_ctype(c))}")
     return 0
 
 

@@ -26,7 +26,6 @@ from .typesys import (
     leq_v,
     parse_type,
     print_type,
-    print_vtype,
     to_ctype,
     to_vtype,
 )
@@ -135,7 +134,7 @@ def cmd_reduce(args) -> int:
     t = _read_arg(args.term, parse_term)
     if not is_comp(t):
         raise SortError("reduce expects a computation")
-    out = reduction.normalize(t, args.rules, args.fuel, keep_trace=True)
+    out = reduction.normalize(t, args.rules, args.fuel)
     records = [
         {"rule": s.rule.value, "path": s.position_str(), "term": print_term(s.result)}
         for s in out.trace
@@ -235,7 +234,7 @@ def cmd_interp(args) -> int:
 def _dot_order(dom: filters.RankDomain) -> str:
     from .typesys import leq_canon_v
 
-    names = {v: print_vtype(to_vtype(v)) for v in dom.values}
+    names = {v: print_type(to_vtype(v)) for v in dom.values}
     lines = ["digraph order {", '  rankdir="BT";']
     for v in dom.values:
         lines.append(f'  "{names[v]}";')

@@ -35,6 +35,7 @@ from .typesys import (
     EMPTY_TABLE,
     _MEMO_SIZE,
     _make_canon_v,
+    _meet_fold,
     apply_canon,
     leq_canon_c,
     leq_canon_v,
@@ -94,7 +95,7 @@ def _meet_closure(gens: list[CanonV], table: AtomTable, cap: int) -> list[CanonV
         new: list[CanonV] = []
         for x in frontier:
             for g in gens:
-                m = meet_canon_v(x, g, table)
+                m = _meet_fold(x, g, table)
                 if m not in seen:
                     seen[m] = None
                     new.append(m)

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import filters, moggi, transform, typesys
-from .assignment import Derivation, check_derivation, minimal_derivation, typable_nontrivial
+from .assignment import Derivation, check_derivation, minimal_derivation, omega_node, typable_nontrivial, unit_node
 from .convergence import Status, big_step, small_step_converge
 from .reduction import (
     DEFAULT_RULES,
@@ -71,7 +71,6 @@ class GenConfig:
     seed: int = 0
     max_size: int = 25
     closed: bool = True
-    rules: frozenset[Rule] = DEFAULT_RULES
     fuel: int = 200
     rank_bound: int = 2
     width_bound: int = 2
@@ -300,9 +299,9 @@ def run_suite(name: str, cfg: GenConfig) -> PropertyReport:
 
 @suite("confluence")
 def _confluence(cfg: GenConfig, m: Comp):
-    steps = enumerate_steps(m, cfg.rules)
+    steps = enumerate_steps(m, DEFAULT_RULES)
     for a, b in itertools.combinations(steps, 2):
-        found = joinable(a.result, b.result, cfg.fuel, cfg.rules)
+        found = joinable(a.result, b.result, cfg.fuel, DEFAULT_RULES)
         if found is None:
             return INCONCLUSIVE
         if found is False:
@@ -403,9 +402,9 @@ def _big_small(cfg: GenConfig, m: Comp):
 
 @suite("characterization")
 def _characterization(cfg: GenConfig, m: Comp):
-    if big_step(m, cfg.fuel * 3).status == Status.CONVERGES:
-        d = derive_convergent_typing(m, cfg.fuel * 3, cfg.atoms)
-        return PASS if d is not None and check_derivation(d, cfg.atoms).valid else {}
+    d = derive_convergent_typing(m, cfg.fuel * 3, cfg.atoms)
+    if d is not None:
+        return PASS if check_derivation(d, cfg.atoms).valid else {}
     if typable_nontrivial(m, _universe(cfg), cfg.atoms) is None:
         return PASS
     # bounded search found a type, so the term converges beyond the
@@ -414,13 +413,12 @@ def _characterization(cfg: GenConfig, m: Comp):
 
 
 def derive_convergent_typing(m: Comp, fuel: int, table: AtomTable = EMPTY_TABLE) -> Optional[Derivation]:
-    """Run m to unit V and expand a T-top typing back along the trace."""
-    from .assignment import omega_node, unit_node
-
-    out = normalize(m, DEFAULT_RULES, fuel, keep_trace=True)
-    if not out.normal_form or not isinstance(out.term, Unit):
+    """Run m by small steps to unit V and expand a T-top typing of unit V
+    back along the trace; None when m does not converge within fuel."""
+    out = small_step_converge(m, fuel)
+    if out.status is not Status.CONVERGES:
         return None
-    d = unit_node(omega_node((), out.term.value))
+    d = unit_node(omega_node((), out.value))
     sources = [m] + [step.result for step in out.trace]
     for source, step in reversed(list(zip(sources, out.trace))):
         d = transform.expand_derivation(source, step, d, table)

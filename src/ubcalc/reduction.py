@@ -224,18 +224,18 @@ def first_step(m: Comp, rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES) -> O
 class NormalizeOutcome:
     normal_form: bool
     term: Comp
-    trace: tuple[Step, ...] = field(default=())
+    trace: tuple[Step, ...]
 
 
 def normalize(
     m: Comp,
     rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES,
     fuel: int = 1000,
-    keep_trace: bool = False,
 ) -> NormalizeOutcome:
     """Leftmost-outermost normalization with a step budget.
 
-    Each step is ``first_step``; fuel counts steps taken.
+    Each step is ``first_step``; fuel counts steps taken, and the trace
+    holds them.
     """
     if fuel < 0:
         raise ValueError("fuel must be non-negative")
@@ -245,8 +245,7 @@ def normalize(
         step = first_step(cur, rules)
         if step is None:
             return NormalizeOutcome(True, cur, tuple(trace))
-        if keep_trace:
-            trace.append(step)
+        trace.append(step)
         cur = step.result
     return NormalizeOutcome(first_step(cur, rules) is None, cur, tuple(trace))
 

@@ -338,11 +338,14 @@ def _make_canon_v_cached(
     return CanonV(tuple(sorted(kept_atoms)), tuple(kept))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _meet_canon_v_cached(a: CanonV, b: CanonV, table: AtomTable) -> CanonV:
-    # a meet is memoised on its pair, so its fold takes no second entry,
-    # which would double the memos of a lattice build
+def _meet_fold(a: CanonV, b: CanonV, table: AtomTable) -> CanonV:
+    # The fold of a meet takes no entry of the fold memo: a meet is memoised
+    # on its pair (below), and a lattice build, which meets most pairs only
+    # once, calls this unmemoised.
     return _make_canon_v_cached.__wrapped__(a.atoms + b.atoms, a.arrows + b.arrows, table)
+
+
+_meet_canon_v_cached = lru_cache(maxsize=_MEMO_SIZE)(_meet_fold)
 
 
 def meet_canon_v(a: CanonV, b: CanonV, table: AtomTable) -> CanonV:
@@ -524,14 +527,6 @@ def to_ctype(c: CanonC) -> ComType:
 
 
 # ---------------------------------------------------------------- printing
-
-
-def print_vtype(t: ValType) -> str:
-    return _print(t, {})
-
-
-def print_ctype(t: ComType) -> str:
-    return _print(t, {})
 
 
 def print_type(t: AnyType, memo: dict[AnyType, str] | None = None) -> str:

@@ -484,7 +484,6 @@ def _deep_chain(tmp_path) -> str:
     "argv",
     [
         ("fmt",),
-        ("eval", "--fuel", "5000"),
         ("reduce", "--fuel", "5"),
         ("infer",),
         ("interp", "--rank", "1"),
@@ -504,6 +503,11 @@ def test_bad_character_behind_the_recursion_limit_is_reported(capsys):
     assert err == "error: TermSyntaxError: 1:6008: unexpected character '$'\n"
     code, out, err = run(capsys, "fmt", nested)
     assert code == 2 and err.startswith("error: term nests too deeply")
+
+
+def test_deep_chain_evaluates_past_the_recursion_limit(tmp_path, capsys):
+    code, out, err = run(capsys, "eval", "--fuel", "5000", _deep_chain(tmp_path))
+    assert (code, out, err) == (0, "converges: \\z. unit z\n", "")
 
 
 def test_deep_chain_eval_runs_out_of_fuel_before_the_recursion_limit(tmp_path, capsys):

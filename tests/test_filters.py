@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from conftest import CLOSED_COMPS, CLOSED_TERMS, OPEN_TERMS, rotations
 
-from ubcalc import assignment, filters
+from ubcalc import assignment, filters, typesys
 from ubcalc.assignment import check_derivation
 from ubcalc.filters import (
     BOTTOM_C,
@@ -157,6 +157,17 @@ def reference_value_lattice(n, table):
 @pytest.mark.parametrize("n,table", [(0, EMPTY_TABLE), (1, EMPTY_TABLE), (2, EMPTY_TABLE), (0, T1), (1, T1)])
 def test_generator_closure_matches_all_pairs(n, table):
     assert filters._value_lattice.__wrapped__(n, table, filters.LATTICE_CAP) == reference_value_lattice(n, table)
+
+
+@pytest.mark.parametrize("n,table", [(2, EMPTY_TABLE), (1, T1)])
+def test_lattice_build_leaves_the_meet_memo_alone(n, table):
+    """A closure meets most pairs once, so its meets take no entry of the
+    process-wide meet memo, and the points are those of all-pairs meets."""
+    memo = typesys._meet_canon_v_cached
+    before = memo.cache_info().misses
+    got = filters._value_lattice.__wrapped__(n, table, filters.LATTICE_CAP)
+    assert memo.cache_info().misses == before
+    assert got == reference_value_lattice(n, table)
 
 
 class TestMonadOps:

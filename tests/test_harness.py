@@ -71,13 +71,15 @@ class TestSuites:
         assert rep.ok, rep.failures[:3]
         assert rep.cases > 0
 
-    def test_confluence_fails_on_a_peak_without_a_common_reduct(self):
+    def test_confluence_fails_on_a_peak_without_a_common_reduct(self, monkeypatch):
         # with etac, (l * \y. unit w) * (\x. unit x * z) reduces by ass and
-        # by etac to two terms with distinct normal forms
+        # by etac to two terms with distinct normal forms; the default rules
+        # are confluent, so the suite's check sees the peak only with etac
         t = parse_term(r"(unit q * f * (\y. unit w)) * (\x. unit x * z)")
-        cfg = GenConfig(rules=ALL_RULES, fuel=150)
+        cfg = GenConfig(fuel=150)
         a, b = enumerate_steps(t, ALL_RULES)
-        assert joinable(a.result, b.result, cfg.fuel, cfg.rules) is False
+        assert joinable(a.result, b.result, cfg.fuel, ALL_RULES) is False
+        monkeypatch.setattr(harness, "DEFAULT_RULES", ALL_RULES)
         assert harness._confluence(cfg, t) == {"left": print_term(a.result), "right": print_term(b.result)}
 
     def test_unknown_suite(self):
@@ -195,3 +197,13 @@ class TestConvergentTyping:
         assert check_derivation(d).valid
         assert eq_c(d.conclusion.tipo, parse_type("T Wv"))
         assert alpha_eq(d.conclusion.subject, good)
+
+    def test_a_value_with_a_long_body_is_typed_in_no_steps(self):
+        # unit (\x. unit x * (\y. unit y) * ...) with 700 stages is a value
+        # already; reducing under the abstraction would take 700 steps
+        body = "unit x" + "".join(f" * (\\y{i}. unit y{i})" for i in range(700))
+        m = parse_term(f"unit (\\x. {body})")
+        d = derive_convergent_typing(m, 5)
+        assert d is not None and check_derivation(d).valid
+        assert eq_c(d.conclusion.tipo, parse_type("T Wv")) and d.conclusion.subject == m
+        assert harness._characterization(GenConfig(), m) == harness.PASS

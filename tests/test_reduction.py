@@ -127,7 +127,7 @@ class TestReplay:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_a_normalization_trace_replays_to_its_end(self, seed):
         for m in gen_terms(GenConfig(seed=seed, cases=30)):
-            out = normalize(m, fuel=50, keep_trace=True)
+            out = normalize(m, fuel=50)
             got = replay(m, [(s.rule, s.position) for s in out.trace])
             assert alpha_key(got) == alpha_key(out.term)
 
@@ -223,7 +223,7 @@ class TestFirstStepAgainstEnumeration:
     @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
     def test_normalize_matches_reference(self, rules, closed):
         for m in _corpus(closed):
-            got = normalize(m, rules, fuel=60, keep_trace=True)
+            got = normalize(m, rules, fuel=60)
             want = normalize_by_enumeration(m, rules, fuel=60)
             assert got.normal_form == want.normal_form, print_term(m)
             assert alpha_eq(got.term, want.term), print_term(m)
@@ -242,7 +242,7 @@ class TestFirstStepAgainstEnumeration:
 
     def test_long_chain_normalizes(self):
         # 798 steps over a term of 1604 nodes
-        out = normalize(bind_chain(200), fuel=4020, keep_trace=True)
+        out = normalize(bind_chain(200), fuel=4020)
         assert out.normal_form and len(out.trace) == 798
         assert alpha_eq(out.term, Unit(Lambda("z", Unit(Variable("z")))))
 
