@@ -28,13 +28,15 @@ import workloads  # noqa: E402
 
 
 def memo_stats() -> dict[str, dict[str, int]]:
-    """Hits, misses and current size of each lru_cache of typesys and
-    filters."""
+    """Hits, misses and current size of each lru_cache that typesys or
+    filters defines, under the module that defines it: a memo one of them
+    imports from the other is reported once."""
     out = {}
     for layer in ("typesys", "filters"):
-        for name, value in vars(importlib.import_module(f"ubcalc.{layer}")).items():
+        module = importlib.import_module(f"ubcalc.{layer}")
+        for name, value in vars(module).items():
             info = getattr(value, "cache_info", None)
-            if info is not None:
+            if info is not None and value.__module__ == module.__name__:
                 ci = info()
                 out[f"memo.{layer}.{name}"] = {"hits": ci.hits, "misses": ci.misses, "currsize": ci.currsize}
     return out

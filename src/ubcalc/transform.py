@@ -16,8 +16,10 @@ which part of the subject each premise types from the rule schema,
 ``assignment.RULES``.
 
 Each step fixes one term to place at the redex.  Reduction places a
-shadow-free contractum and aligns each piece it builds there to it once;
-a beta_c piece is substituted in that same walk.
+shadow-free contractum, a binder renamed only when it clashes with a
+name in scope at the redex, and aligns each piece it builds there to it
+once; a beta_c piece is substituted in that same walk.  The reduct keeps
+every sub-derivation the step does not touch, as the same objects.
 Expansion aligns the derivation once, up front, with a shadow-free
 source; every piece it builds at the redex then types that source's
 redex exactly.  The copies of the redex under an intersection therefore
@@ -48,6 +50,7 @@ from .terms import (
     Term,
     Unit,
     Variable,
+    _kid,
     all_vars,
     alpha_eq,
     replace_at,
@@ -143,11 +146,11 @@ def _align(
     with dv's subject V put for x.  x leaves every basis, and each Ax on
     x becomes dv aligned to that copy of V, weakened by the renamed
     bindings in scope there that dv's basis lacks.  target must be
-    shadow-free and its binders clear of every name d and dv use.
+    shadow-free and its binders clear of d's and dv's bases.
 
     A node met again at the same part of target under the same renaming
     is rebuilt once, so a DAG gives a DAG."""
-    return _retarget(d, target, ren, x, dv, extra, {})
+    return _retarget(d, target, {k: v for k, v in ren.items() if k != v}, x, dv, extra, {})
 
 
 def _retarget(
@@ -160,6 +163,8 @@ def _retarget(
     memo: dict[int, tuple[Term, dict[str, str], Derivation]],
 ) -> Derivation:
     """_align's walk; memo maps a node to its last retargeting."""
+    if d.conclusion.subject is target and not ren and not extra and x is None:
+        return d
     hit = memo.get(id(d))
     if hit is not None and hit[0] is target and hit[1] == ren:
         return hit[2]
@@ -179,6 +184,8 @@ def _retarget(
         for p, (_, field, scoped) in zip(d.premises, _sites(d)):
             part = target if field is None else getattr(target, field)
             inner = {**ren, J.subject.binder: target.binder} if scoped else ren
+            if scoped and target.binder == J.subject.binder:
+                del inner[target.binder]
             premises.append(_retarget(p, part, inner, x, dv, extra, memo))
         out = _with(d, basis, target, tuple(premises))
     memo[id(d)] = (target, ren, out)
@@ -570,16 +577,23 @@ def reduce_derivation(d: Derivation, step: Step, table: AtomTable = EMPTY_TABLE)
     to a valid derivation of the step's result at the same type."""
     if step.rule is Rule.ETA_C:
         raise TransformError("eta steps are outside the assignment system")
-    root = d.conclusion.subject
+    root = redex = d.conclusion.subject
+    scope = set(root.fv) | basis_dom(d.conclusion.basis)
     try:
-        contractum = root_step(subterm_at(root, step.position), step.rule)
+        for sel in step.position:
+            _, field, scoped = _kid(redex, sel)
+            if scoped:
+                scope.add(redex.binder)
+            redex = getattr(redex, field)
+        contractum = root_step(redex, step.rule)
     except ValueError:
         contractum = None
     if contractum is None:
         raise TransformError("derivation subject does not hold the step's redex")
-    # one contractum for the whole step, its binders clear of every name
-    # in scope at the redex
-    target = unshadow(contractum, all_vars(root) | basis_dom(d.conclusion.basis))
+    # one contractum for the whole step; only its binders that clash with
+    # a name in scope at the redex are renamed, so each sub-derivation the
+    # step leaves alone is kept as the same object
+    target = unshadow(contractum, scope)
     reduce = _REDUCE[step.rule]
     return _descend(d, step.position, target, lambda node: reduce(node, target, table))
 

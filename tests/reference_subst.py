@@ -35,6 +35,7 @@ from ubcalc.terms import (
     all_vars,
     alpha_eq,
     fresh_var,
+    positions,
     subst,
     subterm_at,
     unshadow,
@@ -205,6 +206,7 @@ def reduce_derivation(d: Derivation, step: Step, table: AtomTable = EMPTY_TABLE)
         raise TransformError("derivation subject does not hold the step's redex")
     # one contractum for the whole step, its binders clear of every name
     # in scope at the redex
-    target = unshadow(contractum, all_vars(root) | basis_dom(d.conclusion.basis))
+    above = {s.binder for p, s in positions(root) if isinstance(s, Lambda) and p == step.position[:len(p)] != step.position}
+    target = unshadow(contractum, root.fv | basis_dom(d.conclusion.basis) | above)
     reduce = _REDUCE[step.rule]
     return _descend(d, step.position, target, lambda node: reduce(node, target, table))

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from ubcalc import filters, typesys
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -110,6 +112,14 @@ def test_trace_spans_reports_calls_the_metrics_leave_out():
     # one parse and one print per round-trip item, and terms parsed from the files
     assert spans["derivfile.parse_derivation"]["calls"] == spans["derivfile.print_derivation"]["calls"] == 4
     assert spans["terms.parse_term"]["calls"] > 0
+
+
+def test_trace_spans_reports_an_imported_memo_once(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    trace_spans = _load_script("trace_spans")
+    monkeypatch.setattr(filters, "_normalize_v", typesys._normalize_v, raising=False)
+    names = [name for name in trace_spans.memo_stats() if name.endswith("._normalize_v")]
+    assert names == ["memo.typesys._normalize_v"]
 
 
 def test_trace_spans_reports_the_memos():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 import reference_subst
-from conftest import CLOSED_COMPS
+from conftest import CLOSED_COMPS, distinct_nodes
 from test_assignment import ID_LAM, UNIVERSE, two_node_identity_derivation
 
 from ubcalc import assignment, derivfile, harness, transform
@@ -288,3 +288,46 @@ def test_subject_reduction_prints_as_the_reference(byte_oracle, seed):
 def test_typed_workload_reduction_prints_as_the_reference(byte_oracle):
     _run_typed_workload()
     assert byte_oracle["pieces"] and byte_oracle["reducts"]
+
+
+def _node_ids(d: Derivation) -> set[int]:
+    return {id(n) for n in distinct_nodes(d)}
+
+
+class TestReductionKeepsUntouchedNodes:
+    def test_id_step_keeps_the_left_derivation(self):
+        term = parse_term("(unit \\y. unit y) * \\x. unit x")
+        d = synth_derivation((), term, typable_nontrivial(term, UNIVERSE), UNIVERSE[0])
+        (step,) = [s for s in enumerate_steps(term, DEFAULT_RULES) if s.rule is Rule.ID and s.position == ()]
+        reduct = reduce_derivation(d, step)
+        assert reduct.conclusion.subject is d.conclusion.subject.left
+        lefts, nodes = [dm for dm, _ in transform._extract_bind(d)], _node_ids(reduct)
+        assert lefts and all(id(dm) in nodes for dm in lefts)
+
+    def test_align_without_change_returns_the_node(self):
+        d = two_node_identity_derivation()
+        assert transform._align(d, d.conclusion.subject, {}) is d
+        assert transform._align(d, d.conclusion.subject, {"x": "x"}) is d
+        open_node = d.premises[0]
+        assert transform._align(open_node, open_node.conclusion.subject, {"x": "x"}) is open_node
+
+    @pytest.mark.parametrize("size", [16, 30])
+    def test_reducts_check_and_rebuild_no_more_than_the_reference(self, size):
+        """Every reduct of a generated typing is valid, keeps the type,
+        types the step's result up to alpha, and holds no more nodes that
+        are not d's than reference_subst's reduct."""
+        reducts = 0
+        for seed in range(10):
+            cfg = GenConfig(seed=seed, cases=5, max_size=size)
+            for i in range(cfg.cases):
+                m, d = gen_typed_term(cfg, i)
+                old = _node_ids(d)
+                for step in enumerate_steps(m, DEFAULT_RULES):
+                    got = reduce_derivation(d, step)
+                    assert check_derivation(got).valid
+                    assert got.conclusion.tipo == d.conclusion.tipo
+                    assert alpha_eq(got.conclusion.subject, step.result)
+                    want = reference_subst.reduce_derivation(d, step)
+                    assert len(_node_ids(got) - old) <= len(_node_ids(want) - old)
+                    reducts += 1
+        assert reducts > 100
