@@ -581,10 +581,13 @@ def _unmet(step, recipe) -> dict:
             "recipe": [[f"{rule.value} at {'.'.join(at) or 'root'}" for rule, at in side] for side in recipe]}
 
 
-def _simulated(source_image, steps, image, recipe_at):
-    """PASS when each step's placed recipe meets from source_image and
-    from the image of the step's result (``moggi.meets``), else the
-    failure fields of the first step whose recipe does not."""
+def _simulated(source, steps, image, recipe_at):
+    """PASS when each step's placed recipe meets from the image of source
+    and from the image of the step's result (``moggi.meets``), else the
+    failure fields of the first step whose recipe does not.  The images
+    share a translation memo: a step result's costs only its spine."""
+    image = functools.partial(image, memo={})
+    source_image = image(source)
     for step in steps:
         recipe = recipe_at(step)
         if not moggi.meets(source_image, image(step.result), recipe):
@@ -594,11 +597,10 @@ def _simulated(source_image, steps, image, recipe_at):
 
 @suite("moggi-preservation", _indexed(gen_mterm))
 def _moggi_preservation(cfg: GenConfig, e: moggi.MTerm):
-    out = _simulated(moggi.from_moggi(e), moggi.m_enumerate_steps(e), moggi.from_moggi,
-                     functools.partial(moggi.let_recipe_at, e))
+    out = _simulated(e, moggi.m_enumerate_steps(e), moggi.from_moggi, functools.partial(moggi.let_recipe_at, e))
     return out if out == PASS else {"term": moggi.m_print(e), **out}
 
 
 @suite("moggi-convertibility")
 def _moggi_convertibility(cfg: GenConfig, m: Comp):
-    return _simulated(moggi.to_moggi(m), enumerate_steps(m, DEFAULT_RULES), moggi.to_moggi, moggi.recipe_at)
+    return _simulated(m, enumerate_steps(m, DEFAULT_RULES), moggi.to_moggi, moggi.recipe_at)

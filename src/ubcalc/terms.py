@@ -4,14 +4,13 @@ Unit/bind values are variables and abstractions; computations are
 ``unit V`` and ``M * V`` (bind).  An abstraction body is always a
 computation, the left operand of bind is a computation and the right
 operand a value.  Let-terms are variables, abstractions, applications
-and lets, unsorted.  The constructors of both calculi are ``Node``s of
-one kernel; the printer and parser here are the unit/bind calculus's,
-and ``moggi`` holds the let syntax.
+and lets, unsorted.  The constructors of both calculi are hand-built
+``Node``s of one kernel; the printer and parser here are the unit/bind
+calculus's, and ``moggi`` holds the let syntax.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Union
 
@@ -26,6 +25,7 @@ Position = tuple[str, ...]
 
 
 _EMPTY: frozenset[str] = frozenset()
+_set = object.__setattr__
 
 
 @lru_cache(maxsize=4096)
@@ -33,21 +33,40 @@ def _singleton(name: str) -> frozenset[str]:
     return frozenset((name,))
 
 
-class Node:
+class Fields:
+    """Base of a frozen node; its constructor sets the fields ``__match_args__``
+    names once, and copy and pickle rebuild through the constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Node(Fields):
     """A term node of either calculus.
 
     A constructor's fields are its binder, when it has one, then its
     children.  KIDS declares each child once, as (selector, field, whether
-    the binder scopes over it); that one schema drives free variables,
-    substitution, alpha keys and positions for both calculi.  A
-    constructor without children is a variable with a ``name``.  TAG
-    heads the node's alpha key and VAR is its calculus's variable
-    constructor.
+    the binder scopes over it); that one schema drives substitution,
+    alpha keys and positions for both calculi.  A constructor without
+    children is a variable with a ``name``.  TAG heads the node's alpha
+    key and VAR is its calculus's variable constructor.
 
-    ``fv``, the free variables, is computed once at construction from the
-    children's.  A closed node keeps its alpha key in ``closed_key`` once
-    ``debruijn`` has walked it, so the key lives and dies with the node.
-    Equality, hashing and repr see the declared fields only.
+    Each constructor's own ``__init__`` sets its fields and ``fv``, the
+    free variables: a variable's set comes from ``_singleton``, and a node
+    whose children add or remove nothing reuses a child's.  A closed node
+    keeps its alpha key in ``closed_key`` once ``debruijn`` has walked it.
+    Equality and hashing see the field tuple (``_fields``), as a dataclass's.
     """
 
     __slots__ = ("fv", "closed_key")
@@ -55,91 +74,117 @@ class Node:
     TAG = ""
     VAR: type
 
-    def __post_init__(self) -> None:
-        # share sets: a variable's comes from _singleton, and a node whose
-        # children add or remove nothing reuses a child's
-        fv = None if self.KIDS else _singleton(self.name)
-        for _, field, scoped in self.KIDS:
-            kid = getattr(self, field).fv
-            if scoped and self.binder in kid:
-                kid = kid - {self.binder} or _EMPTY
-            if fv is None or fv <= kid:
-                fv = kid
-            elif not kid <= fv:
-                fv = fv | kid
-        object.__setattr__(self, "fv", fv)
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
 
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, which sets fv
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
-@dataclass(frozen=True, slots=True)
 class Variable(Node):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "fv", _singleton(name))
+
+    def _fields(self) -> tuple:
+        return (self.name,)
 
 
-@dataclass(frozen=True, slots=True)
 class Lambda(Node):
-    binder: str
-    body: "Comp"
+    __slots__ = __match_args__ = ("binder", "body")
     KIDS = ((LAMBDA_BODY, "body", True),)
     TAG = "lam"
     VAR = Variable
+
+    def __init__(self, binder: str, body: Comp):
+        _set(self, "binder", binder)
+        _set(self, "body", body)
+        _set(self, "fv", body.fv - {binder} or _EMPTY if binder in body.fv else body.fv)
+
+    def _fields(self) -> tuple:
+        return self.binder, self.body
 
 
 Value = Union[Variable, Lambda]
 
 
-@dataclass(frozen=True, slots=True)
 class Unit(Node):
-    value: Value
+    __slots__ = __match_args__ = ("value",)
     KIDS = ((UNIT_ARG, "value", False),)
     TAG = "unit"
 
+    def __init__(self, value: Value):
+        _set(self, "value", value)
+        _set(self, "fv", value.fv)
 
-@dataclass(frozen=True, slots=True)
+    def _fields(self) -> tuple:
+        return (self.value,)
+
+
 class Bind(Node):
-    left: "Comp"
-    right: Value
+    __slots__ = __match_args__ = ("left", "right")
     KIDS = ((BIND_LEFT, "left", False), (BIND_RIGHT, "right", False))
     TAG = "bind"
+
+    def __init__(self, left: Comp, right: Value):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        a, b = left.fv, right.fv
+        _set(self, "fv", b if a <= b else a if b <= a else a | b)
+
+    def _fields(self) -> tuple:
+        return self.left, self.right
 
 
 Comp = Union[Unit, Bind]
 Term = Union[Value, Comp]
 
 
-@dataclass(frozen=True, slots=True)
 class MVar(Node):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+    __init__, _fields = Variable.__init__, Variable._fields
 
 
-@dataclass(frozen=True, slots=True)
 class MLam(Node):
-    binder: str
-    body: "MTerm"
+    __slots__ = __match_args__ = ("binder", "body")
     KIDS = (("lam-body", "body", True),)
     TAG = "lam"
     VAR = MVar
+    __init__, _fields = Lambda.__init__, Lambda._fields
 
 
-@dataclass(frozen=True, slots=True)
 class MApp(Node):
-    fn: "MTerm"
-    arg: "MTerm"
+    __slots__ = __match_args__ = ("fn", "arg")
     KIDS = (("app-fn", "fn", False), ("app-arg", "arg", False))
     TAG = "app"
 
+    def __init__(self, fn: MTerm, arg: MTerm):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
+        a, b = fn.fv, arg.fv
+        _set(self, "fv", b if a <= b else a if b <= a else a | b)
 
-@dataclass(frozen=True, slots=True)
+    def _fields(self) -> tuple:
+        return self.fn, self.arg
+
+
 class MLet(Node):
-    binder: str
-    bound: "MTerm"
-    body: "MTerm"
+    __slots__ = __match_args__ = ("binder", "bound", "body")
     KIDS = (("let-bound", "bound", False), ("let-body", "body", True))
     TAG = "let"
     VAR = MVar
+
+    def __init__(self, binder: str, bound: MTerm, body: MTerm):
+        _set(self, "binder", binder)
+        _set(self, "bound", bound)
+        _set(self, "body", body)
+        a, b = bound.fv, body.fv - {binder} or _EMPTY if binder in body.fv else body.fv
+        _set(self, "fv", b if a <= b else a if b <= a else a | b)
+
+    def _fields(self) -> tuple:
+        return self.binder, self.bound, self.body
 
 
 MTerm = Union[MVar, MLam, MApp, MLet]
@@ -299,25 +344,29 @@ def _unshadow(s: Term, taken: set[str]) -> Term:
 # ------------------------------------------------------------ alpha-equality
 
 # de Bruijn skeletons are the structural internal form: bound variables
-# become indices, free variables keep their names.
+# become indices into env (innermost binder first), free ones keep names.
 
 
 def debruijn(t: Node, env: tuple[str, ...] = ()) -> tuple:
-    if not t.KIDS:
-        if t.name in env:
-            return ("b", env[::-1].index(t.name))
-        return ("f", t.name)
-    if not t.fv:
+    kids = t.KIDS
+    if not kids:
+        return ("b", env.index(t.name)) if t.name in env else ("f", t.name)
+    closed = not t.fv
+    if closed:
         # no binder above a closed node changes its key: walk it once
         try:
             return t.closed_key
         except AttributeError:
             pass
-    binder = getattr(t, "binder", None)
-    inner = env if binder is None else env + (binder,)
-    key = (t.TAG, *[debruijn(getattr(t, field), inner if scoped else env) for _, field, scoped in t.KIDS])
-    if not t.fv:
-        object.__setattr__(t, "closed_key", key)
+    _, field, scoped = kids[0]
+    key = debruijn(getattr(t, field), (t.binder,) + env if scoped else env)
+    if len(kids) == 1:
+        key = (t.TAG, key)
+    else:
+        _, field, scoped = kids[1]
+        key = (t.TAG, key, debruijn(getattr(t, field), (t.binder,) + env if scoped else env))
+    if closed:
+        _set(t, "closed_key", key)
     return key
 
 
@@ -386,7 +435,7 @@ def replace_keyed(t: Node, key: tuple, path: Position, new: Node) -> tuple[Node,
         i, field, scoped = _kid(t, sel)
         spine.append((t, field, key, i))
         if scoped:
-            env += (t.binder,)
+            env = (t.binder,) + env
         t, key = getattr(t, field), key[i]
     new_key = debruijn(new, env)
     for node, field, key, i in reversed(spine):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
-from .terms import ParseError, TokenCursor
+from .terms import Fields, ParseError, TokenCursor
 
 # --------------------------------------------------------------- type ASTs
 
@@ -41,14 +41,13 @@ from .terms import ParseError, TokenCursor
 _INTERNED_TYPES: "weakref.WeakValueDictionary[tuple, _TypeNode]" = weakref.WeakValueDictionary()
 
 
-class _TypeNode:
-    """Base of every type node: positional fields named by
-    ``__match_args__``, built through ``_INTERNED_TYPES``.  A class that
-    derives more slots from its fields sets ``_derive``, which a new node
-    runs once, before it enters the table."""
+class _TypeNode(Fields):
+    """Base of every type node: immutable positional fields (``Fields``),
+    built through ``_INTERNED_TYPES``, so equal nodes are one object.  A
+    class that derives more slots from its fields sets ``_derive``, which
+    a new node runs once, before it enters the table."""
 
     __slots__ = ("__weakref__",)
-    __match_args__: tuple[str, ...] = ()
     _derive = None
 
     def __new__(cls, *args, **kwargs):
@@ -71,19 +70,6 @@ class _TypeNode:
                 node._derive()
             _INTERNED_TYPES[key] = node
         return node
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
 
 
 class VAtom(_TypeNode):

@@ -368,3 +368,73 @@ def test_equal_free_variable_sets_are_shared():
     assert lam.fv is lam.body.fv
     assert Lambda("x", Unit(x)).fv is Lambda("y", Unit(Variable("y"))).fv
     assert MLet("z", MVar("x"), MVar("x")).fv is MVar("x").fv
+
+
+# ------------------------------------------------- hand-built node parity
+
+# One node of each constructor; the nodes behave as the frozen, slotted
+# dataclasses they replaced.
+NODES = [
+    Variable("x"),
+    Lambda("x", Unit(Variable("x"))),
+    Unit(Variable("x")),
+    Bind(Unit(Variable("x")), Variable("f")),
+    MVar("x"),
+    MLam("x", MVar("x")),
+    MApp(MVar("f"), MVar("x")),
+    MLet("x", MVar("y"), MVar("x")),
+]
+
+
+def _fields(node):
+    return tuple(getattr(node, f) for f in node.__match_args__)
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_nodes_are_frozen(node):
+    for name in (*node.__match_args__, "fv", "closed_key", "other"):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert _fields(node) == _fields(type(node)(*_fields(node)))
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_nodes_hash_and_compare_their_field_tuples(node):
+    fields = _fields(node)
+    twin = type(node)(*fields)
+    assert twin is not node and twin == node and not twin != node
+    assert hash(node) == hash(twin) == hash(fields)
+    assert type(node)(**dict(zip(node.__match_args__, fields))) == node
+    other = MVar("x") if type(node) is Variable else Variable("x")
+    assert node != fields and node != other
+    last = "z" if isinstance(fields[-1], str) else Variable("z")
+    assert type(node)(*fields[:-1], last) != node
+
+
+def test_nodes_of_two_classes_with_equal_fields_differ():
+    assert Variable("x") != MVar("x") and MVar("x") != Variable("x")
+    assert Lambda("x", Unit(Variable("x"))) != MLam("x", Unit(Variable("x")))
+    assert Bind(Unit(Variable("x")), Variable("f")) != MApp(Unit(Variable("x")), Variable("f"))
+    assert len({Variable("x"), MVar("x"), Variable("x")}) == 2
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_repr_is_dataclass_style(node):
+    fields = ", ".join(f"{f}={getattr(node, f)!r}" for f in node.__match_args__)
+    assert repr(node) == f"{type(node).__name__}({fields})"
+
+
+def test_repr_examples():
+    assert repr(Unit(Variable("x"))) == "Unit(value=Variable(name='x'))"
+    assert repr(MLet("x", MVar("y"), MVar("x"))) == "MLet(binder='x', bound=MVar(name='y'), body=MVar(name='x'))"
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_a_wrong_argument_count_raises_type_error(node):
+    fields = _fields(node)
+    with pytest.raises(TypeError):
+        type(node)(*fields, fields[-1])
+    with pytest.raises(TypeError):
+        type(node)(*fields[:-1])

@@ -681,3 +681,63 @@ class TestGrammar:
 
     def test_application_left_associative(self):
         assert m_parse("f g h") == MApp(MApp(MVar("f"), MVar("g")), MVar("h"))
+
+
+def _off_spine(path):
+    """The positions of the children a step at path leaves alone: each
+    sibling of a node on the path."""
+    for i in range(len(path)):
+        for sel in (BIND_LEFT, BIND_RIGHT, "let-bound", "let-body", "app-fn", "app-arg"):
+            if sel != path[i]:
+                yield path[:i] + (sel,)
+
+
+class TestCaseMemo:
+    """A bridge case translates its source and every step result through
+    one memo (``harness._simulated``)."""
+
+    # per direction: source generator, translation, steps, and where the
+    # image of a source's subterm at a position lands in its image
+    DIRECTIONS = {
+        "unit/bind to let": (gen_term, to_moggi, lambda m: enumerate_steps(m, DEFAULT_RULES),
+                             lambda m, q: image_position(q)),
+        "let to unit/bind": (gen_mterm, from_moggi, m_enumerate_steps, let_image_position),
+    }
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("direction", sorted(DIRECTIONS))
+    def test_step_images_through_one_memo_equal_fresh_ones(self, direction, seed):
+        """Every step result's image through the case memo equals a fresh
+        one, and an untouched sibling subtree's image is the source
+        image's object: the memo was used."""
+        gen, translate, steps, image_at = self.DIRECTIONS[direction]
+        cfg = GenConfig(seed=seed, cases=30)
+        shared = 0
+        for i in range(cfg.cases):
+            source = gen(cfg, i)
+            memo = {}
+            source_image = translate(source, memo)
+            assert source_image == translate(source)
+            for step in steps(source):
+                got = translate(step.result, memo)
+                assert got == translate(step.result)
+                for q in _off_spine(step.position):
+                    try:
+                        untouched = subterm_at(source, q)
+                    except ValueError:
+                        continue
+                    assert subterm_at(step.result, q) is untouched
+                    assert subterm_at(got, image_at(step.result, q)) is subterm_at(source_image, image_at(source, q))
+                    shared += 1
+        assert shared > 0
+
+    @pytest.mark.parametrize("suite", ["moggi-convertibility", "moggi-preservation"])
+    def test_a_suite_run_twice_reports_alike(self, suite, monkeypatch):
+        """Passing runs, at default size and at size 100, and failing runs
+        (no recipe meets), whose records name steps and recipes."""
+        for cfg in (GenConfig(seed=3), GenConfig(seed=3, max_size=100, cases=30)):
+            assert run_suite(suite, cfg).to_json() == run_suite(suite, cfg).to_json()
+        monkeypatch.setattr(moggi, "meets", lambda *args: False)
+        cfg = GenConfig(seed=3, cases=30)
+        first = run_suite(suite, cfg).to_json()
+        assert first["failures"] and first == run_suite(suite, cfg).to_json()
