@@ -163,65 +163,65 @@ def m_parse(text: str) -> MTerm:
 # --------------------------------------------------------------- translation
 
 
-def _memoised(walk):
-    """walk(node, memo) memoised in memo, from id(node) to the node (held so
-    its id is not reused) and walk's result.  Sound for a translation, as it
-    picks each fresh variable from the names of the node it translates."""
-    def cached(node, memo: dict):
-        if id(node) not in memo:
-            memo[id(node)] = node, walk(node, memo)
-        return memo[id(node)][1]
-    return cached
-
-
 def to_moggi(t: Term, memo: Optional[dict] = None) -> MTerm:
     """unit disappears, bind sequences through a let whose variable is
-    fresh for every name in the bind (``all_vars``); memo: see ``_memoised``."""
+    fresh for every name in the bind (``all_vars``).  memo maps node ids to
+    the node (held, so its id stays unique) and its image; it may serve a
+    term and its reducts, as each fresh variable comes from the node's names."""
     return _to_moggi(t, {} if memo is None else memo)[0]
 
 
-@_memoised
 def _to_moggi(t: Term, memo: dict) -> tuple[MTerm, frozenset[str]]:
     """t's image and ``all_vars(t)``, built in one walk of t."""
+    if id(t) in memo:
+        return memo[id(t)][1]
     match t:
         case Variable(name):
-            return MVar(name), t.fv
+            out = MVar(name), t.fv
         case Lambda(x, body):
             image, names = _to_moggi(body, memo)
-            return MLam(x, image), names | {x}
+            out = MLam(x, image), names | {x}
         case Unit(v):
-            return _to_moggi(v, memo)
+            out = _to_moggi(v, memo)
         case Bind(left, right):
             (left, left_names), (right, right_names) = _to_moggi(left, memo), _to_moggi(right, memo)
             names = left_names | right_names
             x = fresh_var(names)
-            return MLet(x, left, MApp(right, MVar(x))), names
-    raise TypeError(f"not a term: {t!r}")
+            out = MLet(x, left, MApp(right, MVar(x))), names
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    memo[id(t)] = t, out
+    return out
 
 
-@_memoised
 def _from_moggi(e: MTerm, memo: dict) -> tuple[Term, frozenset[str]]:
     """e's value image when e is a value, else its computation image, and
     ``all_vars(e)``, built in one walk of e.  A non-value function runs
     first, and its argument in a continuation whose variable is fresh for
     every name in the application."""
+    if id(e) in memo:
+        return memo[id(e)][1]
     match e:
         case MVar(name):
-            return Variable(name), e.fv
+            out = Variable(name), e.fv
         case MLam(x, body):
             image, names = _from_moggi(body, memo)
-            return Lambda(x, _as_comp(body, image)), names | {x}
+            out = Lambda(x, _as_comp(body, image)), names | {x}
         case MApp(f, a):
             (fn, f_names), (arg, a_names) = _from_moggi(f, memo), _from_moggi(a, memo)
             names = f_names | a_names
             if is_mvalue(f):
-                return Bind(_as_comp(a, arg), fn), names
-            x = fresh_var(names)
-            return Bind(fn, Lambda(x, Bind(_as_comp(a, arg), Variable(x)))), names
+                out = Bind(_as_comp(a, arg), fn), names
+            else:
+                x = fresh_var(names)
+                out = Bind(fn, Lambda(x, Bind(_as_comp(a, arg), Variable(x)))), names
         case MLet(x, bound, body):
             (left, bound_names), (right, body_names) = _from_moggi(bound, memo), _from_moggi(body, memo)
-            return Bind(_as_comp(bound, left), Lambda(x, _as_comp(body, right))), bound_names | body_names | {x}
-    raise TypeError(f"not a term: {e!r}")
+            out = Bind(_as_comp(bound, left), Lambda(x, _as_comp(body, right))), bound_names | body_names | {x}
+        case _:
+            raise TypeError(f"not a term: {e!r}")
+    memo[id(e)] = e, out
+    return out
 
 
 def _as_comp(e: MTerm, image: Term) -> Comp:
@@ -242,7 +242,7 @@ def from_moggi_comp(n: MTerm) -> Comp:
 
 
 def from_moggi(e: MTerm, memo: Optional[dict] = None) -> Comp:
-    """Translate any term to a computation, wrapping values in unit."""
+    """Translate any term to a computation, wrapping values in unit; memo as in ``to_moggi``."""
     return _as_comp(e, _from_moggi(e, {} if memo is None else memo)[0])
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +211,27 @@ class TestTranslations:
     def test_from_moggi_always_computation(self):
         for e in mterms(5, ["u"]):
             assert is_comp(from_moggi(e))
+
+    def test_translations_nest_one_call_per_node(self):
+        """The translations' memo costs no stack depth: with 600 frames
+        to spare, both translate terms 400 nodes deep, which needs one
+        frame per node."""
+        m, e = Unit(Variable("x")), MVar("x")
+        for i in range(200):
+            m = Unit(Lambda(f"y{i}", m))
+        for i in range(400):
+            e = MLet(f"y{i}", MVar("x"), e)
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 600)
+        try:
+            image, back = to_moggi(m), from_moggi(e)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert isinstance(image, MLam) and image.binder == "y199"
+        assert isinstance(back, Bind) and back.right.binder == "y399"
 
     @given(CLOSED_COMPS)
     @settings(max_examples=50)
