@@ -72,12 +72,7 @@ def _read_arg(arg: str, parse):
 def rule_set(spec: str) -> frozenset[Rule]:
     """argparse type for --rules: comma-separated rule names; an unknown
     name is a usage error (exit 2)."""
-    names = {
-        "betac": Rule.BETA_C,
-        "id": Rule.ID,
-        "ass": Rule.ASS,
-        "etac": Rule.ETA_C,
-    }
+    names = {r.value: r for r in Rule}
     try:
         return frozenset(names[p.strip()] for p in spec.split(",") if p.strip())
     except KeyError as e:
@@ -238,19 +233,21 @@ def _dot_order(dom: filters.RankDomain) -> str:
     lines = ["digraph order {", '  rankdir="BT";']
     for v in dom.values:
         lines.append(f'  "{names[v]}";')
-    for a in dom.values:
-        for b in dom.values:
-            if a == b or not leq_canon_v(a, b, dom.table):
-                continue
-            # covering edges only
-            if any(
-                c not in (a, b)
-                and leq_canon_v(a, c, dom.table)
-                and leq_canon_v(c, b, dom.table)
-                for c in dom.values
-            ):
-                continue
-            lines.append(f'  "{names[a]}" -> "{names[b]}";')
+    # covering edges only: b covers a when b is strictly above a and above
+    # no other point strictly above a; up[i] holds i's strict up-set as bits
+    values = dom.values
+    up = [
+        sum(1 << j for j, b in enumerate(values) if a != b and leq_canon_v(a, b, dom.table))
+        for a in values
+    ]
+    for i, a in enumerate(values):
+        members = [j for j in range(len(values)) if up[i] >> j & 1]
+        covers = up[i]
+        for j in members:
+            covers &= ~up[j]
+        for j in members:
+            if covers >> j & 1:
+                lines.append(f'  "{names[a]}" -> "{names[values[j]]}";')
     lines.append("}")
     return "\n".join(lines)
 

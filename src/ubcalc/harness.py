@@ -405,11 +405,12 @@ def _characterization(cfg: GenConfig, m: Comp):
     d = derive_convergent_typing(m, cfg.fuel * 3, cfg.atoms)
     if d is not None:
         return PASS if check_derivation(d, cfg.atoms).valid else {}
-    if typable_nontrivial(m, _universe(cfg), cfg.atoms) is None:
-        return PASS
-    # bounded search found a type, so the term converges beyond the
-    # evaluation budget: inconclusive, not asserted
-    return INCONCLUSIVE
+    # a term that does not converge passes only once a cycle proves it
+    # divergent and bounded search finds no nontrivial type for it
+    if small_step_converge(m, cfg.fuel * 3, detect_cycles=True).status is not Status.DIVERGES:
+        return INCONCLUSIVE
+    tipo = typable_nontrivial(m, _universe(cfg), cfg.atoms)
+    return PASS if tipo is None else {"type": print_type(tipo)}
 
 
 def derive_convergent_typing(m: Comp, fuel: int, table: AtomTable = EMPTY_TABLE) -> Optional[Derivation]:

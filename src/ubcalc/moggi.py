@@ -51,7 +51,6 @@ from .terms import (
     alpha_key,
     fresh_var,
     is_mvalue,
-    replace_keyed,
     subterm_at,
 )
 
@@ -59,20 +58,15 @@ from .terms import (
 # ------------------------------------------------------------------- steps
 
 
-def m_enumerate_steps(e: MTerm, key: Optional[tuple] = None) -> list[Step]:
+def m_enumerate_steps(e: MTerm) -> list[Step]:
     """One-step reducts under the full compatible closure (under lambda,
     both application operands, both let positions), one per rule and alpha
-    class, each with the position of its first redex in preorder and its
-    key, derived from e's key (computed when not given) along the path.
+    class, each with the position of its first redex in preorder.
     Contexts keep distinct keys distinct, so one deduplication at the root
     removes what one at every position would."""
-    if key is None:
-        key = alpha_key(e)
     out: dict[tuple, Step] = {}
-    for rule, path, contractum in ub_reduction.redexes(e, LET_RULES):
-        result, k = replace_keyed(e, key, path, contractum)
-        if (rule, k) not in out:
-            out[rule, k] = Step(rule, path, result, k)
+    for step in ub_reduction.enumerate_steps(e, LET_RULES):
+        out.setdefault((step.rule, alpha_key(step.result)), step)
     return list(out.values())
 
 

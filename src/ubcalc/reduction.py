@@ -17,17 +17,17 @@ One step kernel serves both calculi: ``root_step`` contracts a redex of
 either, ``Step`` records a step of either, one redex walk lists the
 steps, and ``replay`` applies a recorded list of (rule, position) steps
 where a search is not needed.  Also here: complete developments, the
-left-of-star termination measure for ass, and the bounded breadth-first
-search on unit/bind terms: ``explore`` from one term and ``meet`` from
-two.  ``joinable`` runs ``meet`` and returns a common reduct, False once
-both reachable sets are exhausted without meeting, or None when a budget
-runs out first.  Without etac the rules are confluent, so False means
-not convertible; with etac it means only "no common reduct".
+left-of-star termination measure for ass, and ``meet``, the bounded
+two-sided breadth-first search on unit/bind terms.  ``joinable`` runs
+``meet`` and returns a common reduct, False once both reachable sets
+are exhausted without meeting, or None when a budget runs out first.
+Without etac the rules are confluent, so False means not convertible;
+with etac it means only "no common reduct".
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .terms import (
@@ -49,7 +49,6 @@ from .terms import (
     is_mvalue,
     positions,
     replace_at,
-    replace_keyed,
     subst,
     subterm_at,
 )
@@ -78,10 +77,12 @@ LET_RULES = frozenset(MRule)
 
 @dataclass(frozen=True, slots=True)
 class Step:
+    """One step of either calculus: its rule, the position of its redex
+    and the whole reduct."""
+
     rule: Rule | MRule
     position: Position
     result: Node
-    key: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def position_str(self) -> str:
         return ".".join(self.position) if self.position else "root"
@@ -179,18 +180,9 @@ def redexes(t: Node, rules: frozenset | set) -> Iterator[tuple[Rule | MRule, Pos
                     yield rule, path, contractum
 
 
-def enumerate_steps(
-    m: Comp,
-    rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES,
-    key: Optional[tuple] = None,
-) -> list[Step]:
-    """All one-step reducts of m, leftmost-outermost first.  Given m's
-    alpha key, each step carries its result's key, derived from m's along
-    the step's path (``terms.replace_keyed``); otherwise none."""
-    steps = redexes(m, rules)
-    if key is None:
-        return [Step(rule, path, replace_at(m, path, c)) for rule, path, c in steps]
-    return [Step(rule, path, *replace_keyed(m, key, path, c)) for rule, path, c in steps]
+def enumerate_steps(m: Comp, rules: frozenset[Rule] | set[Rule] = DEFAULT_RULES) -> list[Step]:
+    """All one-step reducts of m, leftmost-outermost first."""
+    return [Step(rule, path, replace_at(m, path, c)) for rule, path, c in redexes(m, rules)]
 
 
 def replay(t: Node, steps) -> Optional[Node]:
@@ -357,60 +349,41 @@ def ass_measure(m: Comp) -> int:
 # ------------------------------------------------------------ bounded search
 
 
-def explore(start, key: tuple, rules: frozenset[Rule] | set[Rule], budget: int, seen: set):
-    """Bounded breadth-first search up to alpha from start, whose alpha
-    key is key.  Yields (key, state, depth) for start, then for each state
-    first reached, after adding its key to seen.  A state's steps are
-    ``enumerate_steps`` under rules, keyed from the state's key, and each
-    costs one unit of budget.  A state whose expansion begins within the
-    budget takes all its steps; once the budget is spent, the next state
-    with a step is refused and the search stops.  Returns False when a
-    state was refused, and True when none was: the reachable set was
-    exhausted."""
-    seen.add(key)
-    yield key, start, 0
-    frontier, depth = [(key, start)], 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for k, t in frontier:
-            steps = enumerate_steps(t, rules, k)
-            if steps and budget <= 0:
-                return False
-            budget -= len(steps)
-            for s in steps:
-                if s.key not in seen:
-                    seen.add(s.key)
-                    nxt.append((s.key, s.result))
-                    yield s.key, s.result, depth
-        frontier = nxt
-    return True
+def meet(a: Comp, b: Comp, rules: frozenset[Rule] | set[Rule], fuel: int) -> Comp | bool | None:
+    """Search from a and from b, up to alpha, for a common reduct under
+    rules.
 
-
-def meet(a, b, keys: tuple[tuple, tuple], rules: frozenset[Rule] | set[Rule], fuel: int):
-    """Search from a and from b, whose alpha keys are keys, for a common
-    reduct under rules.
-
-    The sides explore in turn, a level at a time and each with fuel (as
-    for ``explore``), and stop at the first state one reaches that the
-    other has seen: a meet of the two full searches shows when the later
-    side reaches it.  Returns that state; False when both reachable sets
-    were exhausted without meeting; None when a budget ran out first.
+    The sides take turns, one whole level of breadth-first search each.
+    Each side has fuel: expanding a state costs that side the number of
+    its steps (``enumerate_steps``), and once the side's fuel is spent its
+    next state with a step is refused and the side stops.  Returns the
+    first reduct one side reaches that the other has seen; False when both
+    reachable sets were exhausted without meeting; None when a state was
+    refused first.
     """
-    seen: tuple[set, set] = (set(), set())
-    searches = {i: explore(t, keys[i], rules, fuel, seen[i]) for i, t in enumerate((a, b))}
-    level, exhausted = [-1, -1], True
-    while searches:
-        for i, search in list(searches.items()):
-            try:
-                depth = level[i]
-                while level[i] == depth:
-                    k, state, level[i] = next(search)
-                    if k in seen[1 - i]:
-                        return state
-            except StopIteration as stop:
-                exhausted = exhausted and stop.value
-                del searches[i]
+    start = alpha_key(a), alpha_key(b)
+    if start[0] == start[1]:
+        return a
+    seen = ({start[0]}, {start[1]})
+    frontiers, budgets = [[a], [b]], [fuel, fuel]
+    exhausted = True
+    while frontiers[0] or frontiers[1]:
+        for i in (0, 1):
+            mine, other, nxt = seen[i], seen[1 - i], []
+            for t in frontiers[i]:
+                steps = enumerate_steps(t, rules)
+                if steps and budgets[i] <= 0:
+                    exhausted, nxt = False, []
+                    break
+                budgets[i] -= len(steps)
+                for s in steps:
+                    k = alpha_key(s.result)
+                    if k not in mine:
+                        if k in other:
+                            return s.result
+                        mine.add(k)
+                        nxt.append(s.result)
+            frontiers[i] = nxt
     return False if exhausted else None
 
 
@@ -423,14 +396,12 @@ def joinable(
     """A common reduct of m and n, False, or None.
 
     Fast path: leftmost-outermost normalization of both sides.  Otherwise
-    ``meet`` with fuel steps per side, where every step of a term expanded
-    is looked at: False means both reachable sets were exhausted without
-    meeting, None that a budget ran out.  Without etac the rules are
-    confluent, so False means not convertible; with etac it means only
-    that m and n have no common reduct.
+    ``meet`` with fuel steps per side: False means both reachable sets
+    were exhausted without meeting, None that a budget ran out.  Without
+    etac the rules are confluent, so False means not convertible; with
+    etac it means only that m and n have no common reduct.
     """
-    keys = alpha_key(m), alpha_key(n)
-    if keys[0] == keys[1]:
+    if alpha_key(m) == alpha_key(n):
         return m
     fast = min(fuel, 80)
     nm = normalize(m, rules, fast)
@@ -438,4 +409,4 @@ def joinable(
     if nm.normal_form and nn.normal_form and alpha_key(nm.term) == alpha_key(nn.term):
         return nm.term
 
-    return meet(m, n, keys, rules, fuel)
+    return meet(m, n, rules, fuel)

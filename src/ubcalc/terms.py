@@ -395,18 +395,18 @@ def positions(t: Node) -> Iterator[tuple[Position, Node]]:
             stack.append((path + (sel,), getattr(s, field)))
 
 
-def _kid(t: Node, sel: str) -> tuple[int, str, bool]:
-    """The child of t that sel selects: its index in t's alpha key (its
-    KIDS entry's, from 1), its field and whether t's binder scopes over it."""
-    for i, (s, field, scoped) in enumerate(t.KIDS, 1):
+def _kid(t: Node, sel: str) -> tuple[str, bool]:
+    """The child of t that sel selects: its field and whether t's binder
+    scopes over it."""
+    for s, field, scoped in t.KIDS:
         if s == sel:
-            return i, field, scoped
+            return field, scoped
     raise ValueError(f"selector {sel!r} does not address {t!r}")
 
 
 def subterm_at(t: Node, path: Position) -> Node:
     for sel in path:
-        t = getattr(t, _kid(t, sel)[1])
+        t = getattr(t, _kid(t, sel)[0])
     return t
 
 
@@ -415,33 +415,12 @@ def replace_at(t: Node, path: Position, new: Node) -> Node:
     the path is rebuilt."""
     spine = []
     for sel in path:
-        field = _kid(t, sel)[1]
+        field = _kid(t, sel)[0]
         spine.append((t, field))
         t = getattr(t, field)
     for node, field in reversed(spine):
         new = with_child(node, field, new)
     return new
-
-
-def replace_keyed(t: Node, key: tuple, path: Position, new: Node) -> tuple[Node, tuple]:
-    """``replace_at(t, path, new)`` and its alpha key, given t's key.
-
-    Only the spine above the path is rebuilt, in the key as in the term:
-    an off-spine child keeps its subkey, ``key[i]`` for the i-th KIDS
-    entry, and new gets its key under the binders above the path."""
-    spine = []
-    env: tuple[str, ...] = ()
-    for sel in path:
-        i, field, scoped = _kid(t, sel)
-        spine.append((t, field, key, i))
-        if scoped:
-            env = (t.binder,) + env
-        t, key = getattr(t, field), key[i]
-    new_key = debruijn(new, env)
-    for node, field, key, i in reversed(spine):
-        new = with_child(node, field, new)
-        new_key = (*key[:i], new_key, *key[i + 1:])
-    return new, new_key
 
 
 def with_child(t: Node, field: str, new: Node) -> Node:

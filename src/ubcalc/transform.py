@@ -581,7 +581,7 @@ def reduce_derivation(d: Derivation, step: Step, table: AtomTable = EMPTY_TABLE)
     scope = set(root.fv) | basis_dom(d.conclusion.basis)
     try:
         for sel in step.position:
-            _, field, scoped = _kid(redex, sel)
+            field, scoped = _kid(redex, sel)
             if scoped:
                 scope.add(redex.binder)
             redex = getattr(redex, field)

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ubcalc import filters
-from ubcalc.cli import main
+from ubcalc.cli import _dot_order, main
 from ubcalc.terms import parse_term
-from ubcalc.typesys import AtomTable, print_type, to_ctype
+from ubcalc.typesys import EMPTY_TABLE, AtomTable, leq_canon_v, print_type, to_ctype, to_vtype
 
 OMEGA = "unit (\\x. unit x * x) * (\\x. unit x * x)"
 
@@ -98,6 +98,40 @@ def test_interp_term(capsys):
 def test_interp_table_dot(capsys):
     code, out, _ = run(capsys, "interp", "--rank", "1", "--table")
     assert code == 0 and out.startswith("digraph")
+
+
+def _ref_dot_order(dom: filters.RankDomain) -> str:
+    """cli._dot_order as it stood before covers came from up-set bitmasks:
+    a cubic search for covering edges.  Kept as the differential oracle."""
+    names = {v: print_type(to_vtype(v)) for v in dom.values}
+    lines = ["digraph order {", '  rankdir="BT";']
+    for v in dom.values:
+        lines.append(f'  "{names[v]}";')
+    for a in dom.values:
+        for b in dom.values:
+            if a == b or not leq_canon_v(a, b, dom.table):
+                continue
+            # covering edges only
+            if any(
+                c not in (a, b)
+                and leq_canon_v(a, c, dom.table)
+                and leq_canon_v(c, b, dom.table)
+                for c in dom.values
+            ):
+                continue
+            lines.append(f'  "{names[a]}" -> "{names[b]}";')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "rank, table",
+    [(0, EMPTY_TABLE), (1, EMPTY_TABLE), (2, EMPTY_TABLE), (0, AtomTable(("a",))), (1, AtomTable(("a",)))],
+    ids=["rank0", "rank1", "rank2", "rank0-atom", "rank1-atom"],
+)
+def test_dot_order_matches_the_cubic_reference(rank, table):
+    dom = filters.build_domain(rank, table)
+    assert _dot_order(dom) == _ref_dot_order(dom)
 
 
 def test_typecheck_file(tmp_path, capsys):

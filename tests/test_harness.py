@@ -18,7 +18,7 @@ from ubcalc.harness import (
     shrink_term,
 )
 from ubcalc.assignment import check_derivation
-from ubcalc.convergence import Status, big_step
+from ubcalc.convergence import Status, big_step, small_step_converge
 from ubcalc.reduction import ALL_RULES, Rule, enumerate_steps, joinable, root_step
 from ubcalc.terms import Bind, alpha_eq, is_comp, omega_c, parse_term, print_term, subterm_at, term_size
 from ubcalc.typesys import eq_c, parse_type
@@ -207,3 +207,18 @@ class TestConvergentTyping:
         assert d is not None and check_derivation(d).valid
         assert eq_c(d.conclusion.tipo, parse_type("T Wv")) and d.conclusion.subject == m
         assert harness._characterization(GenConfig(), m) == harness.PASS
+
+    def test_a_cycle_proves_an_untyped_term_divergent(self):
+        m = omega_c()
+        assert small_step_converge(m, 30, detect_cycles=True).status is Status.DIVERGES
+        assert harness._characterization(GenConfig(), m) == harness.PASS
+
+    def test_a_term_run_out_of_fuel_without_a_cycle_is_inconclusive(self):
+        m = parse_term("unit (\\x. unit x * x * x) * (\\x. unit x * x * x)")
+        cfg = GenConfig()
+        assert small_step_converge(m, cfg.fuel * 3, detect_cycles=True).status is Status.FUEL_EXHAUSTED
+        assert harness._characterization(cfg, m) == harness.INCONCLUSIVE
+
+    def test_a_divergent_term_with_a_nontrivial_type_fails(self, monkeypatch):
+        monkeypatch.setattr(harness, "typable_nontrivial", lambda *args: parse_type("T Wv"))
+        assert harness._characterization(GenConfig(), omega_c()) == {"type": "T Wv"}

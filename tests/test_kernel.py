@@ -32,7 +32,6 @@ from ubcalc.terms import (
     fresh_var,
     positions,
     replace_at,
-    replace_keyed,
     subst,
     subterm_at,
 )
@@ -269,11 +268,11 @@ def test_m_enumerate_steps_match_reference():
     for e in M:
         got = m_enumerate_steps(e)
         want = ref_m_enumerate_steps(e)
-        assert [(s.rule, s.key) for s in got] == [(s.rule, ref_m_debruijn(s.result)) for s in want]
+        assert [(s.rule, alpha_key(s.result)) for s in got] == [(s.rule, ref_m_debruijn(s.result)) for s in want]
         assert [s.result for s in got] == [s.result for s in want]
 
 
-# ----------------------------------------------------- derived step keys
+# ------------------------------------------------------ two levels of steps
 
 
 def _keyed_sources(seed):
@@ -286,58 +285,37 @@ def _keyed_sources(seed):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_step_keys_derived_from_the_parent_match_from_scratch_keys(seed):
-    """A step's key is its parent's with the subkey along its path
-    replaced.  Over two levels of steps, the second keyed from the first's
-    derived keys as a search keys them, it must equal the from-scratch
-    debruijn walk of the result, and keying must leave the step list
-    (rule, position, result, in order) as it is."""
+    """Over two levels of steps, as a search takes them, the step lists
+    (rule, position, result, in order) equal the references'; every rule
+    fires below the root."""
     ub, let_terms = _keyed_sources(seed)
     seen = set()
     for m in ub:
         for rules in (DEFAULT_RULES, ALL_RULES):
-            level = [(m, alpha_key(m))]
+            level = [m]
             for _ in range(2):
                 nxt = []
-                for t, key in level:
-                    steps = enumerate_steps(t, rules, key)
-                    assert steps == enumerate_steps(t, rules) == ref_enumerate_steps(t, rules)
+                for t in level:
+                    steps = enumerate_steps(t, rules)
+                    assert steps == ref_enumerate_steps(t, rules)
                     for s in steps:
-                        assert s.key == alpha_key(s.result) == ref_debruijn(s.result)
                         seen.add((s.rule, bool(s.position)))
-                        nxt.append((s.result, s.key))
+                        nxt.append(s.result)
                 level = nxt
     assert seen >= {(rule, True) for rule in Rule}
     for e in let_terms:
-        level = [(e, alpha_key(e))]
+        level = [e]
         for _ in range(2):
             nxt = []
-            for t, key in level:
-                steps = m_enumerate_steps(t, key)
-                assert steps == m_enumerate_steps(t)
+            for t in level:
+                steps = m_enumerate_steps(t)
                 want = ref_m_enumerate_steps(t)
                 assert [(s.rule, s.result) for s in steps] == [(s.rule, s.result) for s in want]
                 for s in steps:
-                    assert s.key == alpha_key(s.result) == ref_m_debruijn(s.result)
                     seen.add((s.rule, True))
-                    nxt.append((s.result, s.key))
+                    nxt.append(s.result)
             level = nxt
     assert seen >= {(rule, True) for rule in MRule}
-
-
-@pytest.mark.parametrize("calculus", sorted(CALCULI))
-def test_replace_keyed_at_every_position(calculus):
-    """Put, at every position, each variable named in the term (so the
-    binders above the position capture it) and a closed term."""
-    terms, _, _, _, debruijn, var, closed = CALCULI[calculus]
-    for t in terms:
-        key = alpha_key(t)
-        for path, s in positions(t):
-            for probe in [var(x) for x in sorted(all_vars(t))] + [closed]:
-                if calculus == "unit/bind" and isinstance(s, (Unit, Bind)):
-                    probe = Unit(probe)
-                got, got_key = replace_keyed(t, key, path, probe)
-                assert got == replace_at(t, path, probe)
-                assert got_key == debruijn(got)
 
 
 def test_closed_nodes_keep_their_key_and_open_ones_none():

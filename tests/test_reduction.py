@@ -4,8 +4,10 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_search
 from conftest import CLOSED_COMPS, OPEN_COMPS
 
+from ubcalc import reduction
 from ubcalc.convergence import EvalOutcome, Status, small_step_converge
 from ubcalc.harness import GenConfig, gen_term, gen_terms
 from ubcalc.reduction import (
@@ -507,3 +509,32 @@ class TestJoinableOracle:
                 assert is_comp(got), (print_term(a), print_term(b))
             else:
                 assert got is None or got is False or is_comp(got)
+
+
+def _verdict(found) -> str:
+    return "join" if is_comp(found) else repr(found)
+
+
+@pytest.mark.parametrize(
+    "rules", [DEFAULT_RULES, ALL_RULES, frozenset({Rule.ASS})], ids=["default", "all", "ass"]
+)
+@pytest.mark.parametrize("fuel", [0, 5, 60, 200])
+def test_search_matches_the_keyed_reference(rules, fuel, monkeypatch):
+    """joinable decides as it did on the generator search the
+    level-synchronous ``meet`` replaced (``reference_search``), and every
+    join ``meet`` returns is reached within fuel by the reference's search
+    from each side."""
+    joins = []
+
+    def spy(a, b, *rest, real=reduction.meet):
+        found = real(a, b, *rest)
+        if is_comp(found):
+            joins.append((a, b, alpha_key(found)))
+        return found
+
+    monkeypatch.setattr(reduction, "meet", spy)
+    for a, b in _critical_pairs(rules):
+        want = reference_search.joinable(a, b, fuel, rules)
+        assert _verdict(joinable(a, b, fuel, rules)) == _verdict(want), (print_term(a), print_term(b))
+    for a, b, k in joins:
+        assert reference_search.reaches(a, k, rules, fuel) and reference_search.reaches(b, k, rules, fuel)
